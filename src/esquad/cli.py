@@ -168,7 +168,8 @@ def _load_flag_config(path: str, allowed: set) -> dict:
     return data
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The ``esquad`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="esquad",
         description="(1+1)-ES on convex quadratics: runs, theory constants, "
@@ -241,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--out", help="output directory (overrides config)")
 
-    return parser
+    return parser, sub.choices
 
 
 def _problem_from_args(args) -> QuadraticProblem:
@@ -258,14 +259,6 @@ def _params_from_args(args) -> EsParams:
     if args.alpha_up is None or args.alpha_down is None:
         raise ConfigError("--alpha-up and --alpha-down are required")
     return EsParams(args.alpha_up, args.alpha_down)
-
-
-def _apply_flag_config(args, allowed: set):
-    if getattr(args, "config", None) and args.command != "verify":
-        data = _load_flag_config(args.config, allowed)
-        for key, value in data.items():
-            if getattr(args, key, None) in (None,) or key not in vars(args):
-                setattr(args, key, value)
 
 
 def _cmd_run(args) -> int:
@@ -468,12 +461,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for usage errors; preserve both.
-        return int(exc.code or 0)
+    parser, commands = _build_parser()
     handlers = {
         "run": _cmd_run,
         "bounds": _cmd_bounds,
@@ -483,9 +471,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        flag_keys = {k for k in vars(args) if k not in ("command", "config")}
-        _apply_flag_config(args, flag_keys)
+        args = parser.parse_args(argv)
+        if args.command != "verify" and args.config:
+            # The file's values become the subcommand's defaults and argv is
+            # parsed again, so flags given inline win over the file.
+            allowed = {k for k in vars(args) if k not in ("command", "config")}
+            commands[args.command].set_defaults(
+                **_load_flag_config(args.config, allowed))
+            args = parser.parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:
+        # argparse exits 0 for --help and 2 for usage errors; preserve both.
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

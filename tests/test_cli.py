@@ -235,6 +235,35 @@ class TestFlagConfig:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_run_config_values_with_flag_defaults_apply(self, tmp_path, capsys):
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "d": 8, "spectrum": "sphere",
+            "alpha_up": 1.1, "alpha_down": 0.97,
+            "budget": 50, "seed": 3,
+        }))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "(51 rows)" in capsys.readouterr().out
+        assert json.loads((tmp_path / "o.csv.meta.json").read_text())["seed"] == 3
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "4"]) == 0
+        assert json.loads((tmp_path / "o.csv.meta.json").read_text())["seed"] == 4
+
+    def test_rate_config_values_with_flag_defaults_apply(self, tmp_path, capsys):
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "d": 8, "spectrum": "sphere",
+            "alpha_up": math.exp(1 / 8), "alpha_down": math.exp(-1 / 32),
+            "budget": 600, "trials": 2, "seed": 9,
+        }))
+        assert main(["rate", "--config", str(cfg), "--trials", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["budget"] == 600
+        assert payload["burn_in"] == 60
+        assert payload["trials"] == 3
+        assert payload["metadata"]["seed"] == 9
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "flags.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))

@@ -1,9 +1,14 @@
 import math
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import esquad as eq
+from esquad import stochastic
 
 
 class TestDeterminism:
@@ -91,8 +96,104 @@ class TestRandomRotation:
         assert np.array_equal(a, b)
 
 
+def _raw_word_normals(seed, n, skip=0):
+    """The contract's transform applied word by word to Philox's raw output."""
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    raw = bitgen.random_raw(skip + n)[skip:]
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53))
+
+
+# Shapes around the smallest piece (2**15 variates): below, at, two pieces,
+# one piece with a remainder, and a Monte Carlo chunk of 4M variates.
+SPLIT_SHAPES = [(151, 217), (128, 256), (256, 256), (1000, 65), (15625, 256)]
+
+
+class TestSplitDraw:
+    @pytest.mark.parametrize("rows,d", SPLIT_SHAPES)
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+    def test_matrix_equals_stacked_vectors(self, rows, d, drawn):
+        s1, s2 = eq.RandomStream(21, (4,)), eq.RandomStream(21, (4,))
+        if drawn:
+            eq.normal_vector(s1, drawn)
+            eq.normal_vector(s2, drawn)
+        block = eq.normal_matrix(s1, rows, d)
+        stacked = np.stack([eq.normal_vector(s2, d) for _ in range(rows)])
+        assert np.array_equal(block, stacked)
+        assert np.array_equal(eq.normal_vector(s1, 5), eq.normal_vector(s2, 5))
+
+    @pytest.mark.parametrize("drawn", [0, 3])
+    def test_bytes_follow_raw_words(self, drawn):
+        s = eq.RandomStream(17)
+        if drawn:
+            eq.normal_vector(s, drawn)
+        n = 1000 * 256
+        got = np.concatenate([eq.normal_matrix(s, 1000, 256).ravel(),
+                              eq.normal_vector(s, 9)])
+        assert np.array_equal(got, _raw_word_normals(17, n + 9, drawn))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_piece_count_does_not_change_bytes(self, monkeypatch, cpus):
+        def draw(n_cpus):
+            monkeypatch.setattr(stochastic, "_cpu_count", lambda: n_cpus)
+            s = eq.RandomStream(33)
+            eq.normal_vector(s, 2)
+            return eq.normal_matrix(s, 15625, 256), eq.normal_vector(s, 5)
+
+        single, single_next = draw(1)
+        split, split_next = draw(cpus)
+        assert np.array_equal(single, split)
+        assert np.array_equal(single_next, split_next)
+
+
+class TestUniformEnds:
+    @staticmethod
+    def _stream_with_words(words):
+        s = eq.RandomStream(0)
+        state = s._bitgen.state
+        state["buffer"] = np.array(words, dtype=np.uint64)
+        state["buffer_pos"] = 0
+        s._bitgen.state = state
+        return s
+
+    def test_top_word_gives_finite_normal(self):
+        top = 2**64 - 1
+        s = self._stream_with_words([top, 2**64 - 2**11, (2**53 - 2) << 11, 0])
+        z = eq.normal_vector(s, 4)
+        assert np.all(np.isfinite(z))
+        assert z[0] == z[1] == ndtri(1.0 - 2.0**-53)
+        assert z[2] == ndtri(1.0 - 2.0**-52)  # the next word down is unchanged
+        assert z[3] == ndtri(2.0**-54)
+
+
+def test_concurrent_callers_share_the_pool():
+    seeds = range(6)
+    expected = [eq.normal_matrix(eq.RandomStream(s), 256, 256) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as callers:
+            futures = [callers.submit(eq.normal_matrix, eq.RandomStream(s), 256, 256)
+                       for s in seeds]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def _fork_child_draw(seed):
+    return eq.normal_matrix(eq.RandomStream(seed), 1000, 256)
+
+
+def test_forked_child_draws_like_parent():
+    parent = eq.normal_matrix(eq.RandomStream(44), 1000, 256)  # starts the pool
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(_fork_child_draw, (44,)).get(timeout=60)
+    assert np.array_equal(child, parent)
+
+
 def test_generator_id_is_stable():
-    assert eq.GENERATOR_ID == "philox-seedseq+invcdf/v1"
+    assert eq.GENERATOR_ID == "philox-seedseq+invcdf/v2"
 
 
 def test_invalid_dimension():
