@@ -196,7 +196,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--budget", type=int, default=1000)
     p_run.add_argument("--sigma0", type=float, default=None)
-    p_run.add_argument("--out", required=True)
+    p_run.add_argument("--out", help="trace CSV path (required)")
     p_run.add_argument("--svg", help="also write a log f vs t plot")
     p_run.add_argument("--config")
 
@@ -208,7 +208,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     p_drift = sub.add_parser("drift", help="one-step potential drift report")
     add_problem_flags(p_drift)
     add_alpha_flags(p_drift)
-    p_drift.add_argument("--state", required=True, help="JSON file {m, log_sigma}")
+    p_drift.add_argument("--state", help="JSON file {m, log_sigma} (required)")
     p_drift.add_argument("--n", type=int, default=100000)
     p_drift.add_argument("--seed", type=int, default=0)
     p_drift.add_argument("--out")
@@ -234,7 +234,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     p_sweep.add_argument("--budget", type=int, default=20000)
     p_sweep.add_argument("--burn-in", type=int, default=None)
     p_sweep.add_argument("--trials", type=int, default=20)
-    p_sweep.add_argument("--out", required=True)
+    p_sweep.add_argument("--out", help="sweep CSV path (required)")
     p_sweep.add_argument("--svg")
     p_sweep.add_argument("--config")
 
@@ -459,6 +459,9 @@ def _cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+_REQUIRED = {"run": "out", "drift": "state", "sweep": "out"}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser, commands = _build_parser()
@@ -479,6 +482,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             commands[args.command].set_defaults(
                 **_load_flag_config(args.config, allowed))
             args = parser.parse_args(argv)
+        # Checked after the merge, so a config file can supply these too.
+        required = _REQUIRED.get(args.command)
+        if required and getattr(args, required) is None:
+            raise ConfigError(f"--{required} is required, inline or in --config")
         return handlers[args.command](args)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; preserve both.

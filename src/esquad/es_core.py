@@ -10,12 +10,22 @@ Selection compares the untransformed quadratic core.  Every supported
 transform is strictly increasing, so the decision is identical to comparing
 transformed objective values, and the comparison stays well defined in the
 log domain long after raw objective values leave double range.
+
+``step`` and ``run`` share one transition in decrement form: the offspring
+y + sigma z of the centred parent y is accepted iff (ties accepted)
+delta = sigma (Hy)^T z + 1/2 sigma^2 z^T H z <= 0.  Both terms are taken in
+the eigenframe of H = R diag(lambda) R^T: each block of 256 variates is
+mapped once to w = R^T z (w = z without a rotation) and q = 1/2 sum(lambda w^2),
+and g = lambda R^T y changes only on acceptance, so a rejected step costs one
+dot product g.w.  The parent stays in the original frame.  On acceptance the
+core is evaluated again exactly and log f advances by log1p(delta/core) <= 0,
+except for delta/core <= -1/2, where 1 + delta/core can round to 0: log f is
+then taken from the new point, still monotone since the core at least halved.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -32,6 +42,7 @@ _LN2 = math.log(2.0)
 # Rescale the internal frame when the working scale drifts this far from 1;
 # pure powers of two keep the renormalization exact in floating point.
 _RESCALE_LIMIT = 100
+_SCALE_LOW, _SCALE_HIGH = 2.0 ** -(_RESCALE_LIMIT + 1), 2.0**_RESCALE_LIMIT
 _BLOCK = 256
 
 
@@ -114,20 +125,18 @@ class StepOutcome:
 
 
 def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsParams) -> StepOutcome:
-    """One transition: sample x = m + sigma z, accept iff core(x) <= core(m)."""
-    y = state.m - problem.optimum
-    sigma = math.exp(state.log_sigma)
-    cand = y + sigma * np.asarray(z, dtype=float)
-    core_m = problem.core_centered(y)
-    core_x = problem.core_centered(cand)
-    if not (math.isfinite(core_m) and math.isfinite(core_x)):
-        raise NumericalFailure("non-finite core evaluation in step")
-    if core_x <= core_m:
-        nxt = EsState(cand + problem.optimum, state.log_sigma + params.log_up)
-        ratio = problem.log_core_centered(cand) - problem.log_core_centered(y)
-        return StepOutcome(nxt, True, min(ratio, 0.0))
-    nxt = EsState(state.m, state.log_sigma + params.log_down)
-    return StepOutcome(nxt, False, 0.0)
+    """One transition: sample x = m + sigma z, accept iff core(x) <= core(m).
+
+    z is mapped as a row of a full (256, d) variate block, as in ``run``, so
+    steps on run's variates make its decisions and visit its points bit for bit.
+    """
+    block = np.zeros((_BLOCK, problem.d))
+    block[0] = z
+    tr = _walk(problem, state, params, 1, iter((block,)), record_m=True)
+    if not tr.accepted[1]:
+        return StepOutcome(EsState(state.m, float(tr.log_sigma[1])), False, 0.0)
+    nxt = EsState(tr.m_centered[1] + problem.optimum, float(tr.log_sigma[1]))
+    return StepOutcome(nxt, True, float(tr.log_f[1] - tr.log_f[0]))
 
 
 @dataclass
@@ -220,128 +229,119 @@ def run(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    y = np.asarray(state0.m, dtype=float) - problem.optimum
-    if not np.any(y):
-        raise DegenerateStart("run started exactly at the optimum")
-
-    classify_logs = None
-    run_stats = None
-    if constants is not None:
-        from .potential import classify_from_logs
-
-        classify_logs = classify_from_logs
-        run_stats = problem.stats()
-
-    log_sigma = float(state0.log_sigma)
-    scale_exp = 0  # actual vector = y * 2**scale_exp
-
-    def rescaled(y, scale_exp):
-        s = float(np.max(np.abs(y)))
-        s = max(s, math.exp(log_sigma - scale_exp * _LN2))
-        e = math.frexp(s)[1]  # s in [2**(e-1), 2**e)
-        if abs(e) > _RESCALE_LIMIT:
-            y = y * 2.0 ** float(-e)
-            scale_exp += e
-        return y, scale_exp
-
-    y, scale_exp = rescaled(y, scale_exp)
-
-    n_rows = budget + 1
-    t_col = np.arange(n_rows)
-    log_f = np.empty(n_rows)
-    log_sig = np.empty(n_rows)
-    accepted = np.zeros(n_rows, dtype=np.int8)
-    log_norm = np.empty(n_rows)
-    regimes: Optional[List[str]] = [] if classify_logs is not None else None
-    m_hist = np.empty((n_rows, problem.d)) if record_m else None
-
-    lam = problem.spectrum.eigenvalues
-    diag = problem.rotation is None
-
-    def core_of(vec):
-        if diag:
-            return 0.5 * float(np.dot(lam * vec, vec))
-        return problem.core_centered(vec)
-
-    core_y = core_of(y)
-    cur_log_f = problem.log_core_centered(y) + 2.0 * scale_exp * _LN2
-    cur_log_norm = _log_norm(y) + scale_exp * _LN2
-
-    def record(i):
-        log_f[i] = cur_log_f
-        log_sig[i] = log_sigma
-        log_norm[i] = cur_log_norm
-        if regimes is not None:
-            lg = problem.log_grad_norm_centered(y) + scale_exp * _LN2
-            regimes.append(
-                classify_logs(cur_log_f, lg, log_sigma, run_stats, constants).value
-            )
-        if m_hist is not None:
-            m_hist[i] = y * 2.0**scale_exp
-
-    record(0)
-    hit_zero = False
-    zbuf = None
-    zi = _BLOCK
-    steps_done = 0
-    for t in range(1, n_rows):
-        if zi >= _BLOCK:
-            zbuf = normal_matrix(stream, _BLOCK, problem.d)
-            zi = 0
-        z = zbuf[zi]
-        zi += 1
-        sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
-        cand = y + sigma_hat * z
-        core_c = core_of(cand)
-        if not math.isfinite(core_c) or not math.isfinite(core_y):
-            raise NumericalFailure(f"non-finite core at step {t}")
-        if core_c <= core_y:
-            y = cand
-            core_y = core_c
-            log_sigma += params.log_up
-            accepted[t] = 1
-            cur_log_f = problem.log_core_centered(y) + 2.0 * scale_exp * _LN2
-            cur_log_norm = _log_norm(y) + scale_exp * _LN2
-        else:
-            log_sigma += params.log_down
-        record(t)
-        steps_done = t
-        if core_y == 0.0:
-            hit_zero = True
-            break
-        y, new_exp = rescaled(y, scale_exp)
-        if new_exp != scale_exp:
-            scale_exp = new_exp
-            core_y = core_of(y)
-
-    n_kept = steps_done + 1
-    trace = RunTrace(
-        t=t_col[:n_kept],
-        log_f=log_f[:n_kept],
-        log_sigma=log_sig[:n_kept],
-        accepted=accepted[:n_kept],
-        log_norm=log_norm[:n_kept],
-        regime=regimes,
-        m_centered=None if m_hist is None else m_hist[:n_kept],
-        metadata={
-            "version": VERSION,
-            "generator_id": GENERATOR_ID,
-            "seed": stream.seed,
-            "path": list(stream.path),
-            "params": params.to_json(),
-            "problem": problem.to_json(),
-            "budget": budget,
-            "log_sigma0": state0.log_sigma,
-            "hit_zero": hit_zero,
-        },
-        hit_zero=hit_zero,
-    )
+    blocks = (normal_matrix(stream, _BLOCK, problem.d) for _ in range(budget))
+    trace = _walk(problem, state0, params, budget, blocks, constants, record_m)
+    trace.metadata = {
+        "version": VERSION,
+        "generator_id": GENERATOR_ID,
+        "seed": stream.seed,
+        "path": list(stream.path),
+        "params": params.to_json(),
+        "problem": problem.to_json(),
+        "budget": budget,
+        "log_sigma0": state0.log_sigma,
+        "hit_zero": trace.hit_zero,
+    }
     return trace
 
 
-def _log_norm(y: np.ndarray) -> float:
-    mx = float(np.max(np.abs(y)))
-    if mx == 0.0:
+def _walk(problem, state0, params, budget, blocks, constants=None, record_m=False):
+    """The transition shared by ``step`` and ``run``.
+
+    Takes up to ``budget`` steps from ``state0`` on the rows of ``blocks``, an
+    iterator of (_BLOCK, d) variate arrays, and returns the trace without
+    metadata.  Columns that change only on acceptance are written at accepted
+    rows and carried forward.
+    """
+    lam = problem.spectrum.eigenvalues
+    log_up, log_down = params.log_up, params.log_down
+    y = np.asarray(state0.m, dtype=float) - problem.optimum
+    if not np.any(y):
+        raise DegenerateStart("started exactly at the optimum")
+    log_sigma = float(state0.log_sigma)
+    scale_exp = 0  # the centred point is y * 2**scale_exp
+
+    def refresh(y):
+        """Eigenframe gradient g, exact core and max |y| of a new parent."""
+        u = problem.eigen_frame(y)
+        g = lam * u
+        return g, 0.5 * float(g.dot(u)), float(abs(y).max())
+
+    n_rows = budget + 1
+    log_f = np.empty(n_rows)
+    accepted = np.zeros(n_rows, dtype=np.int8)
+    log_norm = np.empty(n_rows)
+    log_grad = np.empty(n_rows) if constants is not None else None
+    m_hist = np.empty((n_rows, problem.d)) if record_m else None
+
+    def keep(i):
+        log_f[i] = cur_log_f
+        log_norm[i] = _log_norm(y, y_max) + scale_exp * _LN2
+        if log_grad is not None:
+            log_grad[i] = problem.log_grad_norm_centered(y) + scale_exp * _LN2
+        if m_hist is not None:
+            m_hist[i] = y * 2.0**scale_exp
+
+    g, core, y_max = refresh(y)
+    cur_log_f = problem.log_core_centered(y)
+    keep(0)
+    zi = _BLOCK
+    t = 0
+    for t in range(1, n_rows):
+        sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
+        scale = y_max if y_max > sigma_hat else sigma_hat
+        if not _SCALE_LOW <= scale < _SCALE_HIGH:
+            e = math.frexp(scale)[1]  # the scale is in [2**(e-1), 2**e)
+            y = y * 2.0 ** float(-e)
+            scale_exp += e
+            g, core, y_max = refresh(y)
+            sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
+        if zi == _BLOCK:
+            z_block = next(blocks)
+            w_block = z_block if problem.rotation is None else z_block @ problem.rotation
+            q = (0.5 * np.einsum("ij,ij->i", w_block * lam, w_block)).tolist()
+            zi = 0
+        delta = sigma_hat * float(g.dot(w_block[zi])) + sigma_hat * sigma_hat * q[zi]
+        if not math.isfinite(delta):
+            raise NumericalFailure(f"non-finite core decrement at step {t}")
+        if delta <= 0.0:
+            y += sigma_hat * z_block[zi]
+            core_old = core
+            g, core, y_max = refresh(y)
+            log_sigma += log_up
+            accepted[t] = 1
+            if core == 0.0 or delta <= -0.5 * core_old:
+                cur_log_f = problem.log_core_centered(y) + 2.0 * scale_exp * _LN2
+            else:
+                cur_log_f += math.log1p(delta / core_old)
+            keep(t)
+            if core == 0.0:
+                break
+        else:
+            log_sigma += log_down
+        zi += 1
+
+    n_kept = t + 1
+    acc = accepted[:n_kept]
+    last = np.maximum.accumulate(np.arange(n_kept) * acc)
+    # cumsum adds in sequence, so these are the loop's own sums, bit for bit
+    log_sig = np.cumsum(np.r_[state0.log_sigma, np.where(acc[1:], log_up, log_down)])
+    regimes = None
+    if constants is not None:
+        from .potential import classify_from_logs
+
+        stats = problem.stats()
+        regimes = [classify_from_logs(f, lg, ls, stats, constants).value
+                   for f, lg, ls in zip(log_f[last], log_grad[last], log_sig)]
+    return RunTrace(
+        t=np.arange(n_kept), log_f=log_f[last], log_sigma=log_sig, accepted=acc,
+        log_norm=log_norm[last], regime=regimes,
+        m_centered=None if m_hist is None else m_hist[last], hit_zero=core == 0.0,
+    )
+
+
+def _log_norm(y: np.ndarray, y_max: float) -> float:
+    if y_max == 0.0:
         return -math.inf
-    s = y / mx
-    return math.log(mx) + 0.5 * math.log(float(np.dot(s, s)))
+    s = y / y_max
+    return math.log(y_max) + 0.5 * math.log(float(np.dot(s, s)))

@@ -264,6 +264,46 @@ class TestFlagConfig:
         assert payload["trials"] == 3
         assert payload["metadata"]["seed"] == 9
 
+    def test_run_out_from_config(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "d": 8, "spectrum": "sphere", "alpha_up": 1.1, "alpha_down": 0.97,
+            "budget": 20, "out": str(out),
+        }))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 22
+
+    def test_sweep_out_from_config(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "spectrum": "sphere", "dims": "8", "budget": 600, "trials": 2,
+            "out": str(out),
+        }))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_drift_state_from_config(self, tmp_path, capsys):
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps({"m": [1.0] * 16, "log_sigma": -2.0}))
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "d": 16, "spectrum": "sphere", "alpha_up": 1.1, "alpha_down": 0.97,
+            "state": str(spath),
+        }))
+        assert main(["drift", "--config", str(cfg)]) == 1  # infeasible at d=16
+        assert json.loads(capsys.readouterr().out)["infeasible"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--d", "8", "--spectrum", "sphere"],
+        ["sweep", "--dims", "8"],
+        ["drift", "--d", "8", "--spectrum", "sphere"],
+    ])
+    def test_missing_required_value_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "is required" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "flags.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))

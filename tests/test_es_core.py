@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core
@@ -79,22 +82,26 @@ class TestRun:
         p = eq.make_problem(eq.sphere(3), 0)
         with pytest.raises(eq.DegenerateStart):
             eq.run(p, eq.EsState(np.zeros(3), 0.0), PARAMS, 10, eq.RandomStream(0))
+        with pytest.raises(eq.DegenerateStart):
+            eq.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
 
     def test_matches_manual_step_loop(self):
-        p = eq.make_problem([3.0, 2.0, 1.0, 0.5], 0)
+        # bit for bit, also when H is rotated; 600 steps cross variate blocks
         params = eq.alpha_schedule(4, 0.2)
         state0 = eq.EsState(np.array([1.0, -0.5, 2.0, 0.25]), math.log(0.3))
-        tr = eq.run(p, state0, params, 200, eq.RandomStream(77), record_m=True)
+        for rotation_seed in (None, 11):
+            p = eq.make_problem([3.0, 2.0, 1.0, 0.5], 0, rotation_seed=rotation_seed)
+            tr = eq.run(p, state0, params, 600, eq.RandomStream(77), record_m=True)
 
-        stream = eq.RandomStream(77)
-        state = state0
-        for t in range(1, 201):
-            z = eq.normal_vector(stream, 4)
-            out = eq.step(state, z, p, params)
-            state = out.next
-            assert tr.accepted[t] == int(out.accepted)
-            assert np.array_equal(tr.m_centered[t], state.m - p.optimum)
-            assert tr.log_sigma[t] == state.log_sigma
+            stream = eq.RandomStream(77)
+            state = state0
+            for t in range(1, 601):
+                z = eq.normal_vector(stream, 4)
+                out = eq.step(state, z, p, params)
+                state = out.next
+                assert tr.accepted[t] == int(out.accepted)
+                assert np.array_equal(tr.m_centered[t], state.m - p.optimum)
+                assert tr.log_sigma[t] == state.log_sigma
 
     def test_sigma_bookkeeping_closed_form(self):
         p = eq.make_problem(eq.sphere(8), 0)
@@ -193,6 +200,32 @@ class TestRun:
         assert tr.log_f[-1] == -math.inf
         assert tr.metadata["hit_zero"] is True
 
+    def test_large_progress_takes_log_f_from_new_point(self, monkeypatch):
+        # delta/core is exactly -1 here, so log1p(delta/core) would fail
+        p = eq.make_problem([1.0, 1.0], 0)
+        state0 = eq.EsState(np.array([1.0, 2.0**-60]), 0.0)
+
+        def fake_normal_matrix(stream, rows, d):
+            z = np.full((rows, d), 0.1)
+            z[0] = [-1.0, 0.0]  # lands on (0, 2**-60) at sigma = 1
+            return z
+
+        monkeypatch.setattr(es_core, "normal_matrix", fake_normal_matrix)
+        tr = eq.run(p, state0, PARAMS, 5, eq.RandomStream(0))
+        assert not tr.hit_zero
+        assert len(tr) == 6
+        assert tr.accepted[1] == 1
+        assert tr.log_f[1] == pytest.approx(math.log(0.5) - 120 * math.log(2.0),
+                                            rel=1e-15)
+
+    def test_log_f_tracks_core_of_recorded_points(self):
+        p = eq.make_problem(eq.ellipsoid(16, 100), 0, rotation_seed=5)
+        tr = eq.run(p, eq.default_initial_state(p), eq.alpha_schedule(16), 5000,
+                    eq.RandomStream(8), record_m=True)
+        exact = np.array([p.log_core_centered(m) for m in tr.m_centered])
+        assert tr.accept_count() > 500
+        assert np.max(np.abs(tr.log_f - exact)) <= 1e-9
+
     def test_regime_column_with_constants(self, sphere256, params256, constants256):
         tr = eq.run(
             sphere256,
@@ -205,6 +238,40 @@ class TestRun:
         assert tr.regime is not None
         assert len(tr.regime) == len(tr)
         assert set(tr.regime) <= {"small", "large", "reasonable"}
+
+
+def _exact_core(lam, v):
+    return sum(Fraction(l) * Fraction(x) ** 2 for l, x in zip(lam, v)) / 2
+
+
+def _coordinates(bound, d):
+    # no magnitudes whose squares would underflow, as double range demands
+    x = st.floats(-bound, bound).filter(lambda v: v == 0.0 or abs(v) > 1e-30)
+    return st.lists(x, min_size=d, max_size=d)
+
+
+class TestDecrementForm:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.tuples(
+            st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d),
+            _coordinates(10.0, d),
+            _coordinates(5.0, d),
+        )),
+        st.floats(1e-9, 1.0),
+    )
+    def test_decision_matches_exact_core_change(self, vectors, sigma):
+        lam, u, w = vectors
+        assume(any(u))  # a start at the optimum is rejected
+        lam = sorted(lam, reverse=True)  # the order the problem stores them in
+        p = eq.make_problem(lam, 0)
+        state = eq.EsState(np.array(u), math.log(sigma))
+        out = eq.step(state, np.array(w), p, PARAMS)
+        cand = np.array(u) + math.exp(state.log_sigma) * np.array(w)
+        core = _exact_core(lam, u)
+        exact = _exact_core(lam, cand) - core
+        if abs(exact) > Fraction(1e-9) * core:
+            assert out.accepted == (exact <= 0)
 
 
 class TestTraceCsv:
