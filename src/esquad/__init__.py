@@ -29,7 +29,6 @@ from .bounds import (
 )
 from .errors import (
     ConfigError,
-    DegenerateDirection,
     DegenerateStart,
     DegenerateState,
     DimensionMismatch,
@@ -84,7 +83,6 @@ from .quadratic import (
     Spectrum,
     SpectrumStats,
     cigar,
-    directional_min_scale,
     discus,
     ellipsoid,
     make_problem,

@@ -13,10 +13,6 @@ class DimensionMismatch(EsquadError):
     """Vector or matrix length does not match the problem dimension."""
 
 
-class DegenerateDirection(EsquadError):
-    """A direction vector required to be nonzero is zero."""
-
-
 class DegenerateStart(EsquadError):
     """A run was started exactly at the optimum."""
 

@@ -1,15 +1,37 @@
-"""One-step Monte Carlo estimators with standard errors.
+"""One-step Monte Carlo estimators with standard errors, in decrement form.
+
+An offspring m + sigma z of the parent m changes the core by
+
+    delta = sigma (Hy)^T z + 0.5 sigma^2 z^T H z,    y = m - x*,
+
+a Gaussian linear term plus a quadratic term that concentrates near
+sigma^2 Tr(H) / 2.  The estimators never form the offspring.  One private
+sampler draws the variates chunk by chunk and computes the two terms per row,
+``lin = sigma Z (Hy)`` and ``quad = sigma^2 * core(Z)``; every estimator works
+from those two vectors:
+
+* an offspring is accepted iff ``lin + quad <= 0``, so ties are accepted, as
+  in ``es_core``;
+* its antithetic partner -z has the decrement ``quad - lin``;
+* its log core ratio is ``log1p(delta / core(y))``, except on rows with
+  ``delta <= -core(y) / 2``, where the core of y + sigma z is evaluated
+  directly (the ``es_core`` rule).
 
 Each estimator is a deterministic function of its inputs and the stream, so
 reruns reproduce results bit-exactly.  Sampling is chunked to bound memory;
 chunking does not change the sample set.  Success-probability estimation uses
-antithetic pairs (z, -z), where the symmetry of the acceptance indicator
-guarantees a variance reduction; the other estimators use plain sampling to
-stay unbiased and simple.
+antithetic pairs (z, -z).  Their decrements sum to ``2 quad >= 0``, so at most
+one of a pair is accepted (both only when ``quad = 0``): the two indicators
+are negatively correlated, and a pair mean has at most half the variance of
+one indicator.  The other estimators use plain sampling to stay unbiased and
+simple.  Sigma must be finite and positive and m finite, or the estimators
+raise ``DomainError``; a core at m that under- or overflows raises
+``NumericalFailure``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -17,7 +39,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import TheoryConstants
-from .errors import DegenerateState, DomainError
+from .errors import DomainError, NumericalFailure
 from .es_core import EsParams
 from .potential import potential_from_logs
 from .quadratic import QuadraticProblem
@@ -36,16 +58,52 @@ def _chunk_rows(d: int) -> int:
     return max(1, 4_000_000 // d)
 
 
-def _centered(problem: QuadraticProblem, m) -> np.ndarray:
-    y = np.asarray(m, dtype=float) - problem.optimum
-    if not np.any(y):
-        raise DegenerateState("m coincides with the optimum")
-    return y
-
-
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     n = values.size
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+def _sample(
+    problem: QuadraticProblem, m, sigma: float, rows: int, stream: RandomStream,
+    values,
+) -> np.ndarray:
+    """Sample values of ``rows`` offspring of m, one chunk of variates at a time.
+
+    ``values(lin, quad, gain)`` maps a chunk's decrement terms to its sample
+    values; ``gain()`` returns the chunk's log core ratios on accepted rows
+    and 0 on rejected ones.  The einsum reductions stay off multi-threaded
+    BLAS, whose spinning workers would take a core from the normals pool.
+    """
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    y = problem.centered(m)
+    core_m = problem.core_centered(y)
+    if not (math.isfinite(core_m) and core_m > 0.0):
+        raise NumericalFailure(f"the core at m is {core_m!r}, not finite and > 0")
+    hy = problem.gradient_core(m)
+    out = np.empty(rows)
+    chunk = _chunk_rows(problem.d)
+    for start in range(0, rows, chunk):
+        Z = normal_matrix(stream, min(chunk, rows - start), problem.d)
+        lin = sigma * np.einsum("ij,j->i", Z, hy)
+        quad = sigma * sigma * problem.core_centered_batch(Z)
+        gain = functools.partial(_log_gain, problem, y, core_m, sigma, Z, lin + quad)
+        out[start : start + len(Z)] = values(lin, quad, gain)
+    return out
+
+
+def _log_gain(problem, y, core_m, sigma, Z, delta) -> np.ndarray:
+    """log(core(y + sigma z) / core(y)) where delta <= 0, else 0; never positive."""
+    r = np.where(delta <= 0.0, delta, 0.0) / core_m
+    gain = np.log1p(np.maximum(r, -0.5))
+    # here 1 + r cancels to a small difference and log1p would amplify the
+    # rounding error of r, or raise at r = -1; take the offspring's core
+    far = np.flatnonzero(r <= -0.5)
+    if far.size:
+        core_x = problem.core_centered_batch(y + sigma * Z[far])
+        with np.errstate(divide="ignore"):
+            gain[far] = np.log(core_x / core_m)
+    return gain
 
 
 def estimate_success_prob(
@@ -58,31 +116,14 @@ def estimate_success_prob(
     """
     if n < 100:
         raise DomainError("estimate_success_prob requires n >= 100")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    y = _centered(problem, m)
-    core_m = problem.core_centered(y)
     pairs = (n + 1) // 2
-    chunk = _chunk_rows(problem.d)
-    pair_means = np.empty(pairs)
-    done = 0
-    while done < pairs:
-        k = min(chunk, pairs - done)
-        Z = normal_matrix(stream, k, problem.d)
-        plus = problem.core_centered_batch(y + sigma * Z) <= core_m
-        minus = problem.core_centered_batch(y - sigma * Z) <= core_m
-        pair_means[done : done + k] = 0.5 * (plus + minus)
-        done += k
+    pair_means = _sample(
+        problem, m, sigma, pairs, stream,
+        lambda lin, quad, gain: 0.5 * np.add(
+            lin + quad <= 0.0, quad - lin <= 0.0, dtype=float),
+    )
     mean, se = _mean_se(pair_means)
-    return McEstimate(mean, se, 2 * pairs, "success_prob/antithetic-v1")
-
-
-def _log_ratio_and_accept(problem, y, core_m, sigma, k, stream):
-    Z = normal_matrix(stream, k, problem.d)
-    core_x = problem.core_centered_batch(y + sigma * Z)
-    accept = core_x <= core_m
-    ratio = core_x / core_m
-    return ratio, accept
+    return McEstimate(mean, se, 2 * pairs, "success_prob/antithetic-v2")
 
 
 def estimate_log_progress(
@@ -91,21 +132,9 @@ def estimate_log_progress(
     """E[log(f(m + sigma z) / f(m)) * 1{accept}]; nonpositive by construction."""
     if n < 100:
         raise DomainError("estimate_log_progress requires n >= 100")
-    y = _centered(problem, m)
-    core_m = problem.core_centered(y)
-    chunk = _chunk_rows(problem.d)
-    vals = np.empty(n)
-    done = 0
-    while done < n:
-        k = min(chunk, n - done)
-        ratio, accept = _log_ratio_and_accept(problem, y, core_m, sigma, k, stream)
-        with np.errstate(divide="ignore"):
-            vals[done : done + k] = np.where(
-                accept, np.log(np.maximum(ratio, 0.0)), 0.0
-            )
-        done += k
+    vals = _sample(problem, m, sigma, n, stream, lambda lin, quad, gain: gain())
     mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "log_progress/plain-v1")
+    return McEstimate(mean, se, n, "log_progress/plain-v2")
 
 
 def estimate_exp_abs(
@@ -114,19 +143,11 @@ def estimate_exp_abs(
     """E[exp(|log f-ratio| * 1{accept})]; rejected samples contribute exactly 1."""
     if n < 1000:
         raise DomainError("estimate_exp_abs requires n >= 1000")
-    y = _centered(problem, m)
-    core_m = problem.core_centered(y)
-    chunk = _chunk_rows(problem.d)
-    vals = np.empty(n)
-    done = 0
-    while done < n:
-        k = min(chunk, n - done)
-        ratio, accept = _log_ratio_and_accept(problem, y, core_m, sigma, k, stream)
-        with np.errstate(divide="ignore"):
-            vals[done : done + k] = np.where(accept, 1.0 / ratio, 1.0)
-        done += k
+    vals = _sample(
+        problem, m, sigma, n, stream, lambda lin, quad, gain: np.exp(-gain())
+    )
     mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "exp_abs/plain-v1")
+    return McEstimate(mean, se, n, "exp_abs/plain-v2")
 
 
 def estimate_drift_V(
@@ -145,30 +166,20 @@ def estimate_drift_V(
     """
     if n < 1000:
         raise DomainError("estimate_drift_V requires n >= 1000")
-    y = _centered(problem, state.m)
     stats = problem.stats()
-    core_m = problem.core_centered(y)
-    log_f = problem.log_core_centered(y)
-    sigma = math.exp(state.log_sigma)
+    log_f = problem.log_core_centered(problem.centered(state.m))
     v_now = float(potential_from_logs(log_f, state.log_sigma, stats, constants))
-    chunk = _chunk_rows(problem.d)
-    samples = np.empty(n)
-    done = 0
-    while done < n:
-        k = min(chunk, n - done)
-        ratio, accept = _log_ratio_and_accept(problem, y, core_m, sigma, k, stream)
-        with np.errstate(divide="ignore"):
-            log_f_next = np.where(
-                accept, log_f + np.log(np.maximum(ratio, 0.0)), log_f
-            )
+
+    def drift(lin, quad, gain):
         log_sigma_next = state.log_sigma + np.where(
-            accept, params.log_up, params.log_down
+            lin + quad <= 0.0, params.log_up, params.log_down
         )
-        v_next = potential_from_logs(log_f_next, log_sigma_next, stats, constants)
-        samples[done : done + k] = v_next - v_now
-        done += k
+        v_next = potential_from_logs(log_f + gain(), log_sigma_next, stats, constants)
+        return v_next - v_now
+
+    samples = _sample(problem, state.m, math.exp(state.log_sigma), n, stream, drift)
     mean, se = _mean_se(samples)
-    est = McEstimate(mean, se, n, "drift_V/plain-v1")
+    est = McEstimate(mean, se, n, "drift_V/plain-v2")
     if with_samples:
         return est, samples
     return est

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import TheoryConstants
-from .errors import DegenerateState
 from .quadratic import QuadraticProblem, SpectrumStats
 
 if TYPE_CHECKING:
@@ -36,13 +35,6 @@ class RegimeLabel(Enum):
     SMALL_STEP = "small"
     LARGE_STEP = "large"
     REASONABLE = "reasonable"
-
-
-def _centered(state: "EsState", problem: QuadraticProblem) -> np.ndarray:
-    y = np.asarray(state.m, dtype=float) - problem.optimum
-    if not np.any(y):
-        raise DegenerateState("m coincides with the optimum")
-    return y
 
 
 def classify_from_logs(
@@ -80,7 +72,7 @@ def classify(
 ) -> RegimeLabel:
     """Regime of an algorithm state; the two thresholds never overlap because
     b_small < b_large and sqrt(2 L f) <= ||grad||."""
-    y = _centered(state, problem)
+    y = problem.centered(state.m)
     return classify_from_logs(
         problem.log_core_centered(y),
         problem.log_grad_norm_centered(y),
@@ -107,7 +99,7 @@ def potential_value(
     state: "EsState", problem: QuadraticProblem, constants: TheoryConstants
 ) -> float:
     """V(state) >= log f(m), computed without exponentiating."""
-    y = _centered(state, problem)
+    y = problem.centered(state.m)
     return potential_from_logs(
         problem.log_core_centered(y), state.log_sigma, problem.stats(), constants
     )

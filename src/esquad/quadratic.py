@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateDirection,
+    DegenerateState,
     DimensionMismatch,
     DomainError,
     InvalidSpectrum,
@@ -152,6 +152,15 @@ class QuadraticProblem:
             raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.d},)")
         return x
 
+    def centered(self, m) -> np.ndarray:
+        """y = m - x* of a state's mean, which must be finite and not x*."""
+        y = self._check_dim(m) - self.optimum
+        if not np.all(np.isfinite(y)):
+            raise DomainError("m - x* must be finite")
+        if not np.any(y):
+            raise DegenerateState("m coincides with the optimum")
+        return y
+
     def eigen_frame(self, y: np.ndarray) -> np.ndarray:
         """Coordinates of a centered vector in the eigenbasis of H."""
         if self.rotation is None:
@@ -171,7 +180,7 @@ class QuadraticProblem:
     def core_centered_batch(self, Y: np.ndarray) -> np.ndarray:
         """Cores of a batch of centered row vectors."""
         U = Y if self.rotation is None else Y @ self.rotation
-        return 0.5 * np.einsum("ij,ij->i", U * self.spectrum.eigenvalues, U)
+        return 0.5 * np.einsum("ij,j,ij->i", U, self.spectrum.eigenvalues, U)
 
     def log_core_centered(self, y: np.ndarray) -> float:
         """log of the core, stable when the core would under- or overflow.
@@ -287,26 +296,6 @@ def spectrum_stats(p: QuadraticProblem) -> SpectrumStats:
         cond=U / L,
         ratio=trace_sq / (trace * trace),
     )
-
-
-def directional_min_scale(p: QuadraticProblem, m, z) -> float:
-    """Nonnegative step along z that minimizes the core from m.
-
-    Returns 0 when the ray initially ascends (m^T H z >= 0 with m taken
-    relative to the optimum) and -(m^T H z)/(z^T H z) otherwise.
-    """
-    m = p._check_dim(m)
-    z = p._check_dim(z)
-    if not np.any(z):
-        raise DegenerateDirection("z must be nonzero")
-    um = p.eigen_frame(m - p.optimum)
-    uz = p.eigen_frame(z)
-    lam = p.spectrum.eigenvalues
-    a = float(np.dot(lam * um, uz))  # m^T H z
-    b = float(np.dot(lam * uz, uz))  # z^T H z > 0 for nonzero z
-    if a >= 0.0:
-        return 0.0
-    return -a / b
 
 
 def sphere(d: int) -> list:

@@ -146,47 +146,6 @@ class TestSpectrumStats:
             assert stats.ratio <= 1.0
 
 
-class TestDirectionalMinScale:
-    def test_orthogonal_direction(self):
-        p = eq.make_problem([1, 1], 0)
-        assert eq.directional_min_scale(p, [1, 0], [0, 1]) == 0.0
-
-    def test_straight_to_optimum(self):
-        p = eq.make_problem([1, 1], 0)
-        assert eq.directional_min_scale(p, [1, 0], [-1, 0]) == 1.0
-
-    def test_zero_direction_rejected(self):
-        p = eq.make_problem([1, 1], 0)
-        with pytest.raises(eq.DegenerateDirection):
-            eq.directional_min_scale(p, [1, 0], [0, 0])
-
-    def test_local_minimality(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            d = int(rng.integers(2, 8))
-            p = random_problem(rng, d)
-            m = rng.normal(size=d)
-            z = rng.normal(size=d)
-            t = eq.directional_min_scale(p, m, z)
-            at = p.evaluate(m + t * z)
-            assert p.evaluate(m + (t + 1e-4) * z) >= at - 1e-12
-            if t > 1e-4:
-                assert p.evaluate(m + (t - 1e-4) * z) >= at - 1e-12
-
-    def test_global_on_ray_grid(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            d = int(rng.integers(2, 6))
-            p = random_problem(rng, d)
-            m = rng.normal(size=d)
-            z = rng.normal(size=d)
-            t = eq.directional_min_scale(p, m, z)
-            at = p.evaluate(m + t * z)
-            grid = np.linspace(0.0, max(4.0 * t, 2.0), 400)
-            best = min(p.evaluate(m + s * z) for s in grid)
-            assert at <= best + 1e-12
-
-
 class TestTransforms:
     @given(
         st.floats(min_value=0, max_value=100, allow_nan=False),
@@ -241,6 +200,17 @@ class TestSerialization:
         p = eq.make_problem([1], [0], transform=eq.MonotoneTransform("affine", 2, 3))
         q = eq.problem_from_json(p.to_json())
         assert q.transform.a == 2 and q.transform.b == 3
+
+
+class TestCoreBatch:
+    @pytest.mark.parametrize("rotation_seed", [None, 4])
+    def test_rows_match_scalar_core(self, rotation_seed):
+        rng = np.random.default_rng(47)
+        p = eq.make_problem(eq.ellipsoid(33, 1e3), 0, rotation_seed=rotation_seed)
+        Y = rng.normal(size=(200, 33)) * np.exp(rng.uniform(-5, 5, size=(200, 1)))
+        batch = p.core_centered_batch(Y)
+        scalar = np.array([p.core_centered(y) for y in Y])
+        assert np.all(np.abs(batch - scalar) <= 1e-13 * scalar)
 
 
 class TestStableLogs:
