@@ -32,8 +32,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 FOUR_OVER_SQRT_2PI = 4.0 / SQRT_2PI
 
 _EPS_GRID = 512
-_GOLDEN_ITERS = 60  # 3 refinement rounds of 20 golden-section steps
-_QH_BISECT_ITERS = 64
+_GOLDEN_ITERS = 60
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the (q_low, q_high) search of ``constants``: points per axis on the first
+# grid, then rounds of local refinement with this many points per axis
+_PAIR_GRID = 128
+_REFINE_ROUNDS = 2
+_REFINE_GRID = 32
 
 
 def normal_cdf(x):
@@ -87,68 +92,73 @@ def success_prob_sandwich(
     return lower, upper
 
 
-def _golden_max(f, a: float, b: float, iters: int = _GOLDEN_ITERS) -> Tuple[float, float]:
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        if f(c) >= f(d):
-            b = d
+def _sup_on_grid(f, log_lo: float, log_hi: float) -> Tuple[float, float]:
+    """Supremum of f(eps) over eps in [exp(log_lo), exp(log_hi)].
+
+    f takes an array or a float and gives nan or -inf where it is undefined,
+    which must be to the left of where it is defined.  f need not be
+    unimodal, so a 512-point log-spaced grid finds the best point first; a
+    golden-section search then refines between that point's neighbours,
+    keeping the surviving interior point so that each step costs one
+    evaluation.  Returns (argsup, sup) as floats, (nan, -inf) when f is
+    undefined on the whole grid.
+    """
+    eps = np.exp(np.linspace(log_lo, log_hi, _EPS_GRID))
+    vals = f(eps)
+    vals[np.isnan(vals)] = -np.inf
+    i = int(np.argmax(vals))
+    best = float(eps[i]), float(vals[i])
+    if best[1] == -math.inf:
+        return math.nan, -math.inf
+    a, b = float(eps[max(i - 1, 0)]), float(eps[min(i + 1, _EPS_GRID - 1)])
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_ITERS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
         else:
-            a = c
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    v = float(f(x))
+    return (x, v) if v > best[1] else best
 
 
 def b_high(stats: SpectrumStats, q: float, with_epsilon: bool = False):
     """Threshold function for guaranteed success: sigma_norm <= b_high(q)
     implies success probability > q.
 
-    Computed as sup over eps > sqrt(4 ratio / (1 - 2q)) of
-    2 QuantilePhi(1 - (q + 2 ratio / eps^2)) / (1 + eps), via a 512-point
-    log-spaced eps grid plus golden-section refinement; unimodality is not
-    guaranteed, so the dense grid guards against local optima.
+    The sup over eps > sqrt(4 ratio / (1 - 2q)) of
+    2 QuantilePhi(1 - (q + 2 ratio / eps^2)) / (1 + eps): the largest
+    sigma_norm whose sandwich lower side reaches q for some eps.
     """
     if not 0.0 < q < 0.5:
         raise DomainError("q must lie in (0, 1/2)")
     r = stats.ratio
     lo = math.sqrt(4.0 * r / (1.0 - 2.0 * q))
-    hi = max(32.0, 16.0 * lo)
-    eps = np.exp(np.linspace(math.log(lo) + 1e-12, math.log(hi), _EPS_GRID))
-    p = 1.0 - (q + 2.0 * r / (eps * eps))
-    vals = np.full(eps.shape, -np.inf)
-    ok = (p > 0.0) & (p < 1.0)
-    if not np.any(ok):
+
+    def f(e):
+        return 2.0 * ndtri(1.0 - (q + 2.0 * r / (e * e))) / (1.0 + e)
+
+    x, v = _sup_on_grid(f, math.log(lo) + 1e-12, math.log(max(32.0, 16.0 * lo)))
+    if v == -math.inf:
         raise InfeasibleBound("b_high: no admissible epsilon found numerically")
-    vals[ok] = 2.0 * ndtri(p[ok]) / (1.0 + eps[ok])
-    i = int(np.argmax(vals))
-
-    def objective(e: float) -> float:
-        if not e > 0.0:
-            return -math.inf
-        arg = 1.0 - (q + 2.0 * r / (e * e))
-        if not 0.0 < arg < 1.0:
-            return -math.inf
-        return 2.0 * float(ndtri(arg)) / (1.0 + e)
-
-    a = eps[max(i - 1, 0)]
-    b = eps[min(i + 1, _EPS_GRID - 1)]
-    x, v = _golden_max(objective, a, b)
-    if vals[i] >= v:
-        x, v = float(eps[i]), float(vals[i])
-    if with_epsilon:
-        return v, x
-    return v
+    return (v, x) if with_epsilon else v
 
 
 def b_low(stats: SpectrumStats, q: float, with_epsilon: bool = False):
     """Threshold function for guaranteed failure: sigma_norm >= b_low(q)
     implies success probability < q.
 
-    Computed as inf over eps in (sqrt(2 ratio / q), 1) of
-    2 QuantilePhi(1 - (q - 2 ratio / eps^2)) / (1 - eps), same grid scheme
-    as ``b_high``.  Requires ratio < 1/4 and q in (2 ratio, 1/2).
+    The inf over eps in (sqrt(2 ratio / q), 1) of
+    2 QuantilePhi(1 - (q - 2 ratio / eps^2)) / (1 - eps): the smallest
+    sigma_norm whose sandwich upper side falls to q for some eps.  The grid
+    stays strictly inside that interval.  When q is so close to 2 ratio
+    that the interval holds no grid, the result is +inf, the infimum over an
+    empty set, with eps nan.  Requires ratio < 1/4 and q in (2 ratio, 1/2).
     """
     if not 0.0 < q < 0.5:
         raise DomainError("q must lie in (0, 1/2)")
@@ -157,38 +167,59 @@ def b_low(stats: SpectrumStats, q: float, with_epsilon: bool = False):
         raise InfeasibleBound(f"b_low undefined: ratio {r:.4g} >= 1/4")
     if q <= 2.0 * r:
         raise DomainError(f"q must exceed 2*ratio = {2 * r:.4g}")
-    lo = math.sqrt(2.0 * r / q)
-    eps = np.exp(np.linspace(math.log(lo) + 1e-12, math.log(1.0 - 1e-12), _EPS_GRID))
-    p = 1.0 - (q - 2.0 * r / (eps * eps))
-    vals = 2.0 * ndtri(np.clip(p, 1e-300, 1.0 - 1e-16)) / (1.0 - eps)
-    i = int(np.argmin(vals))
+    log_lo = math.log(math.sqrt(2.0 * r / q))
+    inset = min(1e-12, -0.25 * log_lo)
+    if not 1.0 - inset < 1.0:
+        return (math.inf, math.nan) if with_epsilon else math.inf
 
-    def negated(e: float) -> float:
-        if not 0.0 < e < 1.0:
-            return -math.inf
-        arg = 1.0 - (q - 2.0 * r / (e * e))
-        if not 0.0 < arg < 1.0:
-            return -math.inf
-        return -2.0 * float(ndtri(arg)) / (1.0 - e)
+    def f(e):
+        return -2.0 * ndtri(1.0 - (q - 2.0 * r / (e * e))) / (1.0 - e)
 
-    a = eps[max(i - 1, 0)]
-    b = eps[min(i + 1, _EPS_GRID - 1)]
-    x, v = _golden_max(negated, a, b)
-    v = -v
-    if vals[i] <= v:
-        x, v = float(eps[i]), float(vals[i])
-    if with_epsilon:
-        return v, x
-    return v
+    x, v = _sup_on_grid(f, log_lo + inset, math.log(1.0 - inset))
+    return (-v, x) if with_epsilon else -v
+
+
+def _success_floor(stats: SpectrumStats, threshold: float) -> float:
+    """Q_H, the largest Q with b_high(Q) >= threshold, in closed form.
+
+    b_high(Q) >= T holds exactly when Q <= Phi(-T (1+eps)/2) - 2 ratio / eps^2
+    for some eps > 0, so Q_H is the sup over eps of that sandwich lower
+    side.  It is negative for eps <= 2 sqrt(ratio).  The grid ends at
+    eps = 32; cutting a maximizer beyond it only lowers Q_H, which stays a
+    valid floor.
+    """
+    r = stats.ratio
+
+    def lower_side(e):
+        return ndtr(-0.5 * threshold * (1.0 + e)) - 2.0 * r / (e * e)
+
+    _, floor = _sup_on_grid(lower_side, math.log(2.0 * math.sqrt(r)), math.log(32.0))
+    if not floor > 0.0:
+        raise InfeasibleBound("no Q > 0 with b_high(Q) >= b_low(q_low)")
+    return floor
+
+
+def _q_low_edge(stats: SpectrumStats) -> float:
+    """The inf of the q with b_low(q) < T0 = 4/sqrt(2 pi), in closed form.
+
+    b_low(q) < T0 holds exactly when q > Phi(-T0 (1-eps)/2) + 2 ratio / eps^2
+    for some eps in (0, 1), so the edge is the inf over eps of that sandwich
+    upper side.  It exceeds 1/2 for eps <= 2 sqrt(ratio).
+    """
+    r = stats.ratio
+
+    def negated_upper_side(e):
+        return -(ndtr(-0.5 * FOUR_OVER_SQRT_2PI * (1.0 - e)) + 2.0 * r / (e * e))
+
+    log_lo = math.log(2.0 * math.sqrt(r))
+    return -_sup_on_grid(negated_upper_side, log_lo, math.log(1.0 - 1e-12))[1]
 
 
 def q_h(stats: SpectrumStats, q_low: float) -> float:
     """Success-probability floor inside the reasonable step-size band.
 
-    The largest Q with b_high(Q) >= b_low(q_low), located by bisection on the
-    strictly decreasing b_high.  Right-continuity means the supremum is
-    attained from the left; the one-sided inequality at Q - 1e-9 is verified
-    before returning.
+    The largest Q with b_high(Q) >= T, T = b_low(q_low), in closed form:
+    Q_H = sup over eps > 0 of Phi(-T (1+eps)/2) - 2 ratio / eps^2.
     """
     target = b_low(stats, q_low)
     if target >= FOUR_OVER_SQRT_2PI:
@@ -196,21 +227,7 @@ def q_h(stats: SpectrumStats, q_low: float) -> float:
             f"q_low infeasible: b_low({q_low:.4g}) = {target:.4g} "
             f">= 4/sqrt(2 pi) = {FOUR_OVER_SQRT_2PI:.4g}"
         )
-    lo = 1e-12
-    hi = 0.5 - 1e-12
-    if b_high(stats, lo) < target:
-        raise InfeasibleBound("no Q > 0 with b_high(Q) >= b_low(q_low)")
-    for _ in range(_QH_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if b_high(stats, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    q = 0.5 * (lo + hi)
-    probe = max(q - 1e-9, 1e-12)
-    if b_high(stats, probe) < target:
-        raise InfeasibleBound("q_h verification failed at Q - 1e-9")
-    return q
+    return _success_floor(stats, target)
 
 
 @dataclass(frozen=True)
@@ -287,19 +304,17 @@ def _band_gain(stats: SpectrumStats, bh: float, bl: float, floor: float) -> floa
     return (stats.L * bh / (2.0 * stats.trace)) * (FOUR_OVER_SQRT_2PI - bl) * floor
 
 
-def constants(
-    stats: SpectrumStats,
-    params: "EsParams",
-    grid_size: int = 128,
-    refine_rounds: int = 2,
-    refine_size: int = 32,
-) -> TheoryConstants:
+def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     """Search the admissible (q_low, q_high) rectangle for the best rate bound.
 
     The objective is min{band_gain/4, log(a_up/a_down)} * min{p_target - q_low,
     q_high - p_target}; any admissible pair yields a valid bound, so the grid
     search plus local refinement may undershoot the abstract supremum without
-    harming soundness.  Ties prefer the wider q_high - q_low gap.
+    harming soundness.  Ties prefer the wider q_high - q_low gap.  The q_low
+    axis spans (edge, p_target), where the edge is the closed-form inf of the
+    q with b_low(q) < 4/sqrt(2 pi) (``_q_low_edge``); each grid q_low's
+    success floor Q_H comes in closed form from the b_low value the search
+    already holds.
 
     Raises InfeasibleBound naming the first violated inequality when no
     admissible pair exists.
@@ -327,19 +342,8 @@ def constants(
         )
 
     # b_low is strictly decreasing, so the feasible q_low region is exactly
-    # (edge, p_target); find the edge by bisection before gridding.
-    lo, hi = 2.0 * r + 1e-15, pt
-    if b_low(stats, lo) < FOUR_OVER_SQRT_2PI:
-        edge = lo
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if b_low(stats, mid) < FOUR_OVER_SQRT_2PI:
-                hi = mid
-            else:
-                lo = mid
-        edge = hi
-
+    # (edge, p_target)
+    edge = _q_low_edge(stats)
     ratio_alpha = params.alpha_up / params.alpha_down
     log_ratio = params.log_ratio
 
@@ -348,15 +352,11 @@ def constants(
         q_highs = np.linspace(qh_lo, qh_hi, n + 2)[1:-1]
         bls = np.array([b_low(stats, q) for q in q_lows])
         feasible_l = bls < FOUR_OVER_SQRT_2PI
-        floors = np.full(n, np.nan)
-        for i in np.flatnonzero(feasible_l):
-            floors[i] = q_h(stats, float(q_lows[i]))
-        bhs = np.array([b_high(stats, q) for q in q_highs])
-        w = (
-            (stats.L * bhs[None, :] / (2.0 * stats.trace))
-            * (FOUR_OVER_SQRT_2PI - bls[:, None])
-            * floors[:, None]
+        floors = np.array(
+            [_success_floor(stats, bl) if ok else np.nan for bl, ok in zip(bls, feasible_l)]
         )
+        bhs = np.array([b_high(stats, q) for q in q_highs])
+        w = _band_gain(stats, bhs[None, :], bls[:, None], floors[:, None])
         obj = np.minimum(w / 4.0, log_ratio) * np.minimum(
             pt - q_lows[:, None], q_highs[None, :] - pt
         )
@@ -374,30 +374,28 @@ def constants(
         i, j = ties[int(np.argmax(gaps))]
         return float(q_lows[i]), float(q_highs[j]), best
 
-    ql_lo, ql_hi = edge, pt
-    qh_lo, qh_hi = pt, 0.5
-    found = search(ql_lo, ql_hi, qh_lo, qh_hi, grid_size)
+    found = search(edge, pt, pt, 0.5, _PAIR_GRID)
     if found is None:
         raise InfeasibleBound(
             "no admissible (q_low, q_high) pair on the search grid: "
             f"q_low range ({edge:.6g}, {pt:.6g}), "
             f"required b_low(q_low) > {ratio_alpha:.6g} * b_high(q_high)"
         )
-    step_l = (ql_hi - ql_lo) / (grid_size + 1)
-    step_h = (qh_hi - qh_lo) / (grid_size + 1)
-    for _ in range(refine_rounds):
+    step_l = (pt - edge) / (_PAIR_GRID + 1)
+    step_h = (0.5 - pt) / (_PAIR_GRID + 1)
+    for _ in range(_REFINE_ROUNDS):
         ql, qh, _ = found
         cand = search(
             max(ql - step_l, edge),
             min(ql + step_l, pt),
             max(qh - step_h, pt),
             min(qh + step_h, 0.5),
-            refine_size,
+            _REFINE_GRID,
         )
         if cand is not None and cand[2] >= found[2]:
             found = cand
-        step_l /= refine_size / 2.0
-        step_h /= refine_size / 2.0
+        step_l /= _REFINE_GRID / 2.0
+        step_h /= _REFINE_GRID / 2.0
 
     q_low_star, q_high_star, bound = found
     bl, eps_low = b_low(stats, q_low_star, with_epsilon=True)

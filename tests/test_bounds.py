@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad.bounds import FOUR_OVER_SQRT_2PI
+from esquad.bounds import FOUR_OVER_SQRT_2PI, _q_low_edge
 from conftest import random_problem
 
 
@@ -210,6 +210,17 @@ class TestBLow:
         with pytest.raises(eq.InfeasibleBound):
             eq.b_low(stats_with_ratio(0.3), 0.45)  # ratio >= 1/4
 
+    def test_floor_holds_just_above_two_ratio(self):
+        # the eps interval (sqrt(2 ratio / q), 1) is narrower than the grid's
+        # 1e-12 inset here; a grid running past eps = 1 gave -7e16 at d=256
+        for d in (256, 1024):
+            stats = eq.spectrum_stats(eq.make_problem(eq.sphere(d), 0))
+            q = 2 * stats.ratio + 1e-15
+            assert eq.b_low(stats, q) >= 2 * eq.normal_quantile(1 - q)
+            # an ulp above 2 ratio the interval holds no grid: inf over nothing
+            q = float(np.nextafter(2 * stats.ratio, 1.0))
+            assert eq.b_low(stats, q) == math.inf
+
     def test_b_low_dominates_b_high(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.sphere(500), 0))
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
@@ -266,6 +277,13 @@ class TestQh:
         # the coarse spec-level sanity: strictly inside (0, q_low]
         assert 0.0 < got <= 0.3
 
+        # the q_low edge: the least q on a scan with b_low(q) < 4/sqrt(2 pi)
+        qs = np.linspace(0.2, 0.3, 101)
+        edge_brute = min(
+            q for q in qs if b_low_brute(float(q)) < FOUR_OVER_SQRT_2PI
+        )
+        assert _q_low_edge(stats) == pytest.approx(edge_brute, abs=2e-3)
+
     def test_positive_whenever_trace_condition_holds(self):
         rng = np.random.default_rng(9)
         found = 0
@@ -285,6 +303,42 @@ class TestQh:
             eq.q_h(stats, 0.2)  # b_low(0.2) > 4/sqrt(2 pi)
 
 
+CLOSED_FORM_CASES = [
+    pytest.param(eq.sphere(256), None, id="sphere256"),
+    pytest.param(eq.sphere(512), None, id="sphere512"),
+    pytest.param(eq.sphere(4096), None, id="sphere4096"),
+    pytest.param(eq.ellipsoid(512, 10.0), 3, id="ellipsoid10-512-rotated"),
+]
+
+
+def closed_form_stats(eigenvalues, rotation_seed):
+    problem = eq.make_problem(eigenvalues, 0, rotation_seed=rotation_seed)
+    stats = eq.spectrum_stats(problem)
+    assert eq.trace_condition(stats)[0]
+    return stats
+
+
+class TestClosedForms:
+    """Q_H and the q_low edge invert the threshold functions they stand for."""
+
+    @pytest.mark.parametrize("eigenvalues, rotation_seed", CLOSED_FORM_CASES)
+    def test_q_h_inverts_b_high(self, eigenvalues, rotation_seed):
+        stats = closed_form_stats(eigenvalues, rotation_seed)
+        edge = _q_low_edge(stats)
+        for q_low in np.linspace(edge + 0.005, 0.49, 4):
+            target = eq.b_low(stats, float(q_low))
+            floor = eq.q_h(stats, float(q_low))
+            assert eq.b_high(stats, floor - 1e-9) >= target
+            assert target > eq.b_high(stats, floor + 1e-6)
+
+    @pytest.mark.parametrize("eigenvalues, rotation_seed", CLOSED_FORM_CASES)
+    def test_edge_inverts_b_low(self, eigenvalues, rotation_seed):
+        stats = closed_form_stats(eigenvalues, rotation_seed)
+        edge = _q_low_edge(stats)
+        assert eq.b_low(stats, edge + 1e-9) < FOUR_OVER_SQRT_2PI
+        assert eq.b_low(stats, edge - 1e-9) >= FOUR_OVER_SQRT_2PI
+
+
 class TestConstants:
     def test_feasible_sphere_d256(self, sphere256, params256, constants256):
         c = constants256
@@ -300,6 +354,17 @@ class TestConstants:
         assert c.success_floor > 0
         assert c.rate_cap == pytest.approx(1.0 / (2 * 253))
         c.validate(params256)
+
+    def test_thin_band_found_from_the_edge(self):
+        # at d=74 the feasible q_low band (edge, 0.45) is about 1e-3 wide; a
+        # q_low grid spread from 2 ratio, as with a wrong edge, misses it
+        stats = eq.spectrum_stats(eq.make_problem(eq.sphere(74), 0))
+        c = eq.constants(stats, eq.alpha_schedule(74, 0.45))
+        assert 0.448 < _q_low_edge(stats) < c.q_low < 0.45
+
+    def test_fields_are_python_floats(self, constants256):
+        for name, value in vars(constants256).items():
+            assert type(value) is float, name
 
     def test_band_gain_scaling_with_dimension(self):
         # band_gain * Tr / L stays bounded below across d at a fixed target
