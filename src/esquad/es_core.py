@@ -25,7 +25,6 @@ then taken from the new point, still monotone since the core at least halved.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -184,26 +183,6 @@ class RunTrace:
         )
         atomic_write_text(path, text)
         atomic_write_text(str(path) + ".meta.json", dump_json(self.metadata))
-
-
-def read_trace_csv(path) -> dict:
-    """Parse a trace CSV back into column arrays (round-trip helper)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = {"t": [], "log_f": [], "log_sigma": [], "accepted": [], "regime": []}
-        for row in reader:
-            cols["t"].append(int(row["t"]))
-            cols["log_f"].append(float(row["log_f"]))
-            cols["log_sigma"].append(float(row["log_sigma"]))
-            cols["accepted"].append(int(row["accepted"]))
-            cols["regime"].append(row["regime"])
-    return {
-        "t": np.array(cols["t"]),
-        "log_f": np.array(cols["log_f"]),
-        "log_sigma": np.array(cols["log_sigma"]),
-        "accepted": np.array(cols["accepted"]),
-        "regime": cols["regime"],
-    }
 
 
 def run(

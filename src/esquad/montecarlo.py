@@ -5,17 +5,23 @@ An offspring m + sigma z of the parent m changes the core by
     delta = sigma (Hy)^T z + 0.5 sigma^2 z^T H z,    y = m - x*,
 
 a Gaussian linear term plus a quadratic term that concentrates near
-sigma^2 Tr(H) / 2.  The estimators never form the offspring.  One private
-sampler draws the variates chunk by chunk and computes the two terms per row,
-``lin = sigma Z (Hy)`` and ``quad = sigma^2 * core(Z)``; every estimator works
+sigma^2 Tr(H) / 2.  The estimators never form the offspring.  With u = R^T y,
+the part of R^T z in the eigenspace of a distinct eigenvalue lambda_k of
+multiplicity n_k enters delta only through its component xi_k ~ N(0, 1) along
+u_k and the squared norm chi_k ~ chi^2(n_k - 1) of the rest (none if n_k = 1).
+One private sampler draws those chunk by chunk, exactly in law for any
+rotation, and computes per row ``lin = sigma sum_k lambda_k |u_k| xi_k`` and
+``quad = 0.5 sigma^2 sum_k lambda_k (xi_k^2 + chi_k)``; every estimator works
 from those two vectors:
 
 * an offspring is accepted iff ``lin + quad <= 0``, so ties are accepted, as
   in ``es_core``;
-* its antithetic partner -z has the decrement ``quad - lin``;
+* its antithetic partner -z flips every xi_k and has the decrement
+  ``quad - lin``;
 * its log core ratio is ``log1p(delta / core(y))``, except on rows with
   ``delta <= -core(y) / 2``, where the core of y + sigma z is evaluated
-  directly (the ``es_core`` rule).
+  directly (the ``es_core`` rule) as a sum of nonnegative terms,
+  ``0.5 sum_k lambda_k ((|u_k| + sigma xi_k)^2 + sigma^2 chi_k)``.
 
 Each estimator is a deterministic function of its inputs and the stream, so
 reruns reproduce results bit-exactly.  Sampling is chunked to bound memory;
@@ -43,7 +49,8 @@ from .errors import DomainError, NumericalFailure
 from .es_core import EsParams
 from .potential import potential_from_logs
 from .quadratic import QuadraticProblem
-from .stochastic import RandomStream, normal_matrix
+from .stochastic import (RandomStream, chi_square_matrix, chi_square_source,
+                         normal_matrix)
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,9 @@ class McEstimate:
     estimator_id: str
 
 
-def _chunk_rows(d: int) -> int:
-    return max(1, 4_000_000 // d)
+def _chunk_rows(width: int) -> int:
+    # the row cap bounds the per-row temporaries when rows are narrow
+    return min(2**16, max(1, 4_000_000 // width))
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -71,7 +79,8 @@ def _sample(
 
     ``values(lin, quad, gain)`` maps a chunk's decrement terms to its sample
     values; ``gain()`` returns the chunk's log core ratios on accepted rows
-    and 0 on rejected ones.  The einsum reductions stay off multi-threaded
+    and 0 on rejected ones.  The stream keys the chi-square source with one
+    word, then gives the xi_k.  The einsum reductions stay off multi-threaded
     BLAS, whose spinning workers would take a core from the normals pool.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -80,30 +89,39 @@ def _sample(
     core_m = problem.core_centered(y)
     if not (math.isfinite(core_m) and core_m > 0.0):
         raise NumericalFailure(f"the core at m is {core_m!r}, not finite and > 0")
-    hy = problem.gradient_core(m)
+    lam, group, mult = np.unique(problem.spectrum.eigenvalues,
+                                 return_inverse=True, return_counts=True)
+    lam_chi, dof = lam[mult > 1], mult[mult > 1] - 1
+    u = problem.eigen_frame(y)
+    norm_u = np.sqrt(np.bincount(group, weights=u * u))
+
+    def log_gain(xi, chi, delta) -> np.ndarray:
+        """log(core(y + sigma z) / core(y)) where delta <= 0, else 0; never positive."""
+        r = np.where(delta <= 0.0, delta, 0.0) / core_m
+        gain = np.log1p(np.maximum(r, -0.5))
+        # here 1 + r cancels to a small difference and log1p would amplify the
+        # rounding error of r, or raise at r = -1; take the offspring's core
+        far = np.flatnonzero(r <= -0.5)
+        if far.size:
+            v = norm_u + sigma * xi[far]
+            core_x = 0.5 * (np.einsum("ij,j,ij->i", v, lam, v)
+                            + sigma * sigma * np.einsum("ij,j->i", chi[far], lam_chi))
+            with np.errstate(divide="ignore"):
+                gain[far] = np.log(core_x / core_m)
+        return gain
+
+    chi_source = chi_square_source(stream)
     out = np.empty(rows)
-    chunk = _chunk_rows(problem.d)
+    chunk = _chunk_rows(lam.size + dof.size)
     for start in range(0, rows, chunk):
-        Z = normal_matrix(stream, min(chunk, rows - start), problem.d)
-        lin = sigma * np.einsum("ij,j->i", Z, hy)
-        quad = sigma * sigma * problem.core_centered_batch(Z)
-        gain = functools.partial(_log_gain, problem, y, core_m, sigma, Z, lin + quad)
-        out[start : start + len(Z)] = values(lin, quad, gain)
+        xi = normal_matrix(stream, min(chunk, rows - start), lam.size)
+        chi = chi_square_matrix(chi_source, len(xi), dof)
+        lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
+        quad = 0.5 * sigma * sigma * (np.einsum("ij,j,ij->i", xi, lam, xi)
+                                      + np.einsum("ij,j->i", chi, lam_chi))
+        gain = functools.partial(log_gain, xi, chi, lin + quad)
+        out[start : start + len(xi)] = values(lin, quad, gain)
     return out
-
-
-def _log_gain(problem, y, core_m, sigma, Z, delta) -> np.ndarray:
-    """log(core(y + sigma z) / core(y)) where delta <= 0, else 0; never positive."""
-    r = np.where(delta <= 0.0, delta, 0.0) / core_m
-    gain = np.log1p(np.maximum(r, -0.5))
-    # here 1 + r cancels to a small difference and log1p would amplify the
-    # rounding error of r, or raise at r = -1; take the offspring's core
-    far = np.flatnonzero(r <= -0.5)
-    if far.size:
-        core_x = problem.core_centered_batch(y + sigma * Z[far])
-        with np.errstate(divide="ignore"):
-            gain[far] = np.log(core_x / core_m)
-    return gain
 
 
 def estimate_success_prob(
@@ -123,7 +141,7 @@ def estimate_success_prob(
             lin + quad <= 0.0, quad - lin <= 0.0, dtype=float),
     )
     mean, se = _mean_se(pair_means)
-    return McEstimate(mean, se, 2 * pairs, "success_prob/antithetic-v2")
+    return McEstimate(mean, se, 2 * pairs, "success_prob/antithetic-v3")
 
 
 def estimate_log_progress(
@@ -134,7 +152,7 @@ def estimate_log_progress(
         raise DomainError("estimate_log_progress requires n >= 100")
     vals = _sample(problem, m, sigma, n, stream, lambda lin, quad, gain: gain())
     mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "log_progress/plain-v2")
+    return McEstimate(mean, se, n, "log_progress/plain-v3")
 
 
 def estimate_exp_abs(
@@ -147,7 +165,7 @@ def estimate_exp_abs(
         problem, m, sigma, n, stream, lambda lin, quad, gain: np.exp(-gain())
     )
     mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "exp_abs/plain-v2")
+    return McEstimate(mean, se, n, "exp_abs/plain-v3")
 
 
 def estimate_drift_V(
@@ -179,7 +197,7 @@ def estimate_drift_V(
 
     samples = _sample(problem, state.m, math.exp(state.log_sigma), n, stream, drift)
     mean, se = _mean_se(samples)
-    est = McEstimate(mean, se, n, "drift_V/plain-v2")
+    est = McEstimate(mean, se, n, "drift_V/plain-v3")
     if with_samples:
         return est, samples
     return est

@@ -10,6 +10,12 @@ largest double below 1 so that the top word maps into (0, 1) as well; the
 method is part of the reproducibility contract and must not change without
 bumping GENERATOR_ID.
 
+Chi-square variates with k degrees of freedom are numpy's rejection sampler
+``2 * Generator.standard_gamma(k / 2)`` (also named in GENERATOR_ID) on a
+Philox generator seeded by one raw word of the stream.  Its words per draw
+vary, so it runs apart from the stream's normals: its draws do not depend on
+how they are cut into calls, and two sources from one stream share no words.
+
 A large draw is filled on every CPU the process may run on, with the same
 bytes as a sequential draw.  Philox yields four raw words per counter value,
 so the word at offset k of a stream's future output can be reached by
@@ -37,7 +43,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import ndtri
 
-GENERATOR_ID = "philox-seedseq+invcdf/v2"
+GENERATOR_ID = "philox-seedseq+invcdf+chi2-gamma-rejection/v3"
 
 _U64_MASK = (1 << 64) - 1
 _PHILOX_WORDS = 4  # raw 64-bit words per Philox counter value
@@ -129,6 +135,18 @@ def normal_matrix(stream: RandomStream, rows: int, d: int) -> np.ndarray:
     """(rows, d) standard normals, bit-identical to `rows` stacked
     ``normal_vector`` calls on the same stream."""
     return _normals(stream, rows * d).reshape(rows, d)
+
+
+def chi_square_source(stream: RandomStream) -> np.random.Generator:
+    """Companion generator for chi-square draws; advances the stream by one word."""
+    word = int(stream._bitgen.random_raw())
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(word)))
+
+
+def chi_square_matrix(source: np.random.Generator, rows: int, dof) -> np.ndarray:
+    """(rows, len(dof)) chi-square variates, column j with dof[j] > 0 degrees
+    of freedom, bit-identical to ``rows`` stacked one-row calls."""
+    return 2.0 * source.standard_gamma(0.5 * np.asarray(dof), size=(rows, len(dof)))
 
 
 def substream(stream: RandomStream, label: int) -> RandomStream:

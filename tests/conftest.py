@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -34,3 +35,23 @@ def random_problem(rng: np.random.Generator, d: int, cond: float = None):
     lam[-1] = 1.0
     opt = rng.normal(size=d)
     return eq.make_problem(lam, opt)
+
+
+def read_trace_csv(path) -> dict:
+    """Parse a trace CSV written by ``RunTrace.write_csv`` back into columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        cols = {"t": [], "log_f": [], "log_sigma": [], "accepted": [], "regime": []}
+        for row in reader:
+            cols["t"].append(int(row["t"]))
+            cols["log_f"].append(float(row["log_f"]))
+            cols["log_sigma"].append(float(row["log_sigma"]))
+            cols["accepted"].append(int(row["accepted"]))
+            cols["regime"].append(row["regime"])
+    return {
+        "t": np.array(cols["t"]),
+        "log_f": np.array(cols["log_f"]),
+        "log_sigma": np.array(cols["log_sigma"]),
+        "accepted": np.array(cols["accepted"]),
+        "regime": cols["regime"],
+    }

@@ -8,6 +8,7 @@ import pytest
 
 import esquad as eq
 from esquad.cli import main, parse_spectrum
+from conftest import read_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ALPHAS_D256 = ["--alpha-up", repr(math.exp(1 / 256)),
@@ -74,8 +75,6 @@ class TestRun:
             "--alpha-up", "1.05", "--alpha-down", "0.99",
             "--budget", "200", "--seed", "1", "--out", str(out),
         ]) == 0
-        from esquad.es_core import read_trace_csv
-
         cols = read_trace_csv(out)
         assert cols["t"].size == 201
         assert np.all(np.diff(cols["log_f"]) <= 0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core
+from conftest import read_trace_csv
 
 
 class TestParams:
@@ -282,7 +283,7 @@ class TestTraceCsv:
         )
         path = tmp_path / "trace.csv"
         tr.write_csv(path)
-        back = es_core.read_trace_csv(path)
+        back = read_trace_csv(path)
         assert np.array_equal(back["t"], tr.t)
         assert np.array_equal(back["log_f"], tr.log_f)
         assert np.array_equal(back["log_sigma"], tr.log_sigma)

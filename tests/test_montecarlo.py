@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import montecarlo
+from esquad import montecarlo, stochastic
 from conftest import random_problem
 
 
@@ -128,23 +128,46 @@ class TestEstimatorContracts:
         assert c == d
 
     def test_chunking_does_not_change_results(
-        self, monkeypatch, sphere256, params256, constants256
+        self, monkeypatch, params256, constants256
     ):
-        m = sphere256.optimum + np.ones(256)
-        state = eq.default_initial_state(sphere256)
+        # cigar:100 has two eigenspaces, so chi_k columns cross chunk
+        # boundaries; it has no feasible constants at d = 64, and the
+        # sphere's serve drift_V as a fixed potential
+        problems = [eq.make_problem(lam, 0)
+                    for lam in (eq.sphere(256), eq.cigar(64, 100.0))]
 
-        def all_four():
+        def all_four(p):
+            m = p.optimum + np.ones(p.d)
+            state = eq.default_initial_state(p)
             return (
-                eq.estimate_success_prob(sphere256, m, 0.4, 1000, eq.RandomStream(77)),
-                eq.estimate_log_progress(sphere256, m, 0.4, 1000, eq.RandomStream(78)),
-                eq.estimate_exp_abs(sphere256, m, 0.4, 1000, eq.RandomStream(79)),
-                eq.estimate_drift_V(sphere256, state, constants256, params256,
+                eq.estimate_success_prob(p, m, 0.4, 1000, eq.RandomStream(77)),
+                eq.estimate_log_progress(p, m, 0.4, 1000, eq.RandomStream(78)),
+                eq.estimate_exp_abs(p, m, 0.4, 1000, eq.RandomStream(79)),
+                eq.estimate_drift_V(p, state, constants256, params256,
                                     1000, eq.RandomStream(80)),
             )
 
-        ref = all_four()
-        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda d: 17)
-        assert all_four() == ref
+        ref = [all_four(p) for p in problems]
+        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda width: 17)
+        assert [all_four(p) for p in problems] == ref
+
+    def test_successive_calls_share_no_variates(self, monkeypatch):
+        """Two calls on one stream draw fresh chi_k: no quad and no chi value
+        of the first call recurs in the second."""
+        p = eq.make_problem(eq.cigar(64, 100.0), 0)
+        m = p.optimum + np.ones(p.d)
+        chis = []
+
+        def recording(*args):
+            chis.append(stochastic.chi_square_matrix(*args))
+            return chis[-1]
+
+        monkeypatch.setattr(montecarlo, "chi_square_matrix", recording)
+        stream = eq.RandomStream(81)
+        quads = [_sampled(p, m, 0.4, 1000, stream)[1] for _ in range(2)]
+        assert np.intersect1d(quads[0], quads[1]).size == 0
+        assert len(chis) == 2 and chis[0].shape == (1000, 1)
+        assert np.intersect1d(chis[0], chis[1]).size == 0
 
     def test_se_shrinks_like_sqrt_n(self):
         p = eq.make_problem(eq.sphere(8), 0)
@@ -236,7 +259,7 @@ class TestInvalidInputs:
             call()
 
 
-def _sampled(p, m, sigma, rows, seed):
+def _sampled(p, m, sigma, rows, stream):
     """Decrement terms and log gains of the sampler, concatenated over chunks."""
     chunks = []
 
@@ -244,38 +267,70 @@ def _sampled(p, m, sigma, rows, seed):
         chunks.append((lin, quad, gain()))
         return lin
 
-    montecarlo._sample(p, m, sigma, rows, eq.RandomStream(seed), grab)
+    montecarlo._sample(p, m, sigma, rows, stream, grab)
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
+def _offspring(p, y, rows, seed):
+    """The z of each sampled row, rebuilt from the xi_k and chi_k that the
+    sampler draws from RandomStream(seed), one group per distinct eigenvalue
+    in ascending order.
+
+    In the eigenframe, group k of w = R^T z is ``xi_k u_k/|u_k| + sqrt(chi_k) e_k``
+    for a fixed unit vector e_k of the eigenspace orthogonal to u_k.
+    """
+    _, group, mult = np.unique(p.spectrum.eigenvalues,
+                               return_inverse=True, return_counts=True)
+    stream = eq.RandomStream(seed)
+    chi_source = stochastic.chi_square_source(stream)
+    xi = eq.normal_matrix(stream, rows, mult.size)
+    chi = stochastic.chi_square_matrix(chi_source, rows, mult[mult > 1] - 1)
+    u = p.eigen_frame(y)
+    W = np.zeros((rows, p.d))
+    col = 0
+    for k in range(mult.size):
+        idx = np.flatnonzero(group == k)
+        unit = u[idx] / np.linalg.norm(u[idx])
+        W[:, idx] = np.outer(xi[:, k], unit)
+        if idx.size > 1:
+            e = np.zeros(idx.size)
+            e[np.argmin(np.abs(unit))] = 1.0
+            e -= (e @ unit) * unit
+            W[:, idx] += np.outer(np.sqrt(chi[:, col]), e / np.linalg.norm(e))
+            col += 1
+    return W if p.rotation is None else W @ p.rotation.T
+
+
 class TestSamplerMatchesDirectEvaluation:
-    """The decrement form against cores of the offspring y +- sigma z."""
+    """The reduced decrement form against cores of the offspring y +- sigma z,
+    with z rebuilt in full dimension from the sampler's variates."""
 
     @pytest.mark.parametrize("rotation_seed", [None, 5])
     @pytest.mark.parametrize("sigma_scale", [0.05, 0.3, 1.0])
     def test_per_row(self, monkeypatch, rotation_seed, sigma_scale):
-        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda d: 37)
-        rng = np.random.default_rng(17)
-        p = eq.make_problem(eq.ellipsoid(6, 30.0), rng.normal(size=6),
-                            rotation_seed=rotation_seed)
-        m = p.optimum + rng.normal(size=6)
-        y = m - p.optimum
-        sigma = sigma_scale * float(np.linalg.norm(y))
-        rows = 500
-        lin, quad, gain = _sampled(p, m, sigma, rows, seed=23)
-        Z = eq.normal_matrix(eq.RandomStream(23), rows, 6)
-        core_m = p.core_centered(y)
-        plus = np.array([p.core_centered(y + sigma * z) for z in Z])
-        minus = np.array([p.core_centered(y - sigma * z) for z in Z])
-        for delta, core_x in ((lin + quad, plus), (quad - lin, minus)):
-            clear = np.abs(core_x - core_m) > 1e-9 * core_m
-            assert np.array_equal((delta <= 0.0)[clear], (core_x <= core_m)[clear])
-        accept = lin + quad <= 0.0
-        assert np.all(gain[~accept] == 0.0)
-        exact = np.log(plus[accept] / core_m)
-        assert np.max(np.abs(gain[accept] - exact)) <= 1e-12
-        if sigma_scale == 0.3:  # reaches the direct-evaluation rows
-            assert np.count_nonzero(lin + quad <= -0.5 * core_m) >= 5
+        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda width: 37)
+        # distinct eigenvalues draw no chi_k; the grouped spectrum draws two
+        for lam in (eq.ellipsoid(6, 30.0), [30.0, 30.0, 30.0, 5.0, 1.0, 1.0]):
+            rng = np.random.default_rng(17)
+            p = eq.make_problem(lam, rng.normal(size=6), rotation_seed=rotation_seed)
+            m = p.optimum + rng.normal(size=6)
+            y = m - p.optimum
+            sigma = sigma_scale * float(np.linalg.norm(y))
+            rows = 500
+            lin, quad, gain = _sampled(p, m, sigma, rows, eq.RandomStream(23))
+            Z = _offspring(p, y, rows, seed=23)
+            core_m = p.core_centered(y)
+            plus = np.array([p.core_centered(y + sigma * z) for z in Z])
+            minus = np.array([p.core_centered(y - sigma * z) for z in Z])
+            for delta, core_x in ((lin + quad, plus), (quad - lin, minus)):
+                clear = np.abs(core_x - core_m) > 1e-9 * core_m
+                assert np.array_equal((delta <= 0.0)[clear], (core_x <= core_m)[clear])
+            accept = lin + quad <= 0.0
+            assert np.all(gain[~accept] == 0.0)
+            exact = np.log(plus[accept] / core_m)
+            assert np.max(np.abs(gain[accept] - exact)) <= 1e-12
+            if sigma_scale == 0.3:  # reaches the direct-evaluation rows
+                assert np.count_nonzero(lin + quad <= -0.5 * core_m) >= 5
 
 
 class TestAntitheticPairs:
@@ -292,12 +347,14 @@ class TestAntitheticPairs:
         m = p.optimum + eq.normal_vector(eq.RandomStream(3), 16)
         y = m - p.optimum
         sigma = sigma_scale * float(np.linalg.norm(y))
-        pairs = 2000
+        # at sigma = 0.5|y| the sphere accepts with probability 2.3e-4
+        pairs = 40_000
         est = eq.estimate_success_prob(p, m, sigma, 2 * pairs, eq.RandomStream(31))
-        Z = eq.normal_matrix(eq.RandomStream(31), pairs, 16)
+        Z = _offspring(p, y, pairs, seed=31)
         core_m = p.core_centered(y)
-        a = np.array([p.core_centered(y + sigma * z) <= core_m for z in Z], float)
-        b = np.array([p.core_centered(y - sigma * z) <= core_m for z in Z], float)
+        a = p.core_centered_batch(y + sigma * Z) <= core_m
+        b = p.core_centered_batch(y - sigma * Z) <= core_m
+        a, b = a.astype(float), b.astype(float)
         pair_means = 0.5 * (a + b)
         assert est.mean == pytest.approx(float(np.mean(pair_means)), abs=1e-15)
         assert est.std_error == pytest.approx(
@@ -306,3 +363,54 @@ class TestAntitheticPairs:
         assert np.cov(a, b)[0, 1] <= 0.0
         single = 0.5 * (np.var(a, ddof=1) + np.var(b, ddof=1))
         assert est.std_error ** 2 * pairs <= 0.5 * single * (1 + 1e-12)
+
+
+class TestDistribution:
+    """The reduced sampler's estimates against exact values and against plain
+    full-dimension sampling, within 3 standard errors."""
+
+    @pytest.mark.parametrize("sigma_norm", [0.05, 0.25, 1.0, 4.0])
+    def test_sphere_success_against_ncx2(self, sigma_norm):
+        from scipy import stats
+
+        d = 256
+        p = eq.make_problem(eq.sphere(d), 0)
+        m = eq.normal_vector(eq.RandomStream(41), d)
+        # the offspring is accepted iff |y/sigma + z|^2 <= |y/sigma|^2
+        sigma = sigma_norm * float(np.linalg.norm(m)) / d
+        nc = float(m @ m) / sigma**2
+        exact = stats.ncx2.cdf(nc, d, nc)
+        est = eq.estimate_success_prob(p, m, sigma, 4_000_000,
+                                       eq.RandomStream(42, (int(4 * sigma_norm),)))
+        assert abs(est.mean - exact) <= 3 * est.std_error
+
+    @pytest.mark.parametrize("lam,rotation_seed", [
+        (eq.cigar(64, 100.0), None),
+        (eq.discus(32, 10.0), None),
+        (eq.ellipsoid(16, 100.0), 13),
+    ], ids=["cigar100-d64", "discus10-d32", "rotated-ellipsoid100-d16"])
+    @pytest.mark.parametrize("sigma_norm", [0.25, 1.0, 4.0])
+    def test_against_full_dimension(self, lam, rotation_seed, sigma_norm):
+        p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
+        case = int(4 * sigma_norm)  # each sigma draws its own variates
+        rng = np.random.default_rng((43, case))
+        m = rng.normal(size=p.d)
+        sigma = sigma_norm * float(np.linalg.norm(p.gradient_core(m))) / sum(lam)
+        core_m = p.core_centered(m)
+        core_x = p.core_centered_batch(m + sigma * rng.normal(size=(200_000, p.d)))
+        accept = core_x <= core_m
+        full = {
+            "success_prob": accept.astype(float),
+            "log_progress": np.where(accept, np.log(core_x / core_m), 0.0),
+        }
+        reduced = {
+            "success_prob": eq.estimate_success_prob(
+                p, m, sigma, 400_000, eq.RandomStream(44, (case,))),
+            "log_progress": eq.estimate_log_progress(
+                p, m, sigma, 400_000, eq.RandomStream(45, (case,))),
+        }
+        for name, est in reduced.items():
+            ref = full[name]
+            ref_se = float(np.std(ref, ddof=1)) / math.sqrt(ref.size)
+            gap = abs(est.mean - float(np.mean(ref)))
+            assert gap <= 3 * math.hypot(est.std_error, ref_se), name

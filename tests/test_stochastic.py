@@ -193,7 +193,7 @@ def test_forked_child_draws_like_parent():
 
 
 def test_generator_id_is_stable():
-    assert eq.GENERATOR_ID == "philox-seedseq+invcdf/v2"
+    assert eq.GENERATOR_ID == "philox-seedseq+invcdf+chi2-gamma-rejection/v3"
 
 
 def test_invalid_dimension():
