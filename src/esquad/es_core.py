@@ -11,16 +11,34 @@ transform is strictly increasing, so the decision is identical to comparing
 transformed objective values, and the comparison stays well defined in the
 log domain long after raw objective values leave double range.
 
-``step`` and ``run`` share one transition in decrement form: the offspring
-y + sigma z of the centred parent y is accepted iff (ties accepted)
-delta = sigma (Hy)^T z + 1/2 sigma^2 z^T H z <= 0.  Both terms are taken in
-the eigenframe of H = R diag(lambda) R^T: each block of 256 variates is
-mapped once to w = R^T z (w = z without a rotation) and q = 1/2 sum(lambda w^2),
-and g = lambda R^T y changes only on acceptance, so a rejected step costs one
-dot product g.w.  The parent stays in the original frame.  On acceptance the
-core is evaluated again exactly and log f advances by log1p(delta/core) <= 0,
-except for delta/core <= -1/2, where 1 + delta/core can round to 0: log f is
-then taken from the new point, still monotone since the core at least halved.
+An offspring y + sigma z of the centred parent y is accepted iff (ties
+accepted) its decrement delta = sigma (Hy)^T z + 1/2 sigma^2 z^T H z <= 0.  On
+acceptance log f advances by log1p(delta/core) <= 0, except for
+delta/core <= -1/2, where 1 + delta/core can round to 0: log f is then taken
+from the new point, still monotone since the core at least halved.  ``step``
+applies these rules in full dimension to a given z; it is the reference that
+``run`` is tested against.
+
+``run`` samples the same transition with one normal per distinct eigenvalue
+of H, not d.  Write H = R diag(lambda) R^T and u = R^T y, and let u_k be the
+part of u in the eigenspace of the k-th distinct eigenvalue lambda_k, of
+multiplicity n_k.  The part of R^T z there splits into xi_k ~ N(0, 1) along
+u_k and a rest of squared norm chi_k ~ chi^2(n_k - 1) (none if n_k = 1), so
+
+    delta = sigma sum_k lambda_k r_k xi_k + 1/2 sigma^2 sum_k lambda_k (xi_k^2 + chi_k)
+
+depends on y only through the group norms r_k = |u_k|, and an accepted step
+sets r_k' = sqrt((r_k + sigma xi_k)^2 + sigma^2 chi_k), a sum of nonnegative
+terms.  By symmetry inside each eigenspace (r, sigma) is a Markov chain, and
+it gives the log f, log-norm and regime columns exactly in law.  On the
+sphere a step costs one normal and one chi-square variate for any d.
+
+With ``record_m`` a run also lifts the chain back to a point: on acceptance
+u_k' = (r_k + sigma xi_k) u_k/r_k + sigma sqrt(chi_k) e_k, rescaled to norm
+r_k', where e_k is a uniform unit vector of the eigenspace orthogonal to u_k
+(a group with r_k = 0 takes (1, ..., 1)/sqrt(n_k) for u_k/r_k).  The e_k come
+from a companion stream that every run keys with one word of its stream, so
+``record_m`` changes no other column.
 """
 
 from __future__ import annotations
@@ -34,7 +52,9 @@ import numpy as np
 from .errors import DegenerateStart, NumericalFailure
 from .ioutil import atomic_write_text, dump_json
 from .quadratic import QuadraticProblem
-from .stochastic import GENERATOR_ID, RandomStream, normal_matrix
+from .stochastic import (GENERATOR_ID, RandomStream, chi_square_matrix,
+                         chi_square_source, companion_stream, normal_matrix,
+                         normal_vector)
 from .version import VERSION
 
 _LN2 = math.log(2.0)
@@ -126,16 +146,30 @@ class StepOutcome:
 def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsParams) -> StepOutcome:
     """One transition: sample x = m + sigma z, accept iff core(x) <= core(m).
 
-    z is mapped as a row of a full (256, d) variate block, as in ``run``, so
-    steps on run's variates make its decisions and visit its points bit for bit.
+    The full-dimension reference for ``run``, with the same decrement-form
+    decision and log f rule.
     """
-    block = np.zeros((_BLOCK, problem.d))
-    block[0] = z
-    tr = _walk(problem, state, params, 1, iter((block,)), record_m=True)
-    if not tr.accepted[1]:
-        return StepOutcome(EsState(state.m, float(tr.log_sigma[1])), False, 0.0)
-    nxt = EsState(tr.m_centered[1] + problem.optimum, float(tr.log_sigma[1]))
-    return StepOutcome(nxt, True, float(tr.log_f[1] - tr.log_f[0]))
+    y = np.asarray(state.m, dtype=float) - problem.optimum
+    if not np.any(y):
+        raise DegenerateStart("started exactly at the optimum")
+    lam = problem.spectrum.eigenvalues
+    sigma = state.sigma
+    z = np.asarray(z, dtype=float)
+    u, w = problem.eigen_frame(y), problem.eigen_frame(z)
+    g = lam * u
+    core = 0.5 * float(g.dot(u))
+    delta = sigma * float(g.dot(w)) + 0.5 * sigma * sigma * float(np.dot(lam * w, w))
+    if not math.isfinite(delta):
+        raise NumericalFailure("non-finite core decrement")
+    if delta > 0.0:
+        return StepOutcome(EsState(state.m, state.log_sigma + params.log_down), False, 0.0)
+    y_new = y + sigma * z
+    if problem.core_centered(y_new) == 0.0 or delta <= -0.5 * core:
+        ratio = problem.log_core_centered(y_new) - problem.log_core_centered(y)
+    else:
+        ratio = math.log1p(delta / core)
+    nxt = EsState(y_new + problem.optimum, state.log_sigma + params.log_up)
+    return StepOutcome(nxt, True, ratio)
 
 
 @dataclass
@@ -145,8 +179,8 @@ class RunTrace:
     Row t holds the state after t steps; ``accepted[t]`` says whether the step
     from t-1 to t was accepted (row 0 carries 0).  ``log_f`` is the log of the
     untransformed core, tracked exactly even when the core itself would
-    underflow a double.  ``log_norm`` is log ||m_t - x*||.  ``m_centered`` is
-    recorded only on request.
+    underflow a double.  ``log_norm`` is log ||m_t - x*||.  ``m_centered``, the
+    lifted point m_t - x* (module docstring), is recorded only on request.
     """
 
     t: np.ndarray
@@ -196,20 +230,21 @@ def run(
 ) -> RunTrace:
     """Run the ES for ``budget`` steps and return the full trace.
 
-    The internal state is kept centered at the optimum and renormalized by
-    exact powers of two whenever its scale leaves [2**-100, 2**100]; the
-    quadratic core is exactly scale-equivariant under that renormalization,
-    so decisions are unaffected while log f is tracked far below the double
-    underflow threshold.  The run halts early only if the core reaches an
-    exact zero, which is flagged on the trace.
+    The run samples the chain of group norms r and sigma of the module
+    docstring.  Together with the lifted point when ``record_m`` is set, r
+    is renormalized by exact powers of two whenever the scale max(max r_k,
+    sigma) leaves [2**-100, 2**100]; the quadratic core is exactly
+    scale-equivariant under that renormalization, so decisions are
+    unaffected while log f is tracked far below the double underflow
+    threshold.  The run halts early only if the core reaches an exact zero,
+    which is flagged on the trace.
 
     When ``constants`` (a TheoryConstants bundle) is given, each row is also
     labeled with its step-size regime.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    blocks = (normal_matrix(stream, _BLOCK, problem.d) for _ in range(budget))
-    trace = _walk(problem, state0, params, budget, blocks, constants, record_m)
+    trace = _walk(problem, state0, params, budget, stream, constants, record_m)
     trace.metadata = {
         "version": VERSION,
         "generator_id": GENERATOR_ID,
@@ -224,73 +259,94 @@ def run(
     return trace
 
 
-def _walk(problem, state0, params, budget, blocks, constants=None, record_m=False):
-    """The transition shared by ``step`` and ``run``.
+def _walk(problem, state0, params, budget, stream, constants=None, record_m=False):
+    """The run kernel: the chain of group norms r and sigma (module docstring).
 
-    Takes up to ``budget`` steps from ``state0`` on the rows of ``blocks``, an
-    iterator of (_BLOCK, d) variate arrays, and returns the trace without
-    metadata.  Columns that change only on acceptance are written at accepted
-    rows and carried forward.
+    Takes up to ``budget`` steps from ``state0`` and returns the trace without
+    metadata.  The stream keys the chi-square source and the lift stream with
+    one word each, then gives the xi_k in blocks of _BLOCK rows.  Columns that change
+    only on acceptance are written at accepted rows and carried forward.
     """
-    lam = problem.spectrum.eigenvalues
+    groups = problem.eigen_groups()
+    lam = groups.eigenvalues
+    sqrt_lam = np.sqrt(lam)
+    has_chi = groups.counts > 1
+    dof = groups.counts[has_chi] - 1
     log_up, log_down = params.log_up, params.log_down
     y = np.asarray(state0.m, dtype=float) - problem.optimum
     if not np.any(y):
         raise DegenerateStart("started exactly at the optimum")
+    u = problem.eigen_frame(y)
+    # the centred point is u * 2**scale_exp in the eigenframe; start at
+    # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow
+    scale_exp = math.frexp(float(abs(u).max()))[1]
+    u = u * 2.0 ** float(-scale_exp)
+    r = groups.norms(u)
+    chi_source = chi_square_source(stream)
+    lift_stream = companion_stream(stream)  # keyed even when unused
     log_sigma = float(state0.log_sigma)
-    scale_exp = 0  # the centred point is y * 2**scale_exp
 
-    def refresh(y):
-        """Eigenframe gradient g, exact core and max |y| of a new parent."""
-        u = problem.eigen_frame(y)
-        g = lam * u
-        return g, 0.5 * float(g.dot(u)), float(abs(y).max())
+    def refresh(r):
+        """Gradient group norms lambda_k r_k, exact core and max r_k of a new parent."""
+        g = lam * r
+        return g, 0.5 * float(g.dot(r)), float(r.max())
 
     n_rows = budget + 1
     log_f = np.empty(n_rows)
     accepted = np.zeros(n_rows, dtype=np.int8)
     log_norm = np.empty(n_rows)
     log_grad = np.empty(n_rows) if constants is not None else None
-    m_hist = np.empty((n_rows, problem.d)) if record_m else None
+    u_hist = np.empty((n_rows, problem.d)) if record_m else None
 
     def keep(i):
         log_f[i] = cur_log_f
-        log_norm[i] = _log_norm(y, y_max) + scale_exp * _LN2
+        log_norm[i] = _log_norm(r, r_max) + scale_exp * _LN2
         if log_grad is not None:
-            log_grad[i] = problem.log_grad_norm_centered(y) + scale_exp * _LN2
-        if m_hist is not None:
-            m_hist[i] = y * 2.0**scale_exp
+            log_grad[i] = _log_norm(g, float(g.max())) + scale_exp * _LN2
+        if u_hist is not None:
+            u_hist[i] = u * 2.0**scale_exp
 
-    g, core, y_max = refresh(y)
+    g, core, r_max = refresh(r)
     cur_log_f = problem.log_core_centered(y)
     keep(0)
     zi = _BLOCK
     t = 0
     for t in range(1, n_rows):
         sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
-        scale = y_max if y_max > sigma_hat else sigma_hat
+        scale = r_max if r_max > sigma_hat else sigma_hat
         if not _SCALE_LOW <= scale < _SCALE_HIGH:
             e = math.frexp(scale)[1]  # the scale is in [2**(e-1), 2**e)
-            y = y * 2.0 ** float(-e)
+            r = r * 2.0 ** float(-e)
+            if record_m:
+                u = u * 2.0 ** float(-e)
             scale_exp += e
-            g, core, y_max = refresh(y)
+            g, core, r_max = refresh(r)
             sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
         if zi == _BLOCK:
-            z_block = next(blocks)
-            w_block = z_block if problem.rotation is None else z_block @ problem.rotation
-            q = (0.5 * np.einsum("ij,ij->i", w_block * lam, w_block)).tolist()
+            xi_block = normal_matrix(stream, _BLOCK, lam.size)
+            chi_block = np.zeros_like(xi_block)
+            chi_block[:, has_chi] = chi_square_matrix(chi_source, _BLOCK, dof)
+            q = (0.5 * np.einsum("ij,j->i", xi_block * xi_block + chi_block, lam)).tolist()
             zi = 0
-        delta = sigma_hat * float(g.dot(w_block[zi])) + sigma_hat * sigma_hat * q[zi]
+        xi = xi_block[zi]
+        delta = sigma_hat * float(g.dot(xi)) + sigma_hat * sigma_hat * q[zi]
         if not math.isfinite(delta):
             raise NumericalFailure(f"non-finite core decrement at step {t}")
         if delta <= 0.0:
-            y += sigma_hat * z_block[zi]
+            along = r + sigma_hat * xi
+            chi = chi_block[zi]
+            r_new = np.sqrt(along * along + sigma_hat * sigma_hat * chi)
+            if record_m:
+                across = sigma_hat * np.sqrt(chi)
+                u = _lift(u, r, along, across, r_new, groups, lift_stream)
+            r = r_new
             core_old = core
-            g, core, y_max = refresh(y)
+            g, core, r_max = refresh(r)
             log_sigma += log_up
             accepted[t] = 1
             if core == 0.0 or delta <= -0.5 * core_old:
-                cur_log_f = problem.log_core_centered(y) + 2.0 * scale_exp * _LN2
+                w = sqrt_lam * r
+                cur_log_f = math.log(0.5) + 2.0 * (_log_norm(w, float(w.max())) + scale_exp * _LN2)
             else:
                 cur_log_f += math.log1p(delta / core_old)
             keep(t)
@@ -312,15 +368,41 @@ def _walk(problem, state0, params, budget, blocks, constants=None, record_m=Fals
         stats = problem.stats()
         regimes = [classify_from_logs(f, lg, ls, stats, constants).value
                    for f, lg, ls in zip(log_f[last], log_grad[last], log_sig)]
+    m_centered = None
+    if u_hist is not None:
+        m_centered = u_hist[last]
+        if problem.rotation is not None:
+            m_centered = m_centered @ problem.rotation.T
     return RunTrace(
         t=np.arange(n_kept), log_f=log_f[last], log_sigma=log_sig, accepted=acc,
-        log_norm=log_norm[last], regime=regimes,
-        m_centered=None if m_hist is None else m_hist[last], hit_zero=core == 0.0,
+        log_norm=log_norm[last], regime=regimes, m_centered=m_centered,
+        hit_zero=core == 0.0,
     )
 
 
-def _log_norm(y: np.ndarray, y_max: float) -> float:
-    if y_max == 0.0:
+def _lift(u, r, along, across, r_new, groups, stream):
+    """Eigenframe point with group norms r_new after an accepted step from u.
+
+    Group k moves to ``along_k`` times the unit vector of u_k plus ``across_k``
+    times a uniform unit vector of its eigenspace orthogonal to u_k, drawn from
+    ``stream``, and is rescaled to norm ``r_new_k``.
+    """
+    k = groups.index
+    # a group with r_k = 0 takes (1, ..., 1) / sqrt(n_k) as its unit vector
+    unit = (u / np.where(r > 0.0, r, 1.0)[k]
+            + np.where(r > 0.0, 0.0, 1.0 / np.sqrt(groups.counts))[k])
+    gauss = normal_vector(stream, u.size)
+    perp = gauss - unit * np.bincount(k, weights=gauss * unit)[k]
+    perp_norm = groups.norms(perp)  # 0 where n_k = 1, and so is across_k
+    out = along[k] * unit + (across / np.where(perp_norm > 0.0, perp_norm, 1.0))[k] * perp
+    out_norm = groups.norms(out)
+    return out * (r_new / np.where(out_norm > 0.0, out_norm, 1.0))[k]
+
+
+def _log_norm(v: np.ndarray, v_max: float) -> float:
+    """log |v| of a nonnegative v with largest entry v_max, stable for tiny
+    or huge entries; -inf for v = 0."""
+    if v_max == 0.0:
         return -math.inf
-    s = y / y_max
-    return math.log(y_max) + 0.5 * math.log(float(np.dot(s, s)))
+    s = v / v_max
+    return math.log(v_max) + 0.5 * math.log(float(np.dot(s, s)))

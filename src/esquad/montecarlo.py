@@ -89,11 +89,10 @@ def _sample(
     core_m = problem.core_centered(y)
     if not (math.isfinite(core_m) and core_m > 0.0):
         raise NumericalFailure(f"the core at m is {core_m!r}, not finite and > 0")
-    lam, group, mult = np.unique(problem.spectrum.eigenvalues,
-                                 return_inverse=True, return_counts=True)
+    groups = problem.eigen_groups()
+    lam, mult = groups.eigenvalues, groups.counts
     lam_chi, dof = lam[mult > 1], mult[mult > 1] - 1
-    u = problem.eigen_frame(y)
-    norm_u = np.sqrt(np.bincount(group, weights=u * u))
+    norm_u = groups.norms(problem.eigen_frame(y))
 
     def log_gain(xi, chi, delta) -> np.ndarray:
         """log(core(y + sigma z) / core(y)) where delta <= 0, else 0; never positive."""

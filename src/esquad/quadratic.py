@@ -113,6 +113,25 @@ class SpectrumStats:
 
 
 @dataclass(frozen=True)
+class EigenGroups:
+    """The distinct eigenvalues of H, ascending, with their multiplicities n_k
+    and the group k of each eigenframe coordinate.
+
+    Inside an eigenspace H is a multiple of the identity, so by symmetry the
+    core and the offspring law at a centred point depend on its eigenframe
+    coordinates u only through the group norms |u_k|.
+    """
+
+    eigenvalues: np.ndarray
+    counts: np.ndarray
+    index: np.ndarray
+
+    def norms(self, u: np.ndarray) -> np.ndarray:
+        """Group norms |u_k| of an eigenframe vector."""
+        return np.sqrt(np.bincount(self.index, weights=u * u))
+
+
+@dataclass(frozen=True)
 class QuadraticProblem:
     """A member of the convex quadratic family, immutable after construction."""
 
@@ -166,6 +185,12 @@ class QuadraticProblem:
         if self.rotation is None:
             return y
         return self.rotation.T @ y
+
+    def eigen_groups(self) -> EigenGroups:
+        """The eigenframe coordinates grouped by distinct eigenvalue."""
+        lam, index, counts = np.unique(self.spectrum.eigenvalues,
+                                       return_inverse=True, return_counts=True)
+        return EigenGroups(lam, counts, index)
 
     def core(self, x) -> float:
         """Untransformed core 0.5 (x - x*)^T H (x - x*)."""

@@ -11,10 +11,11 @@ method is part of the reproducibility contract and must not change without
 bumping GENERATOR_ID.
 
 Chi-square variates with k degrees of freedom are numpy's rejection sampler
-``2 * Generator.standard_gamma(k / 2)`` (also named in GENERATOR_ID) on a
-Philox generator seeded by one raw word of the stream.  Its words per draw
-vary, so it runs apart from the stream's normals: its draws do not depend on
-how they are cut into calls, and two sources from one stream share no words.
+``2 * Generator.standard_gamma(k / 2)`` (also named in GENERATOR_ID) on the
+generator of a companion stream, a stream keyed by one raw word of its
+parent.  Its words per draw vary, so it runs apart from the stream's
+normals: its draws do not depend on how they are cut into calls, and two
+sources from one stream share no words.
 
 A large draw is filled on every CPU the process may run on, with the same
 bytes as a sequential draw.  Philox yields four raw words per counter value,
@@ -137,10 +138,14 @@ def normal_matrix(stream: RandomStream, rows: int, d: int) -> np.ndarray:
     return _normals(stream, rows * d).reshape(rows, d)
 
 
+def companion_stream(stream: RandomStream) -> RandomStream:
+    """Stream keyed by one raw word of ``stream``; advances it by that word."""
+    return RandomStream(int(stream._bitgen.random_raw()))
+
+
 def chi_square_source(stream: RandomStream) -> np.random.Generator:
     """Companion generator for chi-square draws; advances the stream by one word."""
-    word = int(stream._bitgen.random_raw())
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(word)))
+    return np.random.Generator(companion_stream(stream)._bitgen)
 
 
 def chi_square_matrix(source: np.random.Generator, rows: int, dof) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import esquad as eq
-from esquad import es_core
+from esquad import es_core, stochastic
 from conftest import read_trace_csv
 
 
@@ -36,6 +36,11 @@ class TestParams:
 
 
 PARAMS = eq.EsParams(1.5, 0.8)
+
+# one group, two groups (one of multiplicity 15), all distinct and rotated
+REDUCED_CHAIN_CASES = pytest.mark.parametrize("lam, rotation_seed", [
+    (eq.sphere(16), None), (eq.cigar(16, 100.0), None), (eq.ellipsoid(8, 10.0), 5),
+], ids=["sphere16", "cigar100-16", "ellipsoid10-8-rotated"])
 
 
 class TestStep:
@@ -86,23 +91,83 @@ class TestRun:
         with pytest.raises(eq.DegenerateStart):
             eq.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
 
-    def test_matches_manual_step_loop(self):
-        # bit for bit, also when H is rotated; 600 steps cross variate blocks
-        params = eq.alpha_schedule(4, 0.2)
-        state0 = eq.EsState(np.array([1.0, -0.5, 2.0, 0.25]), math.log(0.3))
-        for rotation_seed in (None, 11):
-            p = eq.make_problem([3.0, 2.0, 1.0, 0.5], 0, rotation_seed=rotation_seed)
-            tr = eq.run(p, state0, params, 600, eq.RandomStream(77), record_m=True)
+    @REDUCED_CHAIN_CASES
+    def test_matches_step_loop_in_law(self, lam, rotation_seed):
+        # run samples the reduced chain and lifts it back to points; a loop of
+        # step on full-dimension draws is the reference.  Per trial: the
+        # acceptance rate, the log-f slope a_hat and the mean cosine between
+        # the points before and after an accepted step, all after burn-in;
+        # their means agree within 3 combined SE.
+        p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
+        params = eq.alpha_schedule(p.d, 0.2)
+        state0 = eq.default_initial_state(p)
+        trials, budget, burn_in = 60, 1000, 200
 
-            stream = eq.RandomStream(77)
-            state = state0
-            for t in range(1, 601):
-                z = eq.normal_vector(stream, 4)
-                out = eq.step(state, z, p, params)
+        def reference(stream):
+            state, log_f, acc, m = state0, [0.0], [], [state0.m]
+            for _ in range(budget):
+                out = eq.step(state, eq.normal_vector(stream, p.d), p, params)
                 state = out.next
-                assert tr.accepted[t] == int(out.accepted)
-                assert np.array_equal(tr.m_centered[t], state.m - p.optimum)
-                assert tr.log_sigma[t] == state.log_sigma
+                log_f.append(log_f[-1] + out.log_f_ratio)
+                acc.append(out.accepted)
+                m.append(state.m)
+            return np.array(log_f), np.array(acc), np.array(m)
+
+        def summary(log_f, acc, m):
+            slope = -(log_f[budget] - log_f[burn_in]) / (2.0 * (budget - burn_in))
+            moved = burn_in + np.flatnonzero(acc[burn_in:])
+            before, after = m[moved], m[moved + 1]
+            cos = np.einsum("ij,ij->i", before, after) / (
+                np.linalg.norm(before, axis=1) * np.linalg.norm(after, axis=1))
+            return float(np.mean(acc[burn_in:])), slope, float(np.mean(cos))
+
+        got, ref = [], []
+        for i in range(trials):
+            tr = eq.run(p, state0, params, budget, eq.RandomStream(41, (i,)),
+                        record_m=True)
+            got.append(summary(tr.log_f, tr.accepted[1:], tr.m_centered))
+            ref.append(summary(*reference(eq.RandomStream(42, (i,)))))
+        got, ref = np.array(got), np.array(ref)
+        se = np.hypot(got.std(axis=0, ddof=1), ref.std(axis=0, ddof=1)) / math.sqrt(trials)
+        assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) < 3.0 * se)
+
+    @REDUCED_CHAIN_CASES
+    def test_record_m_changes_no_other_column(self, lam, rotation_seed):
+        p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
+        state0 = eq.default_initial_state(p)
+        params = eq.alpha_schedule(p.d, 0.2)
+        plain = eq.run(p, state0, params, 2000, eq.RandomStream(9))
+        lifted = eq.run(p, state0, params, 2000, eq.RandomStream(9), record_m=True)
+        assert plain.m_centered is None and lifted.m_centered.shape == (2001, p.d)
+        for column in ("log_f", "log_sigma", "accepted", "log_norm"):
+            assert np.array_equal(getattr(plain, column), getattr(lifted, column))
+
+    def test_successive_runs_share_no_chi_or_lift_words(self, monkeypatch):
+        """Two runs on one stream key fresh sources: no chi_k and no lift
+        variate of the first run recurs in the second."""
+        p = eq.make_problem(eq.cigar(16, 100.0), 0)
+        draws = {"chi": [], "lift": []}
+
+        def recording_chi(*args):
+            draws["chi"][-1].append(stochastic.chi_square_matrix(*args))
+            return draws["chi"][-1][-1]
+
+        def recording_normals(*args):
+            draws["lift"][-1].append(stochastic.normal_vector(*args))
+            return draws["lift"][-1][-1]
+
+        monkeypatch.setattr(es_core, "chi_square_matrix", recording_chi)
+        monkeypatch.setattr(es_core, "normal_vector", recording_normals)
+        stream = eq.RandomStream(31)
+        for _ in range(2):
+            draws["chi"].append([])
+            draws["lift"].append([])
+            eq.run(p, eq.default_initial_state(p), eq.alpha_schedule(16), 300,
+                   stream, record_m=True)
+        for kind in ("chi", "lift"):
+            first, second = (np.concatenate(parts, axis=None) for parts in draws[kind])
+            assert first.size and second.size
+            assert np.intersect1d(first, second).size == 0, kind
 
     def test_sigma_bookkeeping_closed_form(self):
         p = eq.make_problem(eq.sphere(8), 0)
@@ -136,6 +201,18 @@ class TestRun:
         params = eq.alpha_schedule(4)
         expected = math.log(0.5) + a * params.log_up + (tr.t - a) * params.log_down
         assert np.max(np.abs(expected - tr.log_sigma)) < 1e-8
+        # on the sphere the core is |y|^2 / 2
+        assert np.max(np.abs(tr.log_f - (math.log(0.5) + 2.0 * tr.log_norm))) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_start_scale(self, scale):
+        # the squared group norms of the start would under- or overflow
+        p = eq.make_problem(eq.cigar(4, 10.0), 0)
+        state0 = eq.EsState(np.full(4, scale), math.log(0.1 * scale))
+        tr = eq.run(p, state0, eq.alpha_schedule(4), 500, eq.RandomStream(12))
+        assert tr.log_f[0] == pytest.approx(math.log(15.5) + 2.0 * math.log(scale), rel=1e-14)
+        assert tr.accept_count() > 50
+        assert np.all(np.isfinite(tr.log_f)) and np.all(np.diff(tr.log_f) <= 0.0)
 
     def test_transform_invariance_bit_exact(self):
         p_id = eq.make_problem(eq.ellipsoid(8, 10), 0)
@@ -188,13 +265,18 @@ class TestRun:
         p = eq.make_problem([1.0, 1.0], 0)
         state0 = eq.EsState(np.array([1.0, 0.0]), 0.0)
 
-        def fake_normal_matrix(stream, rows, d):
-            z = np.zeros((rows, d))
-            z[0] = [-1.0, 0.0]  # lands exactly on the optimum at sigma = 1
-            z[1:] = 0.1
-            return z
+        def fake_normal_matrix(stream, rows, groups):
+            xi = np.full((rows, groups), 0.1)
+            xi[0] = -1.0  # with chi = 0, lands exactly on the optimum at sigma = 1
+            return xi
+
+        def fake_chi_square_matrix(source, rows, dof):
+            chi = np.full((rows, len(dof)), 0.1)
+            chi[0] = 0.0
+            return chi
 
         monkeypatch.setattr(es_core, "normal_matrix", fake_normal_matrix)
+        monkeypatch.setattr(es_core, "chi_square_matrix", fake_chi_square_matrix)
         tr = eq.run(p, state0, PARAMS, 50, eq.RandomStream(0))
         assert tr.hit_zero
         assert len(tr) == 2
@@ -206,12 +288,18 @@ class TestRun:
         p = eq.make_problem([1.0, 1.0], 0)
         state0 = eq.EsState(np.array([1.0, 2.0**-60]), 0.0)
 
-        def fake_normal_matrix(stream, rows, d):
-            z = np.full((rows, d), 0.1)
-            z[0] = [-1.0, 0.0]  # lands on (0, 2**-60) at sigma = 1
-            return z
+        def fake_normal_matrix(stream, rows, groups):
+            xi = np.full((rows, groups), 0.1)
+            xi[0] = -1.0
+            return xi
+
+        def fake_chi_square_matrix(source, rows, dof):
+            chi = np.full((rows, len(dof)), 0.01)
+            chi[0] = 2.0**-120  # with xi = -1, lands at norm 2**-60 at sigma = 1
+            return chi
 
         monkeypatch.setattr(es_core, "normal_matrix", fake_normal_matrix)
+        monkeypatch.setattr(es_core, "chi_square_matrix", fake_chi_square_matrix)
         tr = eq.run(p, state0, PARAMS, 5, eq.RandomStream(0))
         assert not tr.hit_zero
         assert len(tr) == 6

@@ -213,6 +213,23 @@ class TestCoreBatch:
         assert np.all(np.abs(batch - scalar) <= 1e-13 * scalar)
 
 
+class TestEigenGroups:
+    def test_groups_and_norms(self):
+        p = eq.make_problem([5.0, 5.0, 2.0, 1.0, 1.0, 1.0], 0, rotation_seed=3)
+        groups = p.eigen_groups()
+        assert groups.eigenvalues.tolist() == [1.0, 2.0, 5.0]
+        assert groups.counts.tolist() == [3, 1, 2]
+        assert np.array_equal(groups.eigenvalues[groups.index], p.spectrum.eigenvalues)
+        y = np.random.default_rng(45).normal(size=6)
+        u = p.eigen_frame(y)
+        norms = groups.norms(u)
+        assert norms.tolist() == pytest.approx(
+            [np.linalg.norm(u[3:]), abs(u[2]), np.linalg.norm(u[:2])], rel=1e-15)
+        # the core depends on y only through the group norms
+        assert 0.5 * np.dot(groups.eigenvalues, norms**2) == pytest.approx(
+            p.core_centered(y), rel=1e-14)
+
+
 class TestStableLogs:
     def test_log_core_matches_direct(self):
         rng = np.random.default_rng(41)
