@@ -39,16 +39,25 @@ r_k', where e_k is a uniform unit vector of the eigenspace orthogonal to u_k
 (a group with r_k = 0 takes (1, ..., 1)/sqrt(n_k) for u_k/r_k).  The e_k come
 from a companion stream that every run keys with one word of its stream, so
 ``record_m`` changes no other column.
+
+``run_many`` runs independent runs on every CPU the process may run on.  With
+n = min(CPUs, jobs) the calling process runs jobs 0, n, 2n, ... itself and a
+pool of forked worker processes runs the rest; with one CPU or one job it is a
+plain loop in the caller.  A trace is a function of its inputs alone, which
+reach a worker as pickled copies, bit for bit, so where a run executes cannot
+change its bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import stochastic
 from .errors import DegenerateStart, NumericalFailure
 from .ioutil import atomic_write_text, dump_json
 from .quadratic import QuadraticProblem
@@ -257,6 +266,85 @@ def run(
         "hit_zero": trace.hit_zero,
     }
     return trace
+
+
+_procs = None
+_procs_pid = None
+_in_worker = False
+
+
+def run_many(jobs: Sequence[tuple], **options) -> List[RunTrace]:
+    """The traces of ``run(*job, **options)`` for each job, in job order.
+
+    Each job is a tuple of ``run``'s positional arguments (problem, state0,
+    params, budget, stream) and owns its stream.  With n = min(CPUs, jobs),
+    the caller runs every job i with i % n == 0 and the pool of forked
+    workers the others, so the split is fixed by n and the job count.  The
+    first failing job in job order raises, with its own exception type.  A
+    pool that lost a worker raises BrokenProcessPool and is dropped, so the
+    next call starts a new one.
+    """
+    jobs = list(jobs)
+    n = min(stochastic._cpu_count(), len(jobs))
+    if n < 2 or _in_worker:
+        return [run(*job, **options) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = {}
+    try:
+        pool = _process_pool()
+        futures = {i: pool.submit(_run_job, job, options)
+                   for i, job in enumerate(jobs) if i % n}
+        return [futures[i].result() if i % n else run(*job, **options)
+                for i, job in enumerate(jobs)]
+    except BrokenProcessPool:
+        _drop_process_pool()
+        raise
+    finally:
+        for future in futures.values():
+            future.cancel()
+
+
+def _run_job(job, options):
+    return run(*job, **options)
+
+
+def _enter_worker():
+    global _in_worker
+    _in_worker = True
+
+
+def _process_pool():
+    """The process's pool of CPUs - 1 forked run workers; a forked child
+    builds its own, and a worker none.
+
+    Fork, not spawn: a spawned worker would import numpy, scipy and esquad
+    again before its first run, about 0.4 s, while the runs of a call often
+    take a few seconds in all.  The pool forks every worker at its first
+    submit, from the calling thread, while no other thread of this package
+    is inside a call: the normal-fill threads of ``stochastic`` are idle
+    between draws, and a worker builds its own fill threads.
+    """
+    global _procs, _procs_pid
+    if _procs_pid != os.getpid():
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        _procs = ProcessPoolExecutor(
+            max_workers=stochastic._cpu_count() - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_enter_worker,
+        )
+        _procs_pid = os.getpid()
+    return _procs
+
+
+def _drop_process_pool():
+    """Shut down this process's pool of run workers, if it has one."""
+    global _procs, _procs_pid
+    if _procs_pid == os.getpid():
+        _procs.shutdown(cancel_futures=True)
+    _procs = _procs_pid = None
 
 
 def _walk(problem, state0, params, budget, stream, constants=None, record_m=False):

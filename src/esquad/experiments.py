@@ -10,7 +10,7 @@ trials; per-step dependence makes within-trace standard errors misleading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import TheoryConstants, constants as theory_constants
 from .errors import ConfigError, DegenerateStart, InfeasibleBound, NumericalFailure
-from .es_core import EsParams, EsState, RunTrace, run
+from .es_core import EsParams, EsState, run_many
 from .montecarlo import (
     estimate_drift_V,
     estimate_exp_abs,
@@ -106,8 +106,12 @@ def measure_rate(
 ):
     """Estimate the convergence rate over independent trials.
 
-    Each trial runs on its own substream.  The log-f slope and the log-norm
-    slope are both measured; per trial they must agree within
+    Each trial runs on its own substream.  The trials run through
+    ``es_core.run_many``: on one CPU one after another in this process, on
+    more CPUs split between this process and forked workers.  A trace depends
+    only on its problem, start, parameters, budget and substream, so every
+    estimate is bit-identical whatever the CPU count.  The log-f slope and the
+    log-norm slope are both measured; per trial they must agree within
     log(U/L) / (2 (budget - burn_in)), a deterministic sandwich, so a
     violation raises NumericalFailure because it can only be a bug.
     """
@@ -120,9 +124,9 @@ def measure_rate(
     gap_cap = math.log(stats.cond) / span + _SLOPE_FP_SLACK
     slopes = np.empty(trials)
     norm_slopes = np.empty(trials)
-    first_trace: Optional[RunTrace] = None
-    for i in range(trials):
-        trace = run(problem, state0, params, budget, substream(stream, i))
+    traces = run_many([(problem, state0, params, budget, substream(stream, i))
+                       for i in range(trials)])
+    for i, trace in enumerate(traces):
         if trace.hit_zero:
             raise NumericalFailure("core reached exact zero during rate measurement")
         slopes[i] = -(trace.log_f[budget] - trace.log_f[burn_in]) / span
@@ -134,8 +138,6 @@ def measure_rate(
                 f"log-norm slope {norm_slopes[i]:.6g} deviates from log-f slope "
                 f"{slopes[i]:.6g} beyond the deterministic cap {gap_cap:.6g}"
             )
-        if keep_first_trace and i == 0:
-            first_trace = trace
     a_hat = float(np.mean(slopes))
     if trials < 2:
         se = float("nan")
@@ -159,7 +161,7 @@ def measure_rate(
         std_error=se,
     )
     if keep_first_trace:
-        return est, first_trace
+        return est, traces[0]
     return est
 
 
@@ -375,29 +377,26 @@ def verify_suite(config: dict) -> dict:
     state0 = default_initial_state(problem)
     m0 = state0.m
 
-    # -- invariance under monotone transforms (bit-exact) ------------------
+    # -- invariance under monotone transforms and translation (bit-exact) ----
+    # The canonical run, one run per transform and an integer-shifted run
+    # draw from the same substream, so they must match bit for bit; they are
+    # independent, so they run as one batch.
     inv_budget = min(1000, budget)
-    canonical = run(
-        problem, state0, params, inv_budget, substream(root, _LBL_INVARIANCE),
+    shift = np.arange(1.0, problem.d + 1.0)
+    starts = [(problem, state0)]
+    starts += [(replace(problem, transform=tag), state0) for tag in (SQRT, LOG1P, CUBE)]
+    starts.append((replace(problem, optimum=problem.optimum + shift),
+                   EsState(np.asarray(m0) + shift, state0.log_sigma)))
+    canonical, *transformed, shifted = run_many(
+        [(p, s, params, inv_budget, substream(root, _LBL_INVARIANCE)) for p, s in starts],
         record_m=True,
     )
-    transform_ok = True
-    for tag in (SQRT, LOG1P, CUBE):
-        variant_problem = QuadraticProblem(
-            spectrum=problem.spectrum,
-            optimum=problem.optimum,
-            transform=tag,
-            rotation=problem.rotation,
-            rotation_seed=problem.rotation_seed,
-        )
-        variant = run(
-            variant_problem, state0, params, inv_budget,
-            substream(root, _LBL_INVARIANCE), record_m=True,
-        )
-        transform_ok = transform_ok and (
-            np.array_equal(canonical.m_centered, variant.m_centered)
-            and np.array_equal(canonical.log_sigma, variant.log_sigma)
-        )
+
+    def same_run(trace):
+        return (np.array_equal(canonical.m_centered, trace.m_centered)
+                and np.array_equal(canonical.log_sigma, trace.log_sigma))
+
+    transform_ok = all(same_run(trace) for trace in transformed)
     checks.append(
         CheckResult(
             "invariance_transform",
@@ -410,23 +409,7 @@ def verify_suite(config: dict) -> dict:
         )
     )
 
-    # -- invariance under translation (bit-exact) ---------------------------
-    shift = np.arange(1.0, problem.d + 1.0)
-    shifted_problem = QuadraticProblem(
-        spectrum=problem.spectrum,
-        optimum=problem.optimum + shift,
-        transform=problem.transform,
-        rotation=problem.rotation,
-        rotation_seed=problem.rotation_seed,
-    )
-    shifted0 = EsState(np.asarray(m0) + shift, state0.log_sigma)
-    shifted = run(
-        shifted_problem, shifted0, params, inv_budget,
-        substream(root, _LBL_INVARIANCE), record_m=True,
-    )
-    trans_ok = np.array_equal(canonical.m_centered, shifted.m_centered) and (
-        np.array_equal(canonical.log_sigma, shifted.log_sigma)
-    )
+    trans_ok = same_run(shifted)
     checks.append(
         CheckResult(
             "invariance_translation",

@@ -1,10 +1,43 @@
 import csv
 import math
+import signal
 
 import numpy as np
 import pytest
 
 import esquad as eq
+from esquad import es_core, stochastic
+
+
+POOL_DEADLINE_S = 120
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count that ``es_core.run_many`` splits its jobs over.
+
+    Shuts down any pool of run workers before and after the test, so that
+    each test starts without child processes and builds its own pool.  The
+    test and each shutdown must end within POOL_DEADLINE_S, so that a hung
+    pool fails the test instead of stalling the suite.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"no result from the run pool in {POOL_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(POOL_DEADLINE_S)
+    es_core._drop_process_pool()
+
+    def set_cpus(n):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: n)
+
+    try:
+        yield set_cpus
+        signal.alarm(POOL_DEADLINE_S)
+        es_core._drop_process_pool()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

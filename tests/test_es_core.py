@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -387,3 +391,87 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,log_f,log_sigma,accepted,regime"
         assert len(lines) == 5
+
+
+def _jobs(n, budget=300):
+    """n runs on three problems (sphere, cigar, rotated ellipsoid), one
+    substream each."""
+    problems = [eq.make_problem(eq.sphere(16), 0), eq.make_problem(eq.cigar(16, 100.0), 0),
+                eq.make_problem(eq.ellipsoid(8, 10.0), 0, rotation_seed=5)]
+    root = eq.RandomStream(17)
+    jobs = []
+    for i in range(n):
+        p = problems[i % 3]
+        jobs.append((p, eq.EsState(np.ones(p.d), -2.0), PARAMS, budget, stochastic.substream(root, i)))
+    return jobs
+
+
+def _same_trace(a, b):
+    return (all(np.array_equal(getattr(a, c), getattr(b, c))
+                for c in ("t", "log_f", "log_sigma", "accepted", "log_norm"))
+            and a.metadata == b.metadata and a.hit_zero == b.hit_zero
+            and (a.m_centered is None) == (b.m_centered is None)
+            and (a.m_centered is None or np.array_equal(a.m_centered, b.m_centered)))
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    @pytest.mark.parametrize("record_m", [False, True])
+    def test_matches_serial_loop_in_job_order(self, cpus, n_cpus, record_m):
+        serial = [eq.run(*job, record_m=record_m) for job in _jobs(7)]
+        cpus(n_cpus)
+        traces = es_core.run_many(_jobs(7), record_m=record_m)
+        assert len(traces) == 7
+        assert all(_same_trace(a, b) for a, b in zip(serial, traces))
+        assert multiprocessing.active_children()  # the pool ran some of them
+
+    def test_caller_runs_every_nth_job(self, cpus, monkeypatch):
+        # in-process spans (the benchmark's tracing) see the caller's share
+        ran = []
+        real_run = es_core.run
+
+        def counting_run(*args, **kwargs):
+            ran.append(args[4].path)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(es_core, "run", counting_run)
+        cpus(3)
+        es_core.run_many(_jobs(7))
+        assert ran == [job[4].path for job in _jobs(7)[::3]]
+
+    def test_one_cpu_or_one_job_starts_no_process(self, cpus):
+        cpus(1)
+        es_core.run_many(_jobs(3))
+        cpus(2)
+        es_core.run_many(_jobs(1))
+        assert es_core._procs is None
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_worker_raises_its_own_type(self, cpus):
+        cpus(2)
+        jobs = _jobs(4)
+        p, state, *rest = jobs[1]  # job 1 runs in a worker
+        jobs[1] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
+        with pytest.raises(eq.DegenerateStart):
+            es_core.run_many(jobs)
+        # the first failing job in job order raises: job 1 before job 2
+        p, state, params, _, stream = jobs[2]  # job 2 runs in the caller
+        jobs[2] = (p, state, params, -1, stream)
+        with pytest.raises(eq.DegenerateStart):
+            es_core.run_many(jobs)
+        jobs[0], jobs[2] = jobs[2], jobs[0]
+        with pytest.raises(ValueError, match="budget"):
+            es_core.run_many(jobs)
+        # a failed call leaves the pool usable
+        assert all(_same_trace(a, b) for a, b in
+                   zip(es_core.run_many(_jobs(4)), [eq.run(*job) for job in _jobs(4)]))
+
+    def test_killed_worker_does_not_poison_later_calls(self, cpus):
+        cpus(2)
+        es_core.run_many(_jobs(2))
+        (pid,) = es_core._procs._processes  # the one worker of a 2-CPU pool
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):  # the call that meets the dead worker
+            es_core.run_many(_jobs(2))
+        traces = es_core.run_many(_jobs(2))
+        assert all(_same_trace(a, b) for a, b in zip(traces, [eq.run(*job) for job in _jobs(2)]))

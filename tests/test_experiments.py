@@ -1,11 +1,18 @@
+import io
 import json
 import math
+import multiprocessing
+import os
+import signal
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 import esquad as eq
+from esquad import cli, es_core
 from esquad.experiments import SweepProtocol, sweep_csv, validate_config
+from esquad.stochastic import substream
 
 
 def small_config(**overrides):
@@ -215,3 +222,85 @@ class TestVerifySuite:
         report.pop("_artifacts")
         text = json.dumps(report, sort_keys=True)
         assert "checks" in json.loads(text)
+
+
+class TestCpuCount:
+    """The trials of measure_rate, and so verify and sweep, run on every CPU
+    through es_core.run_many; every output must be the same bytes on one CPU
+    and on two."""
+
+    @pytest.mark.parametrize("lam, rotation_seed", [
+        (eq.sphere(16), None), (eq.cigar(16, 100.0), None), (eq.ellipsoid(8, 10.0), 5),
+    ], ids=["sphere16", "cigar100-16", "ellipsoid10-8-rotated"])
+    def test_measure_rate_same_on_one_and_two_cpus(self, cpus, lam, rotation_seed):
+        problem = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
+        params = eq.alpha_schedule(problem.d, 0.2)
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(eq.measure_rate(
+                problem, params, eq.default_initial_state(problem), 2000, 200, 5,
+                eq.RandomStream(29), keep_first_trace=True))
+            if n == 1:
+                assert multiprocessing.active_children() == []
+        (one, trace_one), (two, trace_two) = results
+        assert np.array_equal(one.trial_slopes, two.trial_slopes)
+        assert np.array_equal(one.trial_norm_slopes, two.trial_norm_slopes)
+        assert one.to_json() == two.to_json()
+        for column in ("t", "log_f", "log_sigma", "accepted", "log_norm"):
+            assert np.array_equal(getattr(trace_one, column), getattr(trace_two, column))
+        assert trace_one.metadata == trace_two.metadata
+
+    def test_verify_out_same_bytes_on_one_and_two_cpus(self, cpus, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            small_config(run={"budget": 600, "burn_in": 60, "trials": 5, "n_mc": 5000})))
+        outs = []
+        for n in (1, 2):
+            cpus(n)
+            outs.append(tmp_path / f"cpus{n}")
+            with redirect_stdout(io.StringIO()):
+                code = cli.main(["verify", "--config", str(config), "--out", str(outs[-1])])
+            assert code == 0
+            if n == 1:
+                assert multiprocessing.active_children() == []
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        assert len(files) == 4
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_sweep_row_error_from_a_worker(self, cpus):
+        # lambda = 1e308 overflows the decrement's quadratic term when
+        # |xi| > 1.9.  At seed 2 the row's trial 0 survives its 12 steps,
+        # trial 1 (in a worker on two CPUs) fails at step 2 and trial 2 (in
+        # the caller) at step 4; the row keeps the error of trial 1.
+        problems = [eq.make_problem([1e308], 0), eq.make_problem(eq.sphere(8), 0)]
+        protocol = SweepProtocol(budget=12, burn_in=1, trials=3, seed=2)
+        params = eq.alpha_schedule(1, 0.2)
+        row_stream = substream(eq.RandomStream(2, path=(0x5357,)), 0)
+        state0 = eq.default_initial_state(problems[0])
+        eq.run(problems[0], state0, params, 12, substream(row_stream, 0))
+        with pytest.raises(eq.NumericalFailure, match="at step 4"):
+            eq.run(problems[0], state0, params, 12, substream(row_stream, 2))
+        rows = []
+        for n in (1, 2):
+            cpus(n)
+            rows.append(eq.sweep(problems, params, protocol))
+        assert rows[0][0]["error"] == "NumericalFailure: non-finite core decrement at step 2"
+        assert rows[1] == rows[0]
+        assert rows[1][1]["a_hat"] is not None
+
+    def test_killed_worker_fails_one_sweep_row_only(self, cpus):
+        problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
+        protocol = SweepProtocol(budget=400, burn_in=40, trials=2, seed=3)
+        serial = eq.sweep(problems, eq.alpha_schedule(8), protocol)
+        cpus(2)
+        es_core.run_many([(problems[0], eq.default_initial_state(problems[0]),
+                           eq.alpha_schedule(8), 10, eq.RandomStream(i)) for i in range(2)])
+        (pid,) = es_core._procs._processes  # the one worker of a 2-CPU pool
+        os.kill(pid, signal.SIGKILL)
+        rows = eq.sweep(problems, eq.alpha_schedule(8), protocol)
+        assert rows[0]["error"].startswith("BrokenProcessPool")
+        assert rows[1:] == serial[1:]
