@@ -30,8 +30,21 @@ u_k and a rest of squared norm chi_k ~ chi^2(n_k - 1) (none if n_k = 1), so
 depends on y only through the group norms r_k = |u_k|, and an accepted step
 sets r_k' = sqrt((r_k + sigma xi_k)^2 + sigma^2 chi_k), a sum of nonnegative
 terms.  By symmetry inside each eigenspace (r, sigma) is a Markov chain, and
-it gives the log f, log-norm and regime columns exactly in law.  On the
-sphere a step costs one normal and one chi-square variate for any d.
+it gives the log f and log-norm columns exactly in law.  On the sphere a
+step costs one normal and one chi-square variate for any d.
+
+With one distinct eigenvalue (G = 1: the sphere, rotated or not) the chain
+is two floats, r and sigma, and ``run`` steps it on Python floats instead of
+1-element arrays, whose per-call overhead would dominate the step.  Its
+traces equal those of the group chain bit for bit: every reduction of the
+group chain has one term there, so each dot product, max and log-norm is a
+single correctly rounded product or log, sqrt is correctly rounded in numpy
+and in ``math`` alike, and the two chains evaluate the same expressions in
+the same order.  The group chain stays the reference, and tests compare the
+two.  The one-group chain draws its variates in larger blocks; that changes
+no variate, since a block of normals is the stream's next words whatever
+the block size, and the chi-square source's draws do not depend on how they
+are cut into calls.
 
 With ``record_m`` a run also lifts the chain back to a point: on acceptance
 u_k' = (r_k + sigma xi_k) u_k/r_k + sigma sqrt(chi_k) e_k, rescaled to norm
@@ -71,7 +84,8 @@ _LN2 = math.log(2.0)
 # pure powers of two keep the renormalization exact in floating point.
 _RESCALE_LIMIT = 100
 _SCALE_LOW, _SCALE_HIGH = 2.0 ** -(_RESCALE_LIMIT + 1), 2.0**_RESCALE_LIMIT
-_BLOCK = 256
+_BLOCK = 256  # variate rows per draw of the group chain
+_ONE_GROUP_BLOCK = 2048  # and at most this many of the one-group chain
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,6 @@ class RunTrace:
     log_sigma: np.ndarray
     accepted: np.ndarray
     log_norm: np.ndarray
-    regime: Optional[List[str]] = None
     m_centered: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
     hit_zero: bool = False
@@ -209,21 +222,13 @@ class RunTrace:
         return int(np.sum(self.accepted))
 
     def write_csv(self, path) -> None:
-        """CSV with header t,log_f,log_sigma,accepted,regime plus a JSON sidecar."""
-        rows = []
-        for i in range(len(self)):
-            rows.append(
-                (
-                    int(self.t[i]),
-                    repr(float(self.log_f[i])),
-                    repr(float(self.log_sigma[i])),
-                    int(self.accepted[i]),
-                    "" if self.regime is None else self.regime[i],
-                )
-            )
+        """CSV with header t,log_f,log_sigma,accepted,regime plus a JSON sidecar.
+
+        The regime column is kept empty, so the layout stays fixed."""
+        rows = zip(self.t.tolist(), self.log_f.tolist(), self.log_sigma.tolist(),
+                   self.accepted.tolist())
         text = "t,log_f,log_sigma,accepted,regime\n" + "".join(
-            f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}\n" for r in rows
-        )
+            f"{t},{f!r},{s!r},{a},\n" for t, f, s, a in rows)
         atomic_write_text(path, text)
         atomic_write_text(str(path) + ".meta.json", dump_json(self.metadata))
 
@@ -234,7 +239,6 @@ def run(
     params: EsParams,
     budget: int,
     stream: RandomStream,
-    constants=None,
     record_m: bool = False,
 ) -> RunTrace:
     """Run the ES for ``budget`` steps and return the full trace.
@@ -247,13 +251,10 @@ def run(
     unaffected while log f is tracked far below the double underflow
     threshold.  The run halts early only if the core reaches an exact zero,
     which is flagged on the trace.
-
-    When ``constants`` (a TheoryConstants bundle) is given, each row is also
-    labeled with its step-size regime.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    trace = _walk(problem, state0, params, budget, stream, constants, record_m)
+    trace = _walk(problem, state0, params, budget, stream, record_m)
     trace.metadata = {
         "version": VERSION,
         "generator_id": GENERATOR_ID,
@@ -280,25 +281,32 @@ def run_many(jobs: Sequence[tuple], **options) -> List[RunTrace]:
     params, budget, stream) and owns its stream.  With n = min(CPUs, jobs),
     the caller runs every job i with i % n == 0 and the pool of forked
     workers the others, so the split is fixed by n and the job count.  The
-    first failing job in job order raises, with its own exception type.  A
-    pool that lost a worker raises BrokenProcessPool and is dropped, so the
-    next call starts a new one.
+    first failing job in job order raises, with its own exception type and
+    its index in ``jobs`` set as the exception's ``job_index``.  A pool that
+    lost a worker raises BrokenProcessPool and is dropped, so the next call
+    starts a new one.
     """
     jobs = list(jobs)
     n = min(stochastic._cpu_count(), len(jobs))
-    if n < 2 or _in_worker:
-        return [run(*job, **options) for job in jobs]
-    from concurrent.futures.process import BrokenProcessPool
-
+    pooled = n > 1 and not _in_worker
     futures = {}
+    i = 0
     try:
-        pool = _process_pool()
-        futures = {i: pool.submit(_run_job, job, options)
-                   for i, job in enumerate(jobs) if i % n}
-        return [futures[i].result() if i % n else run(*job, **options)
-                for i, job in enumerate(jobs)]
-    except BrokenProcessPool:
-        _drop_process_pool()
+        if pooled:
+            pool = _process_pool()
+            futures = {i: pool.submit(_run_job, job, options)
+                       for i, job in enumerate(jobs) if i % n}
+        traces = []
+        for i, job in enumerate(jobs):
+            traces.append(futures[i].result() if i in futures else run(*job, **options))
+        return traces
+    except Exception as exc:
+        exc.job_index = i
+        if pooled:
+            from concurrent.futures.process import BrokenProcessPool
+
+            if isinstance(exc, BrokenProcessPool):
+                _drop_process_pool()
         raise
     finally:
         for future in futures.values():
@@ -347,20 +355,17 @@ def _drop_process_pool():
     _procs = _procs_pid = None
 
 
-def _walk(problem, state0, params, budget, stream, constants=None, record_m=False):
+def _walk(problem, state0, params, budget, stream, record_m=False):
     """The run kernel: the chain of group norms r and sigma (module docstring).
 
     Takes up to ``budget`` steps from ``state0`` and returns the trace without
     metadata.  The stream keys the chi-square source and the lift stream with
-    one word each, then gives the xi_k in blocks of _BLOCK rows.  Columns that change
-    only on acceptance are written at accepted rows and carried forward.
+    one word each, then gives the xi_k in blocks.  A problem with one distinct
+    eigenvalue runs the one-group chain, any other the group chain; both
+    return the rows they kept, which are row 0 and the accepted rows, and
+    every other row carries the last kept one forward.
     """
     groups = problem.eigen_groups()
-    lam = groups.eigenvalues
-    sqrt_lam = np.sqrt(lam)
-    has_chi = groups.counts > 1
-    dof = groups.counts[has_chi] - 1
-    log_up, log_down = params.log_up, params.log_down
     y = np.asarray(state0.m, dtype=float) - problem.optimum
     if not np.any(y):
         raise DegenerateStart("started exactly at the optimum")
@@ -369,37 +374,74 @@ def _walk(problem, state0, params, budget, stream, constants=None, record_m=Fals
     # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow
     scale_exp = math.frexp(float(abs(u).max()))[1]
     u = u * 2.0 ** float(-scale_exp)
+    chain = _one_group_chain if groups.eigenvalues.size == 1 else _group_chain
+    kept, log_f, log_norm, points, hit_zero = chain(
+        groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),
+        params, budget, stream, chi_square_source(stream),
+        companion_stream(stream),  # the lift stream, keyed even when unused
+        record_m)
+
+    n_kept = kept[-1] + 1 if hit_zero else budget + 1
+    acc = np.zeros(n_kept, dtype=np.int8)
+    acc[kept[1:]] = 1
+    row = np.cumsum(acc)  # the kept row in force at each row, as a list index
+    # cumsum adds in sequence, so these are the loop's own sums, bit for bit
+    log_sig = np.cumsum(np.r_[state0.log_sigma,
+                              np.where(acc[1:], params.log_up, params.log_down)])
+    m_centered = None
+    if record_m:
+        m_centered = np.array(points)[row]
+        if problem.rotation is not None:
+            m_centered = m_centered @ problem.rotation.T
+    return RunTrace(
+        t=np.arange(n_kept), log_f=np.array(log_f)[row], log_sigma=log_sig, accepted=acc,
+        log_norm=np.array(log_norm)[row], m_centered=m_centered, hit_zero=hit_zero,
+    )
+
+
+def _draw_block(stream, chi_source, rows, groups):
+    """The next ``rows`` variates of a run: xi (rows x G normals), chi (the
+    chi-square parts, 0 in groups of one) and q = 1/2 sum_k lambda_k (xi_k^2 +
+    chi_k) per row as a list."""
+    has_chi = groups.counts > 1
+    xi = normal_matrix(stream, rows, groups.eigenvalues.size)
+    chi = np.zeros_like(xi)
+    chi[:, has_chi] = chi_square_matrix(chi_source, rows, groups.counts[has_chi] - 1)
+    q = 0.5 * np.einsum("ij,j->i", xi * xi + chi, groups.eigenvalues)
+    return xi, chi, q.tolist()
+
+
+def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
+                 chi_source, lift_stream, record_m):
+    """The chain on arrays of G group norms, with the variates in blocks of
+    _BLOCK rows; the reference for ``_one_group_chain``.
+
+    Returns the kept rows, their log f, log-norm and (with ``record_m``)
+    lifted points, and whether the core hit an exact zero.
+    """
+    lam = groups.eigenvalues
+    sqrt_lam = np.sqrt(lam)
+    log_up, log_down = params.log_up, params.log_down
     r = groups.norms(u)
-    chi_source = chi_square_source(stream)
-    lift_stream = companion_stream(stream)  # keyed even when unused
-    log_sigma = float(state0.log_sigma)
 
     def refresh(r):
         """Gradient group norms lambda_k r_k, exact core and max r_k of a new parent."""
         g = lam * r
         return g, 0.5 * float(g.dot(r)), float(r.max())
 
-    n_rows = budget + 1
-    log_f = np.empty(n_rows)
-    accepted = np.zeros(n_rows, dtype=np.int8)
-    log_norm = np.empty(n_rows)
-    log_grad = np.empty(n_rows) if constants is not None else None
-    u_hist = np.empty((n_rows, problem.d)) if record_m else None
+    kept, log_f, log_norm, points = [], [], [], []
 
     def keep(i):
-        log_f[i] = cur_log_f
-        log_norm[i] = _log_norm(r, r_max) + scale_exp * _LN2
-        if log_grad is not None:
-            log_grad[i] = _log_norm(g, float(g.max())) + scale_exp * _LN2
-        if u_hist is not None:
-            u_hist[i] = u * 2.0**scale_exp
+        kept.append(i)
+        log_f.append(cur_log_f)
+        log_norm.append(_log_norm(r, r_max) + scale_exp * _LN2)
+        if record_m:
+            points.append(u * 2.0**scale_exp)
 
     g, core, r_max = refresh(r)
-    cur_log_f = problem.log_core_centered(y)
     keep(0)
     zi = _BLOCK
-    t = 0
-    for t in range(1, n_rows):
+    for t in range(1, budget + 1):
         sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
         scale = r_max if r_max > sigma_hat else sigma_hat
         if not _SCALE_LOW <= scale < _SCALE_HIGH:
@@ -411,10 +453,7 @@ def _walk(problem, state0, params, budget, stream, constants=None, record_m=Fals
             g, core, r_max = refresh(r)
             sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
         if zi == _BLOCK:
-            xi_block = normal_matrix(stream, _BLOCK, lam.size)
-            chi_block = np.zeros_like(xi_block)
-            chi_block[:, has_chi] = chi_square_matrix(chi_source, _BLOCK, dof)
-            q = (0.5 * np.einsum("ij,j->i", xi_block * xi_block + chi_block, lam)).tolist()
+            xi_block, chi_block, q = _draw_block(stream, chi_source, _BLOCK, groups)
             zi = 0
         xi = xi_block[zi]
         delta = sigma_hat * float(g.dot(xi)) + sigma_hat * sigma_hat * q[zi]
@@ -431,7 +470,6 @@ def _walk(problem, state0, params, budget, stream, constants=None, record_m=Fals
             core_old = core
             g, core, r_max = refresh(r)
             log_sigma += log_up
-            accepted[t] = 1
             if core == 0.0 or delta <= -0.5 * core_old:
                 w = sqrt_lam * r
                 cur_log_f = math.log(0.5) + 2.0 * (_log_norm(w, float(w.max())) + scale_exp * _LN2)
@@ -443,29 +481,71 @@ def _walk(problem, state0, params, budget, stream, constants=None, record_m=Fals
         else:
             log_sigma += log_down
         zi += 1
+    return kept, log_f, log_norm, points, core == 0.0
 
-    n_kept = t + 1
-    acc = accepted[:n_kept]
-    last = np.maximum.accumulate(np.arange(n_kept) * acc)
-    # cumsum adds in sequence, so these are the loop's own sums, bit for bit
-    log_sig = np.cumsum(np.r_[state0.log_sigma, np.where(acc[1:], log_up, log_down)])
-    regimes = None
-    if constants is not None:
-        from .potential import classify_from_logs
 
-        stats = problem.stats()
-        regimes = [classify_from_logs(f, lg, ls, stats, constants).value
-                   for f, lg, ls in zip(log_f[last], log_grad[last], log_sig)]
-    m_centered = None
-    if u_hist is not None:
-        m_centered = u_hist[last]
-        if problem.rotation is not None:
-            m_centered = m_centered @ problem.rotation.T
-    return RunTrace(
-        t=np.arange(n_kept), log_f=log_f[last], log_sigma=log_sig, accepted=acc,
-        log_norm=log_norm[last], regime=regimes, m_centered=m_centered,
-        hit_zero=core == 0.0,
-    )
+def _one_group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
+                     chi_source, lift_stream, record_m):
+    """``_group_chain`` for G = 1 on Python floats, bit for bit, with the
+    variates in blocks of up to _ONE_GROUP_BLOCK rows (module docstring)."""
+    lam = float(groups.eigenvalues[0])
+    sqrt_lam = math.sqrt(lam)
+    log_up, log_down = params.log_up, params.log_down
+    r = float(groups.norms(u)[0])
+    g = lam * r
+    core = 0.5 * (g * r)
+    kept, log_f, log_norm, points = [0], [cur_log_f], [_log(r) + scale_exp * _LN2], []
+    if record_m:
+        points.append(u * 2.0**scale_exp)
+    zi, q = 0, ()
+    for t in range(1, budget + 1):
+        sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
+        scale = r if r > sigma_hat else sigma_hat
+        if not _SCALE_LOW <= scale < _SCALE_HIGH:
+            e = math.frexp(scale)[1]
+            r *= 2.0 ** float(-e)
+            if record_m:
+                u = u * 2.0 ** float(-e)
+            scale_exp += e
+            g = lam * r
+            core = 0.5 * (g * r)
+            sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
+        if zi == len(q):
+            xi, chi, q = _draw_block(stream, chi_source, min(_ONE_GROUP_BLOCK, budget + 1 - t),
+                                     groups)
+            xi, chi, zi = xi[:, 0].tolist(), chi[:, 0].tolist(), 0
+        x = xi[zi]
+        delta = sigma_hat * (g * x) + sigma_hat * sigma_hat * q[zi]
+        if not math.isfinite(delta):
+            raise NumericalFailure(f"non-finite core decrement at step {t}")
+        if delta <= 0.0:
+            along = r + sigma_hat * x
+            c = chi[zi]
+            r_new = math.sqrt(along * along + sigma_hat * sigma_hat * c)
+            if record_m:
+                u = _lift(u, np.array([r]), np.array([along]),
+                          np.array([sigma_hat * math.sqrt(c)]), np.array([r_new]),
+                          groups, lift_stream)
+            r = r_new
+            core_old = core
+            g = lam * r
+            core = 0.5 * (g * r)
+            log_sigma += log_up
+            if core == 0.0 or delta <= -0.5 * core_old:
+                cur_log_f = math.log(0.5) + 2.0 * (_log(sqrt_lam * r) + scale_exp * _LN2)
+            else:
+                cur_log_f += math.log1p(delta / core_old)
+            kept.append(t)
+            log_f.append(cur_log_f)
+            log_norm.append(_log(r) + scale_exp * _LN2)
+            if record_m:
+                points.append(u * 2.0**scale_exp)
+            if core == 0.0:
+                break
+        else:
+            log_sigma += log_down
+        zi += 1
+    return kept, log_f, log_norm, points, core == 0.0
 
 
 def _lift(u, r, along, across, r_new, groups, stream):
@@ -485,6 +565,11 @@ def _lift(u, r, along, across, r_new, groups, stream):
     out = along[k] * unit + (across / np.where(perp_norm > 0.0, perp_norm, 1.0))[k] * perp
     out_norm = groups.norms(out)
     return out * (r_new / np.where(out_norm > 0.0, out_norm, 1.0))[k]
+
+
+def _log(x: float) -> float:
+    """log x of a nonnegative x; -inf for x = 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _log_norm(v: np.ndarray, v_max: float) -> float:

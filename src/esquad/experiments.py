@@ -115,17 +115,29 @@ def measure_rate(
     log(U/L) / (2 (budget - burn_in)), a deterministic sandwich, so a
     violation raises NumericalFailure because it can only be a bug.
     """
+    traces = run_many(_rate_jobs(problem, params, state0, budget, burn_in, trials, stream))
+    est = _rate_estimate(spectrum_stats(problem), traces, budget, burn_in)
+    if keep_first_trace:
+        return est, traces[0]
+    return est
+
+
+def _rate_jobs(problem, params, state0, budget, burn_in, trials, stream) -> list:
+    """The ``run_many`` jobs of ``measure_rate``'s trials, one substream each."""
     if not (budget > burn_in >= 0):
         raise ConfigError("need budget > burn_in >= 0")
     if trials < 1:
         raise ConfigError("need trials >= 1")
-    stats = spectrum_stats(problem)
+    return [(problem, state0, params, budget, substream(stream, i)) for i in range(trials)]
+
+
+def _rate_estimate(stats: SpectrumStats, traces, budget: int, burn_in: int) -> RateEstimate:
+    """``measure_rate``'s estimate from the traces of its trials."""
+    trials = len(traces)
     span = 2.0 * (budget - burn_in)
     gap_cap = math.log(stats.cond) / span + _SLOPE_FP_SLACK
     slopes = np.empty(trials)
     norm_slopes = np.empty(trials)
-    traces = run_many([(problem, state0, params, budget, substream(stream, i))
-                       for i in range(trials)])
     for i, trace in enumerate(traces):
         if trace.hit_zero:
             raise NumericalFailure("core reached exact zero during rate measurement")
@@ -147,7 +159,7 @@ def measure_rate(
         ci_low, ci_high = float(np.min(slopes)), float(np.max(slopes))
     else:
         ci_low, ci_high = a_hat - 3.0 * se, a_hat + 3.0 * se
-    est = RateEstimate(
+    return RateEstimate(
         a_hat=a_hat,
         ci_low=ci_low,
         ci_high=ci_high,
@@ -160,9 +172,6 @@ def measure_rate(
         trial_norm_slopes=norm_slopes,
         std_error=se,
     )
-    if keep_first_trace:
-        return est, traces[0]
-    return est
 
 
 @dataclass(frozen=True)
@@ -196,10 +205,13 @@ def sweep(
     ``params`` is either a fixed EsParams or a callable mapping a problem to
     its multipliers (the usual choice scales alpha with the dimension).
     Per-row failures land in the row's ``error`` entry and the sweep continues.
+    The trials of all rows run as one ``run_many`` batch, so that the CPUs
+    share them all; a run that fails there fails only its own row, and the
+    other rows run again as a new batch.
     """
     if not problems:
         raise ConfigError("sweep needs at least one problem")
-    rows = []
+    rows, pending = [], []
     stream = RandomStream(protocol.seed, path=(0x5357,))
     for idx, problem in enumerate(problems):
         stats = spectrum_stats(problem)
@@ -215,17 +227,28 @@ def sweep(
             "lower_const": None,
             "error": None,
         }
+        rows.append(row)
         try:
             p = params(problem) if callable(params) else params
-            est = measure_rate(
-                problem,
-                p,
-                default_initial_state(problem),
-                protocol.budget,
-                protocol.burn_in,
-                protocol.trials,
-                substream(stream, idx),
-            )
+            rate_args = (problem, p, default_initial_state(problem), protocol.budget,
+                         protocol.burn_in, protocol.trials, substream(stream, idx))
+            _rate_jobs(*rate_args)  # checks the protocol
+            pending.append((row, stats, p, rate_args))
+        except Exception as exc:  # per-row failure, recorded, sweep continues
+            row["error"] = _error_text(exc)
+    traces = None
+    while traces is None:
+        try:
+            # new trial streams on each attempt, since a run advances its stream
+            traces = run_many([job for *_, args in pending for job in _rate_jobs(*args)])
+        except Exception as exc:
+            # every row has protocol.trials jobs, in row order
+            row, *_ = pending.pop(exc.job_index // protocol.trials)
+            row["error"] = _error_text(exc)
+    for k, (row, stats, p, _) in enumerate(pending):
+        try:
+            est = _rate_estimate(stats, traces[k * protocol.trials:(k + 1) * protocol.trials],
+                                 protocol.budget, protocol.burn_in)
             row["a_hat"] = est.a_hat
             row["ci_low"] = est.ci_low
             row["ci_high"] = est.ci_high
@@ -235,10 +258,13 @@ def sweep(
                 row["B_half"] = theory_constants(stats, p).drift_bound / 2.0
             except InfeasibleBound as exc:
                 row["error"] = f"constants infeasible: {exc}"
-        except Exception as exc:  # per-row failure, recorded, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+        except Exception as exc:
+            row["error"] = _error_text(exc)
     return rows
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def sweep_csv(rows: List[dict]) -> str:

@@ -47,6 +47,14 @@ REDUCED_CHAIN_CASES = pytest.mark.parametrize("lam, rotation_seed", [
 ], ids=["sphere16", "cigar100-16", "ellipsoid10-8-rotated"])
 
 
+def both_chains(monkeypatch):
+    """Yields twice: problems with one distinct eigenvalue run on the
+    one-group chain, then on the group chain, its reference."""
+    yield "one-group chain"
+    monkeypatch.setattr(es_core, "_one_group_chain", es_core._group_chain)
+    yield "group chain"
+
+
 class TestStep:
     def setup_method(self):
         self.problem = eq.make_problem([1, 1], 0)
@@ -209,14 +217,17 @@ class TestRun:
         assert np.max(np.abs(tr.log_f - (math.log(0.5) + 2.0 * tr.log_norm))) <= 1e-9
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_extreme_start_scale(self, scale):
+    def test_extreme_start_scale(self, monkeypatch, scale):
         # the squared group norms of the start would under- or overflow
-        p = eq.make_problem(eq.cigar(4, 10.0), 0)
         state0 = eq.EsState(np.full(4, scale), math.log(0.1 * scale))
-        tr = eq.run(p, state0, eq.alpha_schedule(4), 500, eq.RandomStream(12))
-        assert tr.log_f[0] == pytest.approx(math.log(15.5) + 2.0 * math.log(scale), rel=1e-14)
-        assert tr.accept_count() > 50
-        assert np.all(np.isfinite(tr.log_f)) and np.all(np.diff(tr.log_f) <= 0.0)
+        for chain in both_chains(monkeypatch):
+            for lam, unit_core in ((eq.cigar(4, 10.0), 15.5), (eq.sphere(4), 2.0)):
+                p = eq.make_problem(lam, 0)
+                tr = eq.run(p, state0, eq.alpha_schedule(4), 500, eq.RandomStream(12))
+                assert tr.log_f[0] == pytest.approx(
+                    math.log(unit_core) + 2.0 * math.log(scale), rel=1e-14), chain
+                assert tr.accept_count() > 50, chain
+                assert np.all(np.isfinite(tr.log_f)) and np.all(np.diff(tr.log_f) <= 0.0), chain
 
     def test_transform_invariance_bit_exact(self):
         p_id = eq.make_problem(eq.ellipsoid(8, 10), 0)
@@ -281,11 +292,12 @@ class TestRun:
 
         monkeypatch.setattr(es_core, "normal_matrix", fake_normal_matrix)
         monkeypatch.setattr(es_core, "chi_square_matrix", fake_chi_square_matrix)
-        tr = eq.run(p, state0, PARAMS, 50, eq.RandomStream(0))
-        assert tr.hit_zero
-        assert len(tr) == 2
-        assert tr.log_f[-1] == -math.inf
-        assert tr.metadata["hit_zero"] is True
+        for chain in both_chains(monkeypatch):
+            tr = eq.run(p, state0, PARAMS, 50, eq.RandomStream(0))
+            assert tr.hit_zero, chain
+            assert len(tr) == 2, chain
+            assert tr.log_f[-1] == -math.inf, chain
+            assert tr.metadata["hit_zero"] is True, chain
 
     def test_large_progress_takes_log_f_from_new_point(self, monkeypatch):
         # delta/core is exactly -1 here, so log1p(delta/core) would fail
@@ -304,12 +316,13 @@ class TestRun:
 
         monkeypatch.setattr(es_core, "normal_matrix", fake_normal_matrix)
         monkeypatch.setattr(es_core, "chi_square_matrix", fake_chi_square_matrix)
-        tr = eq.run(p, state0, PARAMS, 5, eq.RandomStream(0))
-        assert not tr.hit_zero
-        assert len(tr) == 6
-        assert tr.accepted[1] == 1
-        assert tr.log_f[1] == pytest.approx(math.log(0.5) - 120 * math.log(2.0),
-                                            rel=1e-15)
+        for chain in both_chains(monkeypatch):
+            tr = eq.run(p, state0, PARAMS, 5, eq.RandomStream(0))
+            assert not tr.hit_zero, chain
+            assert len(tr) == 6, chain
+            assert tr.accepted[1] == 1, chain
+            assert tr.log_f[1] == pytest.approx(math.log(0.5) - 120 * math.log(2.0),
+                                                rel=1e-15), chain
 
     def test_log_f_tracks_core_of_recorded_points(self):
         p = eq.make_problem(eq.ellipsoid(16, 100), 0, rotation_seed=5)
@@ -318,19 +331,6 @@ class TestRun:
         exact = np.array([p.log_core_centered(m) for m in tr.m_centered])
         assert tr.accept_count() > 500
         assert np.max(np.abs(tr.log_f - exact)) <= 1e-9
-
-    def test_regime_column_with_constants(self, sphere256, params256, constants256):
-        tr = eq.run(
-            sphere256,
-            eq.default_initial_state(sphere256),
-            params256,
-            50,
-            eq.RandomStream(1),
-            constants=constants256,
-        )
-        assert tr.regime is not None
-        assert len(tr.regime) == len(tr)
-        assert set(tr.regime) <= {"small", "large", "reasonable"}
 
 
 def _exact_core(lam, v):
@@ -341,6 +341,38 @@ def _coordinates(bound, d):
     # no magnitudes whose squares would underflow, as double range demands
     x = st.floats(-bound, bound).filter(lambda v: v == 0.0 or abs(v) > 1e-30)
     return st.lists(x, min_size=d, max_size=d)
+
+
+class TestOneGroupChain:
+    """On one distinct eigenvalue ``run`` takes the one-group chain, which
+    must equal the group chain bit for bit in every column."""
+
+    @pytest.mark.parametrize("d, rotation_seed", [(1, None), (2, None), (16, None), (16, 3),
+                                                  (256, None)])
+    @pytest.mark.parametrize("record_m", [False, True])
+    def test_equals_group_chain_bit_for_bit(self, monkeypatch, d, rotation_seed, record_m):
+        # 5000 steps cross 20 blocks of 256 rows and 3 of up to 2048; at
+        # d = 1 and 2 the norm falls below 2**-400, through renormalizations
+        # by 2**100 or more
+        p = eq.make_problem(eq.sphere(d), 0, rotation_seed=rotation_seed)
+        params = eq.alpha_schedule(d, 0.2)
+        state0 = eq.default_initial_state(p)
+        rows = []
+
+        def recording_normals(stream, n, groups):
+            rows.append(n)
+            return stochastic.normal_matrix(stream, n, groups)
+
+        monkeypatch.setattr(es_core, "normal_matrix", recording_normals)
+        one = eq.run(p, state0, params, 5000, eq.RandomStream(d), record_m=record_m)
+        assert rows == [2048, 2048, 904]
+        monkeypatch.setattr(es_core, "_one_group_chain", es_core._group_chain)
+        group = eq.run(p, state0, params, 5000, eq.RandomStream(d), record_m=record_m)
+        assert rows[3:] == [256] * 20
+        assert one.accept_count() > 500
+        assert _same_trace(one, group)
+        if d < 16:
+            assert one.log_norm[-1] < -400.0 * math.log(2.0)
 
 
 class TestDecrementForm:
@@ -465,6 +497,17 @@ class TestRunMany:
         # a failed call leaves the pool usable
         assert all(_same_trace(a, b) for a, b in
                    zip(es_core.run_many(_jobs(4)), [eq.run(*job) for job in _jobs(4)]))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failing_job_index_on_the_exception(self, cpus, n_cpus):
+        cpus(n_cpus)
+        jobs = _jobs(5)
+        for bad in (4, 1):  # job 1 runs in a worker on two CPUs
+            p, state, *rest = jobs[bad]
+            jobs[bad] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
+            with pytest.raises(eq.DegenerateStart) as failure:
+                es_core.run_many(jobs)
+            assert failure.value.job_index == bad
 
     def test_killed_worker_does_not_poison_later_calls(self, cpus):
         cpus(2)

@@ -292,6 +292,33 @@ class TestCpuCount:
         assert rows[1] == rows[0]
         assert rows[1][1]["a_hat"] is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_failing_run_fails_its_row_only(self, cpus, n_cpus, bad):
+        # lambda = 1e308 overflows the decrement's quadratic term when |xi|
+        # > 1.9, so its row's runs fail; every other row keeps the estimate
+        # that measure_rate gives on that row's substream
+        problems = [eq.make_problem(eq.sphere(d), 0) for d in (6, 8, 12)]
+        problems[bad] = eq.make_problem([1e308], 0)
+        protocol = SweepProtocol(budget=400, burn_in=40, trials=3, seed=4)
+        cpus(n_cpus)
+        rows = eq.sweep(problems, lambda p: eq.alpha_schedule(p.d, 0.2), protocol)
+        root = eq.RandomStream(4, path=(0x5357,))
+        for idx, (problem, row) in enumerate(zip(problems, rows)):
+            args = (problem, eq.alpha_schedule(problem.d, 0.2),
+                    eq.default_initial_state(problem), 400, 40, 3, substream(root, idx))
+            if idx == bad:
+                with pytest.raises(eq.NumericalFailure) as failure:
+                    eq.measure_rate(*args)
+                assert row["error"] == f"NumericalFailure: {failure.value}"
+                assert row["a_hat"] is None
+            else:
+                est = eq.measure_rate(*args)
+                assert (row["a_hat"], row["ci_low"], row["ci_high"]) == (
+                    est.a_hat, est.ci_low, est.ci_high)
+                assert row["error"] is None or row["error"].startswith("constants infeasible")
+
     def test_killed_worker_fails_one_sweep_row_only(self, cpus):
         problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
         protocol = SweepProtocol(budget=400, burn_in=40, trials=2, seed=3)
