@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class EsquadError(Exception):
     """Base class for all esquad errors."""
@@ -39,3 +41,14 @@ class InfeasibleBound(EsquadError):
 
 class ConfigError(EsquadError):
     """A configuration document violates the expected schema."""
+
+
+@contextmanager
+def config_errors(what: str):
+    """Raise any error of the block as a ConfigError on ``what``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc

@@ -70,7 +70,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import stochastic
 from .errors import DegenerateStart, NumericalFailure
 from .ioutil import atomic_write_text, dump_json
 from .quadratic import QuadraticProblem
@@ -274,6 +273,13 @@ _procs_pid = None
 _in_worker = False
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_many(jobs: Sequence[tuple], **options) -> List[RunTrace]:
     """The traces of ``run(*job, **options)`` for each job, in job order.
 
@@ -287,7 +293,7 @@ def run_many(jobs: Sequence[tuple], **options) -> List[RunTrace]:
     starts a new one.
     """
     jobs = list(jobs)
-    n = min(stochastic._cpu_count(), len(jobs))
+    n = min(_cpu_count(), len(jobs))
     pooled = n > 1 and not _in_worker
     futures = {}
     i = 0
@@ -329,9 +335,7 @@ def _process_pool():
     Fork, not spawn: a spawned worker would import numpy, scipy and esquad
     again before its first run, about 0.4 s, while the runs of a call often
     take a few seconds in all.  The pool forks every worker at its first
-    submit, from the calling thread, while no other thread of this package
-    is inside a call: the normal-fill threads of ``stochastic`` are idle
-    between draws, and a worker builds its own fill threads.
+    submit, from the calling thread; this package starts no other thread.
     """
     global _procs, _procs_pid
     if _procs_pid != os.getpid():
@@ -339,7 +343,7 @@ def _process_pool():
         from concurrent.futures.process import ProcessPoolExecutor
 
         _procs = ProcessPoolExecutor(
-            max_workers=stochastic._cpu_count() - 1,
+            max_workers=_cpu_count() - 1,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_enter_worker,
         )

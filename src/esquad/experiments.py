@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import TheoryConstants, constants as theory_constants
-from .errors import ConfigError, DegenerateStart, InfeasibleBound, NumericalFailure
+from .errors import (ConfigError, DegenerateStart, InfeasibleBound, NumericalFailure,
+                     config_errors)
 from .es_core import EsParams, EsState, run_many
 from .montecarlo import (
     estimate_drift_V,
@@ -288,7 +289,9 @@ def sweep_csv(rows: List[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {"seed", "problem", "params", "run", "out_dir"}
-_RUN_KEYS = {"budget", "burn_in", "trials", "n_mc"}
+# Smallest value of each run key; n_mc = 100 is the smallest n any estimator
+# accepts.
+_RUN_MIN = {"budget": 0, "burn_in": 0, "trials": 1, "n_mc": 100}
 
 # Fixed substream labels; never derive labels from hash() of strings, which
 # is randomized per process and would break byte-identical reruns.
@@ -304,6 +307,10 @@ _LBL_DRIFT = {
 _LBL_RATE = 500
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(config: dict) -> dict:
     """Schema-check a verification config; unknown keys are rejected."""
     if not isinstance(config, dict):
@@ -314,26 +321,22 @@ def validate_config(config: dict) -> dict:
     missing = _CONFIG_KEYS - {"out_dir"} - set(config)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    if not isinstance(config["seed"], int) or isinstance(config["seed"], bool):
+    if not _is_int(config["seed"]):
         raise ConfigError("seed must be an integer")
     runcfg = config["run"]
-    if not isinstance(runcfg, dict) or set(runcfg) != _RUN_KEYS:
-        raise ConfigError(f"run section must have exactly keys {sorted(_RUN_KEYS)}")
-    for key in _RUN_KEYS:
-        if not isinstance(runcfg[key], int) or runcfg[key] < 0:
-            raise ConfigError(f"run.{key} must be a nonnegative integer")
+    if not isinstance(runcfg, dict) or set(runcfg) != set(_RUN_MIN):
+        raise ConfigError(f"run section must have exactly keys {sorted(_RUN_MIN)}")
+    for key, low in _RUN_MIN.items():
+        if not (_is_int(runcfg[key]) and runcfg[key] >= low):
+            raise ConfigError(f"run.{key} must be an integer >= {low}")
     if not runcfg["budget"] > runcfg["burn_in"]:
         raise ConfigError("run.budget must exceed run.burn_in")
     pcfg = config["params"]
     if not isinstance(pcfg, dict) or set(pcfg) != {"alpha_up", "alpha_down"}:
         raise ConfigError("params section must have exactly alpha_up and alpha_down")
-    try:
+    with config_errors("problem or params"):
         problem = problem_from_json(config["problem"])
         params = EsParams(float(pcfg["alpha_up"]), float(pcfg["alpha_down"]))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid problem or params: {exc}") from exc
     return {
         "seed": config["seed"],
         "problem": problem,

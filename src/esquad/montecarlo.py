@@ -80,8 +80,7 @@ def _sample(
     ``values(lin, quad, gain)`` maps a chunk's decrement terms to its sample
     values; ``gain()`` returns the chunk's log core ratios on accepted rows
     and 0 on rejected ones.  The stream keys the chi-square source with one
-    word, then gives the xi_k.  The einsum reductions stay off multi-threaded
-    BLAS, whose spinning workers would take a core from the normals pool.
+    word, then gives the xi_k.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import es_core, stochastic
+from esquad import es_core
 
 
 POOL_DEADLINE_S = 120
@@ -29,7 +29,7 @@ def cpus(monkeypatch):
     es_core._drop_process_pool()
 
     def set_cpus(n):
-        monkeypatch.setattr(stochastic, "_cpu_count", lambda: n)
+        monkeypatch.setattr(es_core, "_cpu_count", lambda: n)
 
     try:
         yield set_cpus

@@ -115,6 +115,13 @@ class TestBounds:
     def test_missing_alphas_config_error(self, capsys):
         assert main(["bounds", "--d", "8", "--spectrum", "sphere"]) == 2
 
+    @pytest.mark.parametrize("doc", [{"eigenvalues": [1.0] * 8}, [1.0] * 8])
+    def test_malformed_problem_file_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", "--problem", str(path)] + ALPHAS_D256) == 2
+        assert "config error: invalid problem file" in capsys.readouterr().err
+
 
 class TestDrift:
     def test_report_schema(self, tmp_path, capsys):
@@ -183,6 +190,24 @@ class TestSweep:
         ET.parse(tmp_path / "sweep.svg")
 
 
+def small_verify_config():
+    return {
+        "seed": 3,
+        "problem": {
+            "eigenvalues": [1.0] * 16,
+            "optimum": [0.0] * 16,
+            "transform": "identity",
+            "rotation_seed": None,
+        },
+        "params": {
+            "alpha_up": math.exp(1 / 16),
+            "alpha_down": math.exp(-1 / 64),
+        },
+        "run": {"budget": 400, "burn_in": 40, "trials": 2, "n_mc": 2000},
+        "out_dir": None,
+    }
+
+
 class TestVerify:
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["verify", "--config", "/nonexistent/zzz.json"]) == 2
@@ -193,24 +218,25 @@ class TestVerify:
         assert main(["verify", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_small_verify_writes_report(self, tmp_path, capsys):
-        cfg = {
-            "seed": 3,
-            "problem": {
-                "eigenvalues": [1.0] * 16,
-                "optimum": [0.0] * 16,
-                "transform": "identity",
-                "rotation_seed": None,
-            },
-            "params": {
-                "alpha_up": math.exp(1 / 16),
-                "alpha_down": math.exp(-1 / 64),
-            },
-            "run": {"budget": 400, "burn_in": 40, "trials": 2, "n_mc": 2000},
-            "out_dir": None,
-        }
+    @pytest.mark.parametrize("key,value", [
+        ("trials", 0), ("trials", True), ("n_mc", 0), ("n_mc", 99),
+    ])
+    def test_bad_run_value_exits_two_before_running(self, tmp_path, capsys,
+                                                     monkeypatch, key, value):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("verify ran before rejecting its config")
+
+        monkeypatch.setattr(eq.experiments, "run_many", no_runs)
+        cfg = small_verify_config()
+        cfg["run"][key] = value
         cpath = tmp_path / "cfg.json"
         cpath.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cpath)]) == 2
+        assert f"config error: run.{key} must be" in capsys.readouterr().err
+
+    def test_small_verify_writes_report(self, tmp_path, capsys):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(small_verify_config()))
         out_dir = tmp_path / "out"
         code = main(["verify", "--config", str(cpath), "--out", str(out_dir)])
         assert code == 0

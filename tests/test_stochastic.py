@@ -1,5 +1,8 @@
 import math
 import multiprocessing
+import os
+import pathlib
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,7 +11,6 @@ import pytest
 from scipy.special import ndtri
 
 import esquad as eq
-from esquad import stochastic
 
 
 class TestDeterminism:
@@ -104,8 +106,8 @@ def _raw_word_normals(seed, n, skip=0):
     return ndtri(np.minimum(u, 1.0 - 2.0**-53))
 
 
-# Shapes around the smallest piece (2**15 variates): below, at, two pieces,
-# one piece with a remainder, and a Monte Carlo chunk of 4M variates.
+# Draws of 2**15 - 1 to 4M variates (a Monte Carlo chunk); rows of 217 and
+# 65 variates end inside a Philox counter value of four words.
 SPLIT_SHAPES = [(151, 217), (128, 256), (256, 256), (1000, 65), (15625, 256)]
 
 
@@ -131,19 +133,6 @@ class TestSplitDraw:
         got = np.concatenate([eq.normal_matrix(s, 1000, 256).ravel(),
                               eq.normal_vector(s, 9)])
         assert np.array_equal(got, _raw_word_normals(17, n + 9, drawn))
-
-    @pytest.mark.parametrize("cpus", [2, 3, 8])
-    def test_piece_count_does_not_change_bytes(self, monkeypatch, cpus):
-        def draw(n_cpus):
-            monkeypatch.setattr(stochastic, "_cpu_count", lambda: n_cpus)
-            s = eq.RandomStream(33)
-            eq.normal_vector(s, 2)
-            return eq.normal_matrix(s, 15625, 256), eq.normal_vector(s, 5)
-
-        single, single_next = draw(1)
-        split, split_next = draw(cpus)
-        assert np.array_equal(single, split)
-        assert np.array_equal(single_next, split_next)
 
 
 class TestUniformEnds:
@@ -186,10 +175,24 @@ def _fork_child_draw(seed):
 
 
 def test_forked_child_draws_like_parent():
-    parent = eq.normal_matrix(eq.RandomStream(44), 1000, 256)  # starts the pool
+    parent = eq.normal_matrix(eq.RandomStream(44), 1000, 256)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         child = pool.apply_async(_fork_child_draw, (44,)).get(timeout=60)
     assert np.array_equal(child, parent)
+
+
+def test_large_draw_starts_no_thread():
+    # A forked run_many worker must not inherit threads of this package.
+    code = ("import threading; import esquad as eq; "
+            "eq.normal_matrix(eq.RandomStream(1), 1024, 256); "
+            "print(threading.active_count())")
+    src = str(pathlib.Path(eq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_generator_id_is_stable():
