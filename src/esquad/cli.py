@@ -24,15 +24,14 @@ from .es_core import EsParams, EsState, run
 from .experiments import (
     SweepProtocol,
     default_initial_state,
-    default_sigma0,
+    drift_check,
     measure_rate,
     sweep,
     sweep_csv,
     verify_suite,
 )
 from .ioutil import atomic_write_text, dump_json
-from .montecarlo import estimate_drift_V
-from .potential import classify, drift_target, potential_step_cap
+from .potential import classify
 from .quadratic import (
     QuadraticProblem,
     cigar,
@@ -43,7 +42,7 @@ from .quadratic import (
     sphere,
     spectrum_stats,
 )
-from .stochastic import GENERATOR_ID, RandomStream, substream
+from .stochastic import GENERATOR_ID, RandomStream
 from .version import VERSION
 
 
@@ -305,10 +304,10 @@ def _cmd_drift(args) -> int:
     params = _params_from_args(args)
     with open(args.state) as fh:
         raw = json.load(fh)
-    state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
-    stats = spectrum_stats(problem)
+    with config_errors(f"state file {args.state}"):
+        state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
     try:
-        consts = theory_constants(stats, params)
+        consts = theory_constants(spectrum_stats(problem), params)
     except InfeasibleBound as exc:
         payload = {"infeasible": True, "reason": str(exc)}
         text = dump_json(payload)
@@ -317,32 +316,26 @@ def _cmd_drift(args) -> int:
         print(text, end="")
         return 1
     regime = classify(state, problem, consts)
-    target = drift_target(regime, consts, params)
-    est, samples = estimate_drift_V(
-        problem, state, consts, params, args.n, RandomStream(args.seed),
-        with_samples=True,
-    )
-    cap = potential_step_cap(consts, params)
-    ok = (est.mean <= target + 3 * est.std_error) and bool(np.all(samples <= cap))
+    res = drift_check(problem, state, regime, consts, params, args.n, RandomStream(args.seed))
     payload = {
         "estimate": {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "n": est.n,
-            "estimator_id": est.estimator_id,
+            "mean": res.estimate.mean,
+            "std_error": res.estimate.std_error,
+            "n": res.estimate.n,
+            "estimator_id": res.estimate.estimator_id,
         },
         "regime": regime.value,
-        "bound": target,
-        "pathwise_cap": cap,
-        "pathwise_max": float(np.max(samples)),
-        "pass": ok,
+        "bound": res.target,
+        "pathwise_cap": res.cap,
+        "pathwise_max": res.pathwise_max,
+        "pass": res.passed,
         "metadata": _metadata(args.seed),
     }
     text = dump_json(payload)
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")
-    return 0 if ok else 1
+    return 0 if res.passed else 1
 
 
 def _cmd_rate(args) -> int:

@@ -5,13 +5,24 @@ divided by 2 (log distance contracts at half the log-f slope on a quadratic),
 averaged over independent trials.  Endpoint differencing matches the
 definition of the rate as a limit and gives a clean standard error across
 trials; per-step dependence makes within-trace standard errors misleading.
+
+The verification suite is one table, ``_CHECKS``, run by one loop in
+``verify_suite``.  A row names its check, its tolerance, an evaluator
+``(suite, n, attempt) -> (passed, observed, bound, note)`` and a
+precondition that returns the skip note when the configured problem cannot
+support the check.  A statistical row goes through ``stat_retry``: a failure
+at 3 standard errors reruns once at 4x n on a fresh substream.  Work that
+several rows share (the invariance runs, the theory constants, the rate
+measurement) is done once up front in ``_Suite``; substreams are pure
+functions of ``(seed, path, label)``, so that order moves no byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, replace
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,8 +30,9 @@ from . import bounds as bounds_mod
 from .bounds import TheoryConstants, constants as theory_constants
 from .errors import (ConfigError, DegenerateStart, InfeasibleBound, NumericalFailure,
                      config_errors)
-from .es_core import EsParams, EsState, run_many
+from .es_core import EsParams, EsState, RunTrace, run_many
 from .montecarlo import (
+    McEstimate,
     estimate_drift_V,
     estimate_exp_abs,
     estimate_log_progress,
@@ -357,25 +369,252 @@ class CheckResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "observed": self.observed,
-            "bound": self.bound,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
-def _stat_retry(check: Callable[[int, int], tuple], n: int):
-    """Run a 3-standard-error check; on failure rerun once at 4x n on a fresh
-    substream (attempt index 1) before reporting failure."""
-    passed, observed, bound, note = check(n, 0)
-    if passed:
-        return passed, observed, bound, note
-    passed, observed, bound, note = check(4 * n, 1)
-    return passed, observed, bound, note + " (retried at 4x n)"
+def stat_retry(check: Callable[[int, int], tuple], n: int) -> tuple:
+    """Run a 3-standard-error check; on failure rerun it once at 4x n on a
+    fresh substream (attempt index 1) before reporting failure.
+
+    ``check(n, attempt)`` returns a tuple whose first item is the verdict and
+    whose last is a note; a rerun's note ends in " (retried at 4x n)".
+    """
+    result = check(n, 0)
+    if result[0]:
+        return result
+    *head, note = check(4 * n, 1)
+    return (*head, note + " (retried at 4x n)")
+
+
+class DriftCheck(NamedTuple):
+    """The verdict of ``drift_check`` and the numbers it rests on."""
+
+    passed: bool
+    gap: float  # MC mean - target - 3 SE; the MC half passes at gap <= 0
+    target: float
+    cap: float
+    estimate: McEstimate
+    pathwise_max: float
+
+
+def drift_check(problem: QuadraticProblem, state: EsState, regime: RegimeLabel,
+                consts: TheoryConstants, params: EsParams, n: int,
+                stream: RandomStream) -> DriftCheck:
+    """The drift of the potential in ``regime``: the MC mean must be at most
+    the regime's target + 3 SE, and every sample at most the exact pathwise
+    cap."""
+    target = drift_target(regime, consts, params)
+    cap = potential_step_cap(consts, params)
+    est, samples = estimate_drift_V(problem, state, consts, params, n, stream,
+                                    with_samples=True)
+    gap = est.mean - target - 3 * est.std_error
+    passed = gap <= 0.0 and bool(np.all(samples <= cap))
+    return DriftCheck(passed, gap, target, cap, est, float(np.max(samples)))
+
+
+class _Suite:
+    """The inputs of every check row, and the work that several rows share:
+    the invariance runs, the theory constants and the rate measurement."""
+
+    def __init__(self, cfg: dict):
+        problem, params, run_cfg = cfg["problem"], cfg["params"], cfg["run"]
+        self.problem, self.params, self.seed = problem, params, cfg["seed"]
+        self.n_mc = run_cfg["n_mc"]
+        self.stats = stats = spectrum_stats(problem)
+        self.root = root = RandomStream(cfg["seed"])
+        self.state0 = state0 = default_initial_state(problem)
+
+        # The canonical run, one run per transform and an integer-shifted run
+        # draw from the same substream, so they must match bit for bit; they
+        # are independent, so they run as one batch.  They start from the
+        # centred start rounded to a grid on which adding the integer shift is
+        # exact, so the shifted run centres back to the very same start.
+        y0 = np.asarray(state0.m) - problem.optimum
+        grid = 2.0 ** (math.frexp(float(np.max(np.abs(y0))) + problem.d)[1] - 52)
+        y0 = np.round(y0 / grid) * grid
+        shift = np.arange(1.0, problem.d + 1.0)
+        centred = replace(problem, optimum=np.zeros(problem.d))
+        start = EsState(y0, state0.log_sigma)
+        starts = [(centred, start)]
+        starts += [(replace(centred, transform=tag), start) for tag in (SQRT, LOG1P, CUBE)]
+        starts.append((replace(problem, optimum=shift), EsState(y0 + shift, start.log_sigma)))
+        self.canonical, *self.transformed, self.shifted = run_many(
+            [(p, s, params, min(1000, run_cfg["budget"]), substream(root, _LBL_INVARIANCE))
+             for p, s in starts],
+            record_m=True,
+        )
+
+        self.consts: Optional[TheoryConstants] = None
+        self.infeasible: Optional[str] = None  # the skip note of theory_constants
+        try:
+            self.consts = theory_constants(stats, params)
+        except InfeasibleBound as exc:
+            self.infeasible = f"infeasible: {exc}"
+
+        self.rate, self.first_trace = measure_rate(
+            problem, params, state0, run_cfg["budget"], run_cfg["burn_in"],
+            run_cfg["trials"], substream(root, _LBL_RATE), keep_first_trace=True,
+        )
+
+
+def _same_run(s: _Suite, trace: RunTrace) -> bool:
+    return (np.array_equal(s.canonical.m_centered, trace.m_centered)
+            and np.array_equal(s.canonical.log_sigma, trace.log_sigma))
+
+
+def _invariance_transform(s: _Suite, n: int, attempt: int) -> tuple:
+    ok = all(_same_run(s, trace) for trace in s.transformed)
+    return (ok, 0.0 if ok else math.inf, 0.0,
+            "sqrt/log1p/cube runs bit-identical to the identity run")
+
+
+def _invariance_translation(s: _Suite, n: int, attempt: int) -> tuple:
+    ok = _same_run(s, s.shifted)
+    return ok, 0.0 if ok else math.inf, 0.0, "integer-shifted run matches after centering"
+
+
+def _monotonicity(s: _Suite, n: int, attempt: int) -> tuple:
+    worst = float(np.max(np.diff(s.canonical.log_f)))
+    return worst <= 0.0, worst, 0.0, ""
+
+
+def _sigma_bookkeeping(s: _Suite, n: int, attempt: int) -> tuple:
+    accepts = np.cumsum(s.canonical.accepted)
+    expected = (s.state0.log_sigma + accepts * s.params.log_up
+                + (s.canonical.t - accepts) * s.params.log_down)
+    err = float(np.max(np.abs(expected - s.canonical.log_sigma)))
+    return err <= 1e-9, err, 1e-9, ""
+
+
+def _unit_point(problem: QuadraticProblem, stream: RandomStream):
+    """A random point at distance 1 from the optimum, and its gradient norm."""
+    direction = normal_vector(stream, problem.d)
+    point = problem.optimum + direction / max(float(np.linalg.norm(direction)), 1e-12)
+    return point, float(np.linalg.norm(problem.gradient_core(point)))
+
+
+def _success_sandwich(s: _Suite, n: int, attempt: int) -> tuple:
+    grad_norm = float(np.linalg.norm(s.problem.gradient_core(s.state0.m)))
+    worst_gap = -math.inf
+    notes = []
+    base = substream(s.root, _LBL_SANDWICH + attempt)
+    for k, sigma_norm in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
+        sigma = sigma_norm * grad_norm / s.stats.trace
+        est = estimate_success_prob(s.problem, s.state0.m, sigma, n, substream(base, k))
+        lower, upper = bounds_mod.success_prob_sandwich(s.stats, sigma_norm, 0.5)
+        gap = max(lower - 3 * est.std_error - est.mean, est.mean - upper - 3 * est.std_error)
+        worst_gap = max(worst_gap, gap)
+        notes.append(f"s={sigma_norm}: {est.mean:.4f} in [{lower:.4f},{upper:.4f}]")
+    return worst_gap <= 0.0, worst_gap, 0.0, "; ".join(notes)
+
+
+def _quality_gain(s: _Suite, n: int, attempt: int) -> tuple:
+    worst_gap = -math.inf
+    base = substream(s.root, _LBL_QUALITY + attempt)
+    for k in range(8):
+        point, gnorm = _unit_point(s.problem, substream(base, 2 * k))
+        sigma = gnorm / s.stats.trace * math.exp(2.0 * (k / 7.0 - 0.5))
+        lhs = estimate_log_progress(s.problem, point, sigma, n, substream(base, 2 * k + 1))
+        psucc = estimate_success_prob(s.problem, point, sigma, n, substream(base, 100 + k))
+        rhs_coeff = bounds_mod.quality_gain_bound(s.stats, gnorm, s.problem.core(point),
+                                                  sigma, 1.0)
+        se = math.hypot(lhs.std_error, rhs_coeff * psucc.std_error)
+        worst_gap = max(worst_gap, lhs.mean - rhs_coeff * psucc.mean - 3 * se)
+    return worst_gap <= 0.0, worst_gap, 0.0, "8 random (m, sigma) instances"
+
+
+def _exp_moment(s: _Suite, n: int, attempt: int) -> tuple:
+    bound = bounds_mod.exp_moment_bound(s.stats, s.stats.d)
+    worst_gap = -math.inf
+    base = substream(s.root, _LBL_EXP_MOMENT + attempt)
+    for k in range(4):
+        point, gnorm = _unit_point(s.problem, substream(base, 2 * k))
+        sigma = gnorm / s.stats.trace * math.exp(k - 1.5)
+        est = estimate_exp_abs(s.problem, point, sigma, max(n, 1000),
+                               substream(base, 2 * k + 1))
+        worst_gap = max(worst_gap, est.mean - bound - 3 * est.std_error)
+    return worst_gap <= 0.0, worst_gap, bound, "4 random sigmas"
+
+
+def _theory_constants(s: _Suite, n: int, attempt: int) -> tuple:
+    c = s.consts
+    return True, c.drift_bound, 0.0, (
+        f"q_low={c.q_low:.4f} q_high={c.q_high:.4f} band_gain={c.band_gain:.3e}")
+
+
+def _drift(regime: RegimeLabel):
+    """The evaluator of the drift row of ``regime``."""
+
+    def evaluate(s: _Suite, n: int, attempt: int) -> tuple:
+        state = _regime_states(s.problem, s.stats, s.consts, s.state0.m)[regime]
+        res = drift_check(s.problem, state, regime, s.consts, s.params, max(n, 1000),
+                          substream(s.root, _LBL_DRIFT[regime] + 10 * attempt))
+        return res.passed, res.gap, res.target, (
+            f"mean={res.estimate.mean:.3e} target={res.target:.3e} "
+            f"pathwise max={res.pathwise_max:.3e} cap={res.cap:.3e}")
+
+    return evaluate
+
+
+def _rate_se(s: _Suite) -> float:
+    return s.rate.std_error if math.isfinite(s.rate.std_error) else 0.0
+
+
+def _rate_upper_cap(s: _Suite, n: int, attempt: int) -> tuple:
+    cap = s.stats.cond / (2.0 * (s.stats.d - 3))
+    return s.rate.a_hat <= cap + 3.0 * _rate_se(s), s.rate.a_hat, cap, ""
+
+
+def _rate_lower_bound(s: _Suite, n: int, attempt: int) -> tuple:
+    bound = s.consts.drift_bound / 2.0
+    return bound - 3.0 * _rate_se(s) <= s.rate.a_hat, s.rate.a_hat, bound, ""
+
+
+def _bound_limits(s: _Suite, n: int, attempt: int) -> tuple:
+    """The limit values of the bound functions as the trace ratio vanishes."""
+    tiny = SpectrumStats(d=10**12, L=1.0, U=1.0, trace=1e12, trace_sq=1e12, cond=1.0,
+                         ratio=1e-12)
+    bh, bl = bounds_mod.b_high(tiny, 0.2), bounds_mod.b_low(tiny, 0.3)
+    bh_target = 2.0 * bounds_mod.normal_quantile(0.8)
+    bl_target = 2.0 * bounds_mod.normal_quantile(0.7)
+    err = max(abs(bh - bh_target), abs(bl - bl_target))
+    return err <= 1e-3, err, 1e-3, (f"b_high(0.2)={bh:.6f} vs {bh_target:.6f}; "
+                                    f"b_low(0.3)={bl:.6f} vs {bl_target:.6f}")
+
+
+def _d_above_3(s: _Suite) -> Optional[str]:
+    return None if s.stats.d > 3 else f"requires d > 3, got d={s.stats.d}"
+
+
+def _feasible(s: _Suite) -> Optional[str]:
+    return None if s.consts is not None else "theory constants infeasible for this problem/params"
+
+
+class _Check(NamedTuple):
+    check_id: str
+    tolerance: str
+    evaluate: Callable[[_Suite, int, int], tuple]  # -> (passed, observed, bound, note)
+    statistical: bool  # goes through stat_retry
+    precondition: Optional[Callable[[_Suite], Optional[str]]]  # -> None, or the skip note
+
+
+_CHECKS = (
+    _Check("invariance_transform", "exact", _invariance_transform, False, None),
+    _Check("invariance_translation", "exact", _invariance_translation, False, None),
+    _Check("monotonicity", "exact", _monotonicity, False, None),
+    _Check("sigma_bookkeeping", "1e-9 absolute", _sigma_bookkeeping, False, None),
+    _Check("success_sandwich", "3 SE, epsilon=0.5", _success_sandwich, True, None),
+    _Check("quality_gain", "3 SE (combined)", _quality_gain, True, None),
+    _Check("exp_moment", "3 SE", _exp_moment, True, _d_above_3),
+    _Check("theory_constants", "drift_bound > 0", _theory_constants, False,
+           lambda s: s.infeasible),
+    *(_Check(f"drift_{regime.value}", "3 SE + exact pathwise cap", _drift(regime), True,
+             _feasible) for regime in _LBL_DRIFT),
+    _Check("rate_upper_cap", "3 trial SE", _rate_upper_cap, False,
+           lambda s: None if s.stats.d > 3 else "requires d > 3"),
+    _Check("rate_lower_bound", "3 trial SE", _rate_lower_bound, False, _feasible),
+    _Check("bound_limits", "1e-3 absolute", _bound_limits, False, None),
+)
 
 
 def verify_suite(config: dict) -> dict:
@@ -392,361 +631,36 @@ def verify_suite(config: dict) -> dict:
     under the "_artifacts" key; strip it before serializing.
     """
     cfg = validate_config(config)
-    problem: QuadraticProblem = cfg["problem"]
-    params: EsParams = cfg["params"]
-    seed: int = cfg["seed"]
-    budget: int = cfg["run"]["budget"]
-    burn_in: int = cfg["run"]["burn_in"]
-    trials: int = cfg["run"]["trials"]
-    n_mc: int = cfg["run"]["n_mc"]
-    stats = spectrum_stats(problem)
-    root = RandomStream(seed)
+    s = _Suite(cfg)
     checks: List[CheckResult] = []
-
-    state0 = default_initial_state(problem)
-    m0 = state0.m
-
-    # -- invariance under monotone transforms and translation (bit-exact) ----
-    # The canonical run, one run per transform and an integer-shifted run
-    # draw from the same substream, so they must match bit for bit; they are
-    # independent, so they run as one batch.
-    inv_budget = min(1000, budget)
-    shift = np.arange(1.0, problem.d + 1.0)
-    starts = [(problem, state0)]
-    starts += [(replace(problem, transform=tag), state0) for tag in (SQRT, LOG1P, CUBE)]
-    starts.append((replace(problem, optimum=problem.optimum + shift),
-                   EsState(np.asarray(m0) + shift, state0.log_sigma)))
-    canonical, *transformed, shifted = run_many(
-        [(p, s, params, inv_budget, substream(root, _LBL_INVARIANCE)) for p, s in starts],
-        record_m=True,
-    )
-
-    def same_run(trace):
-        return (np.array_equal(canonical.m_centered, trace.m_centered)
-                and np.array_equal(canonical.log_sigma, trace.log_sigma))
-
-    transform_ok = all(same_run(trace) for trace in transformed)
-    checks.append(
-        CheckResult(
-            "invariance_transform",
-            "pass" if transform_ok else "fail",
-            observed=0.0 if transform_ok else math.inf,
-            bound=0.0,
-            tolerance="exact",
-            seed=seed,
-            note="sqrt/log1p/cube runs bit-identical to the identity run",
-        )
-    )
-
-    trans_ok = same_run(shifted)
-    checks.append(
-        CheckResult(
-            "invariance_translation",
-            "pass" if trans_ok else "fail",
-            observed=0.0 if trans_ok else math.inf,
-            bound=0.0,
-            tolerance="exact",
-            seed=seed,
-            note="integer-shifted run matches after centering",
-        )
-    )
-
-    # -- monotonicity of log f ------------------------------------------------
-    mono_worst = float(np.max(np.diff(canonical.log_f)))
-    checks.append(
-        CheckResult(
-            "monotonicity",
-            "pass" if mono_worst <= 0.0 else "fail",
-            observed=mono_worst,
-            bound=0.0,
-            tolerance="exact",
-            seed=seed,
-        )
-    )
-
-    # -- sigma bookkeeping ------------------------------------------------------
-    accepts = np.cumsum(canonical.accepted)
-    expected = (
-        state0.log_sigma
-        + accepts * params.log_up
-        + (canonical.t - accepts) * params.log_down
-    )
-    book_err = float(np.max(np.abs(expected - canonical.log_sigma)))
-    checks.append(
-        CheckResult(
-            "sigma_bookkeeping",
-            "pass" if book_err <= 1e-9 else "fail",
-            observed=book_err,
-            bound=1e-9,
-            tolerance="1e-9 absolute",
-            seed=seed,
-        )
-    )
-
-    # -- success-probability sandwich ---------------------------------------------
-    grad_norm = float(np.linalg.norm(problem.gradient_core(m0)))
-    epsilon = 0.5
-
-    def sandwich_check(n: int, attempt: int):
-        worst_gap = -math.inf
-        notes = []
-        base = substream(root, _LBL_SANDWICH + attempt)
-        for k, sigma_norm in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
-            sigma = sigma_norm * grad_norm / stats.trace
-            est = estimate_success_prob(problem, m0, sigma, n, substream(base, k))
-            lower, upper = bounds_mod.success_prob_sandwich(stats, sigma_norm, epsilon)
-            gap = max(
-                lower - 3 * est.std_error - est.mean,
-                est.mean - upper - 3 * est.std_error,
-            )
-            worst_gap = max(worst_gap, gap)
-            notes.append(f"s={sigma_norm}: {est.mean:.4f} in [{lower:.4f},{upper:.4f}]")
-        return worst_gap <= 0.0, worst_gap, 0.0, "; ".join(notes)
-
-    passed, observed, bound, note = _stat_retry(sandwich_check, n_mc)
-    checks.append(
-        CheckResult(
-            "success_sandwich",
-            "pass" if passed else "fail",
-            observed=observed,
-            bound=bound,
-            tolerance="3 SE, epsilon=0.5",
-            seed=seed,
-            note=note,
-        )
-    )
-
-    # -- quality-gain bound ----------------------------------------------------------
-    def quality_check(n: int, attempt: int):
-        worst_gap = -math.inf
-        base = substream(root, _LBL_QUALITY + attempt)
-        for k in range(8):
-            direction = normal_vector(substream(base, 2 * k), problem.d)
-            point = problem.optimum + direction / max(
-                float(np.linalg.norm(direction)), 1e-12
-            )
-            gnorm = float(np.linalg.norm(problem.gradient_core(point)))
-            fval = problem.core(point)
-            sigma = gnorm / stats.trace * math.exp(2.0 * (k / 7.0 - 0.5))
-            lhs = estimate_log_progress(
-                problem, point, sigma, n, substream(base, 2 * k + 1)
-            )
-            psucc = estimate_success_prob(
-                problem, point, sigma, n, substream(base, 100 + k)
-            )
-            rhs_coeff = bounds_mod.quality_gain_bound(stats, gnorm, fval, sigma, 1.0)
-            rhs = rhs_coeff * psucc.mean
-            se = math.hypot(lhs.std_error, rhs_coeff * psucc.std_error)
-            worst_gap = max(worst_gap, lhs.mean - rhs - 3 * se)
-        return worst_gap <= 0.0, worst_gap, 0.0, "8 random (m, sigma) instances"
-
-    passed, observed, bound, note = _stat_retry(quality_check, n_mc)
-    checks.append(
-        CheckResult(
-            "quality_gain",
-            "pass" if passed else "fail",
-            observed=observed,
-            bound=bound,
-            tolerance="3 SE (combined)",
-            seed=seed,
-            note=note,
-        )
-    )
-
-    # -- exponential moment bound -------------------------------------------------------
-    if stats.d <= 3:
-        checks.append(
-            CheckResult(
-                "exp_moment", "skip", seed=seed,
-                note=f"requires d > 3, got d={stats.d}",
-            )
-        )
-    else:
-        bound_val = bounds_mod.exp_moment_bound(stats, stats.d)
-
-        def exp_moment_check(n: int, attempt: int):
-            worst_gap = -math.inf
-            base = substream(root, _LBL_EXP_MOMENT + attempt)
-            for k in range(4):
-                direction = normal_vector(substream(base, 2 * k), problem.d)
-                point = problem.optimum + direction / max(
-                    float(np.linalg.norm(direction)), 1e-12
-                )
-                gnorm = float(np.linalg.norm(problem.gradient_core(point)))
-                sigma = gnorm / stats.trace * math.exp(k - 1.5)
-                est = estimate_exp_abs(
-                    problem, point, sigma, max(n, 1000), substream(base, 2 * k + 1)
-                )
-                worst_gap = max(worst_gap, est.mean - bound_val - 3 * est.std_error)
-            return worst_gap <= 0.0, worst_gap, bound_val, "4 random sigmas"
-
-        passed, observed, bound, note = _stat_retry(exp_moment_check, n_mc)
-        checks.append(
-            CheckResult(
-                "exp_moment",
-                "pass" if passed else "fail",
-                observed=observed,
-                bound=bound,
-                tolerance="3 SE",
-                seed=seed,
-                note=note,
-            )
-        )
-
-    # -- theory constants and per-regime drift ---------------------------------------------
-    consts: Optional[TheoryConstants] = None
-    try:
-        consts = theory_constants(stats, params)
-        checks.append(
-            CheckResult(
-                "theory_constants",
-                "pass",
-                observed=consts.drift_bound,
-                bound=0.0,
-                tolerance="drift_bound > 0",
-                seed=seed,
-                note=(
-                    f"q_low={consts.q_low:.4f} q_high={consts.q_high:.4f} "
-                    f"band_gain={consts.band_gain:.3e}"
-                ),
-            )
-        )
-    except InfeasibleBound as exc:
-        checks.append(
-            CheckResult("theory_constants", "skip", seed=seed, note=f"infeasible: {exc}")
-        )
-
-    if consts is None:
-        for regime in RegimeLabel:
-            checks.append(
-                CheckResult(
-                    f"drift_{regime.value}",
-                    "skip",
-                    seed=seed,
-                    note="theory constants infeasible for this problem/params",
-                )
-            )
-    else:
-        cap = potential_step_cap(consts, params)
-        regime_states = _regime_states(problem, stats, consts, m0)
-        for regime, state in regime_states.items():
-            target = drift_target(regime, consts, params)
-
-            def drift_check(n: int, attempt: int, state=state, target=target,
-                            label=_LBL_DRIFT[regime]):
-                est, samples = estimate_drift_V(
-                    problem, state, consts, params, max(n, 1000),
-                    substream(root, label + 10 * attempt), with_samples=True,
-                )
-                pathwise_ok = bool(np.all(samples <= cap))
-                gap = est.mean - target - 3 * est.std_error
-                note = (
-                    f"mean={est.mean:.3e} target={target:.3e} "
-                    f"pathwise max={float(np.max(samples)):.3e} cap={cap:.3e}"
-                )
-                return gap <= 0.0 and pathwise_ok, gap, target, note
-
-            passed, observed, bound, note = _stat_retry(drift_check, n_mc)
-            checks.append(
-                CheckResult(
-                    f"drift_{regime.value}",
-                    "pass" if passed else "fail",
-                    observed=observed,
-                    bound=bound,
-                    tolerance="3 SE + exact pathwise cap",
-                    seed=seed,
-                    note=note,
-                )
-            )
-
-    # -- rate bracket ---------------------------------------------------------------------
-    rate_est, first_trace = measure_rate(
-        problem, params, state0, budget, burn_in, trials,
-        substream(root, _LBL_RATE), keep_first_trace=True,
-    )
-    se = rate_est.std_error if math.isfinite(rate_est.std_error) else 0.0
-    if stats.d > 3:
-        upper_cap = stats.cond / (2.0 * (stats.d - 3))
-        checks.append(
-            CheckResult(
-                "rate_upper_cap",
-                "pass" if rate_est.a_hat <= upper_cap + 3.0 * se else "fail",
-                observed=rate_est.a_hat,
-                bound=upper_cap,
-                tolerance="3 trial SE",
-                seed=seed,
-            )
-        )
-    else:
-        checks.append(
-            CheckResult("rate_upper_cap", "skip", seed=seed, note="requires d > 3")
-        )
-    if consts is not None:
-        checks.append(
-            CheckResult(
-                "rate_lower_bound",
-                "pass" if consts.drift_bound / 2.0 - 3.0 * se <= rate_est.a_hat
-                else "fail",
-                observed=rate_est.a_hat,
-                bound=consts.drift_bound / 2.0,
-                tolerance="3 trial SE",
-                seed=seed,
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "rate_lower_bound",
-                "skip",
-                seed=seed,
-                note="theory constants infeasible for this problem/params",
-            )
-        )
-
-    # -- limit values of the bound functions -------------------------------------------------
-    tiny = SpectrumStats(
-        d=10**12, L=1.0, U=1.0, trace=1e12, trace_sq=1e12, cond=1.0, ratio=1e-12
-    )
-    bh = bounds_mod.b_high(tiny, 0.2)
-    bl = bounds_mod.b_low(tiny, 0.3)
-    bh_target = 2.0 * bounds_mod.normal_quantile(0.8)
-    bl_target = 2.0 * bounds_mod.normal_quantile(0.7)
-    lim_err = max(abs(bh - bh_target), abs(bl - bl_target))
-    checks.append(
-        CheckResult(
-            "bound_limits",
-            "pass" if lim_err <= 1e-3 else "fail",
-            observed=lim_err,
-            bound=1e-3,
-            tolerance="1e-3 absolute",
-            seed=seed,
-            note=(
-                f"b_high(0.2)={bh:.6f} vs {bh_target:.6f}; "
-                f"b_low(0.3)={bl:.6f} vs {bl_target:.6f}"
-            ),
-        )
-    )
-
-    n_pass = sum(1 for c in checks if c.status == "pass")
-    n_fail = sum(1 for c in checks if c.status == "fail")
-    n_skip = sum(1 for c in checks if c.status == "skip")
-    report = {
+    for row in _CHECKS:
+        skip = row.precondition and row.precondition(s)
+        if skip is not None:
+            checks.append(CheckResult(row.check_id, "skip", seed=s.seed, note=skip))
+            continue
+        evaluate = partial(row.evaluate, s)
+        passed, observed, bound, note = (
+            stat_retry(evaluate, s.n_mc) if row.statistical else evaluate(s.n_mc, 0))
+        checks.append(CheckResult(row.check_id, "pass" if passed else "fail", observed,
+                                  bound, row.tolerance, s.seed, note))
+    count = {status: sum(c.status == status for c in checks)
+             for status in ("pass", "fail", "skip")}
+    return {
         "version": VERSION,
         "generator_id": GENERATOR_ID,
-        "seed": seed,
+        "seed": s.seed,
         "config_echo": {
-            "problem": problem.to_json(),
-            "params": params.to_json(),
+            "problem": s.problem.to_json(),
+            "params": s.params.to_json(),
             "run": cfg["run"],
         },
         "checks": [c.to_json() for c in checks],
-        "n_pass": n_pass,
-        "n_fail": n_fail,
-        "n_skip": n_skip,
-        "ok": n_fail == 0,
-        "_artifacts": {"first_trace": first_trace, "rate": rate_est},
+        "n_pass": count["pass"],
+        "n_fail": count["fail"],
+        "n_skip": count["skip"],
+        "ok": count["fail"] == 0,
+        "_artifacts": {"first_trace": s.first_trace, "rate": s.rate},
     }
-    return report
 
 
 def _regime_states(problem, stats, consts, m0):

@@ -3,7 +3,9 @@
 Statistical checks use the 3-standard-error rule; a check that fails at 3 SE
 is rerun once at 4x the sample count on a fresh substream before it may fail
 the test (guards against the ~0.3% per-check false-alarm rate without masking
-real violations).
+real violations).  The retry is ``esquad.experiments.stat_retry``, the one
+``esquad verify`` uses, and the drift criteria decide each state through its
+``drift_check``.
 
 Criterion 6 as first stated asked for the per-regime drift on sphere d=256
 with a success target of 0.2.  That premise is unsatisfiable: no theory
@@ -28,7 +30,7 @@ import pytest
 
 import esquad as eq
 from esquad.bounds import FOUR_OVER_SQRT_2PI
-from esquad.experiments import _regime_states
+from esquad.experiments import _regime_states, drift_check, stat_retry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,15 +39,6 @@ TRACES = []  # (label, RunTrace) pairs accumulated across criteria
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
-
-
-def retry_at_4n(check, n):
-    """check(n, stream_label_offset) -> (ok, detail); retried once at 4n."""
-    ok, detail = check(n, 0)
-    if ok:
-        return ok, detail
-    ok, detail = check(4 * n, 1)
-    return ok, detail + " [after 4x retry]"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,7 @@ def test_criterion_03_success_sandwich():
                       <= upper + 3 * est.std_error)
                 return ok, f"{est.mean:.4f} in [{lower:.4f}, {upper:.4f}]"
 
-            ok, detail = retry_at_4n(check, 1_000_000)
+            ok, detail = stat_retry(check, 1_000_000)
             if not ok:
                 failures.append(f"{label} s={sigma_norm}: {detail}")
     report("03 success sandwich", not failures,
@@ -197,7 +190,7 @@ def test_criterion_04_quality_gain():
                 f"lhs={lhs.mean:.5g} rhs={rhs:.5g} 3se={3 * se:.2g}"
             )
 
-        ok, detail = retry_at_4n(check, 100_000)
+        ok, detail = stat_retry(check, 100_000)
         if not ok:
             failures.append(f"instance {trial}: {detail}")
     report("04 quality gain", not failures,
@@ -234,7 +227,7 @@ def test_criterion_05_exp_moment():
                     f"mean={est.mean:.4f} bound={bound:.4f}"
                 )
 
-            ok, detail = retry_at_4n(check, 100_000)
+            ok, detail = stat_retry(check, 100_000)
             if not ok:
                 failures.append(f"d={d} cond={cond}: {detail}")
     report("05 exp moment", not failures,
@@ -252,10 +245,8 @@ def _drift_checks(problem, params, constants, n, label):
     """5 states per regime: MC drift <= target + 3 SE and exact pathwise cap."""
     stats = eq.spectrum_stats(problem)
     rng = np.random.default_rng(606)
-    cap = eq.potential_step_cap(constants, params)
     failures = []
     for regime in eq.RegimeLabel:
-        target = eq.drift_target(regime, constants, params)
         for j in range(5):
             direction = rng.normal(size=problem.d)
             m = problem.optimum + direction / np.linalg.norm(direction) * (
@@ -271,21 +262,15 @@ def _drift_checks(problem, params, constants, n, label):
             state = eq.EsState(m, base + tweak)
             assert eq.classify(state, problem, constants) is regime
 
-            def check(nn, attempt, state=state, target=target, regime=regime,
-                      j=j):
-                est, samples = eq.estimate_drift_V(
-                    problem, state, constants, params, nn,
-                    eq.RandomStream(600 + 10 * j, (attempt,)),
-                    with_samples=True,
-                )
-                pathwise_ok = bool(np.all(samples <= cap))
-                ok = est.mean <= target + 3 * est.std_error and pathwise_ok
-                return ok, (
-                    f"{regime.value}[{j}] mean={est.mean:.3e} "
-                    f"target={target:.3e} max={np.max(samples):.3e} cap={cap:.3e}"
+            def check(nn, attempt, state=state, regime=regime, j=j):
+                res = drift_check(problem, state, regime, constants, params, nn,
+                                  eq.RandomStream(600 + 10 * j, (attempt,)))
+                return res.passed, (
+                    f"{regime.value}[{j}] mean={res.estimate.mean:.3e} "
+                    f"target={res.target:.3e} max={res.pathwise_max:.3e} cap={res.cap:.3e}"
                 )
 
-            ok, detail = retry_at_4n(check, n)
+            ok, detail = stat_retry(check, n)
             if not ok:
                 failures.append(detail)
     return failures

@@ -155,6 +155,18 @@ class TestDrift:
         assert payload["infeasible"] is True
 
 
+    @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0]],
+                             ids=["no-log-sigma", "json-list"])
+    def test_malformed_state_file_exits_two(self, tmp_path, capsys, state):
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps(state))
+        code = main(["drift", "--d", "8", "--spectrum", "sphere",
+                     "--alpha-up", "1.1", "--alpha-down", "0.97",
+                     "--state", str(spath), "--n", "100"])
+        assert code == 2
+        assert "config error: invalid state file" in capsys.readouterr().err
+
+
 class TestRate:
     def test_json_and_svg(self, tmp_path, capsys):
         out = tmp_path / "rate.json"

@@ -11,7 +11,7 @@ import pytest
 
 import esquad as eq
 from esquad import cli, es_core
-from esquad.experiments import SweepProtocol, sweep_csv, validate_config
+from esquad.experiments import SweepProtocol, stat_retry, sweep_csv, validate_config
 from esquad.stochastic import substream
 
 
@@ -222,6 +222,64 @@ class TestVerifySuite:
         report.pop("_artifacts")
         text = json.dumps(report, sort_keys=True)
         assert "checks" in json.loads(text)
+
+
+    @pytest.mark.parametrize("problem", [
+        {"eigenvalues": [1.0] * d, "optimum": [0.0] * d, "transform": "identity",
+         "rotation_seed": None} for d in (3, 32, 128)
+    ] + [{"eigenvalues": [10.0] + [1.0] * 31, "optimum": [0.5] * 32,
+          "transform": "log1p", "rotation_seed": 3}],
+        ids=["sphere3", "sphere32", "sphere128", "cigar10-32-rotated-shifted"])
+    def test_invariance_exact_where_inverse_sqrt_d_is_off_the_binary_grid(self, problem):
+        # 1/sqrt(d) is not a power of two here, so m0 + shift rounds unless
+        # the runs start on a grid where adding the integer shift is exact
+        report = eq.verify_suite(small_config(
+            problem=problem, run={"budget": 300, "burn_in": 30, "trials": 1, "n_mc": 100}))
+        by_id = {c["check_id"]: c for c in report["checks"]}
+        assert by_id["invariance_translation"]["status"] == "pass"
+        assert by_id["invariance_transform"]["status"] == "pass"
+
+    def test_row_order_same_with_and_without_theory_constants(self):
+        run = {"budget": 300, "burn_in": 30, "trials": 2, "n_mc": 2000}
+        feasible = eq.verify_suite(small_config(
+            problem={"eigenvalues": [1.0] * 256, "optimum": [0.0] * 256,
+                     "transform": "identity", "rotation_seed": None},
+            params={"alpha_up": math.exp(1 / 256),
+                    "alpha_down": math.exp(-(0.4 / 0.6) / 256)},
+            run=run))
+        infeasible = eq.verify_suite(small_config(run=run))
+        assert feasible["n_skip"] == 0
+        assert {c["check_id"] for c in infeasible["checks"] if c["status"] == "skip"} == {
+            "theory_constants", "drift_small", "drift_reasonable", "drift_large",
+            "rate_lower_bound"}
+        order = [c["check_id"] for c in feasible["checks"]]
+        assert order == [c["check_id"] for c in infeasible["checks"]]
+        assert order[8:11] == ["drift_small", "drift_reasonable", "drift_large"]
+
+
+class TestStatRetry:
+    """bench/workloads.py counts the notes that carry the retry suffix."""
+
+    @pytest.mark.parametrize("second", [True, False])
+    def test_failed_first_attempt_reruns_at_4n_with_suffix(self, second):
+        calls = []
+
+        def check(n, attempt):
+            calls.append((n, attempt))
+            return attempt == 1 and second, float(n), 0.0, "note"
+
+        assert stat_retry(check, 100) == (second, 400.0, 0.0, "note (retried at 4x n)")
+        assert calls == [(100, 0), (400, 1)]
+
+    def test_passed_first_attempt_is_not_rerun(self):
+        calls = []
+
+        def check(n, attempt):
+            calls.append((n, attempt))
+            return True, "note"
+
+        assert stat_retry(check, 100) == (True, "note")
+        assert calls == [(100, 0)]
 
 
 class TestCpuCount:
