@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from ._special import ndtr, ndtri
 
 from .errors import DomainError, InfeasibleBound
 from .quadratic import SpectrumStats

@@ -306,6 +306,7 @@ def _cmd_drift(args) -> int:
         raw = json.load(fh)
     with config_errors(f"state file {args.state}"):
         state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
+        problem.centered(state.m)  # of length d and not the optimum
     try:
         consts = theory_constants(spectrum_stats(problem), params)
     except InfeasibleBound as exc:

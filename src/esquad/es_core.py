@@ -332,10 +332,11 @@ def _process_pool():
     """The process's pool of CPUs - 1 forked run workers; a forked child
     builds its own, and a worker none.
 
-    Fork, not spawn: a spawned worker would import numpy, scipy and esquad
-    again before its first run, about 0.4 s, while the runs of a call often
-    take a few seconds in all.  The pool forks every worker at its first
-    submit, from the calling thread; this package starts no other thread.
+    Fork, not spawn: a spawned worker would start an interpreter and import
+    numpy, scipy and esquad again before its first run, about 0.2 s, while
+    the runs of a call often take a few seconds in all.  The pool forks
+    every worker at its first submit, from the calling thread; this package
+    starts no other thread.
     """
     global _procs, _procs_pid
     if _procs_pid != os.getpid():

@@ -4,7 +4,8 @@ Streams are built on the counter-based Philox generator keyed through
 ``numpy.random.SeedSequence(seed, spawn_key=path)``, so a stream is fully
 identified by its ``(seed, path)`` pair and distinct paths are statistically
 independent.  Normal variates are produced by inverting the standard normal
-CDF (``scipy.special.ndtri``) on the 53-bit uniform
+CDF (``ndtri`` from ``esquad._special``: the same compiled ``scipy.special``
+ufunc object however it is loaded) on the 53-bit uniform
 ``((raw >> 11) + 0.5) * 2**-53`` of each raw 64-bit word, capped at the
 largest double below 1 so that the top word maps into (0, 1) as well; the
 method is part of the reproducibility contract and must not change without
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.special import ndtri
+from ._special import ndtri
 
 GENERATOR_ID = "philox-seedseq+invcdf+chi2-gamma-rejection/v3"
 

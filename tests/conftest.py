@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -88,3 +92,15 @@ def read_trace_csv(path) -> dict:
         "accepted": np.array(cols["accepted"]),
         "regime": cols["regime"],
     }
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    esquad; fail on a non-zero exit, else return its stripped stdout."""
+    src = str(pathlib.Path(eq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()

@@ -155,8 +155,11 @@ class TestDrift:
         assert payload["infeasible"] is True
 
 
-    @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0]],
-                             ids=["no-log-sigma", "json-list"])
+    @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0],
+                                       {"m": [1, 2], "log_sigma": -2},
+                                       {"m": [0.0] * 8, "log_sigma": -2}],
+                             ids=["no-log-sigma", "json-list", "wrong-length-m",
+                                  "m-at-optimum"])
     def test_malformed_state_file_exits_two(self, tmp_path, capsys, state):
         spath = tmp_path / "state.json"
         spath.write_text(json.dumps(state))

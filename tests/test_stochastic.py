@@ -1,8 +1,5 @@
 import math
 import multiprocessing
-import os
-import pathlib
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 import esquad as eq
+from conftest import run_python
 
 
 class TestDeterminism:
@@ -186,13 +184,7 @@ def test_large_draw_starts_no_thread():
     code = ("import threading; import esquad as eq; "
             "eq.normal_matrix(eq.RandomStream(1), 1024, 256); "
             "print(threading.active_count())")
-    src = str(pathlib.Path(eq.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
+    assert run_python(code) == "1"
 
 
 def test_generator_id_is_stable():
