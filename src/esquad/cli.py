@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: run, bounds, drift, rate, sweep, verify.  Each accepts
-``--config <path>`` (a JSON object whose keys are the long flag names with
-underscores) with inline flags taking precedence; ``verify`` instead takes the
-nested verification-suite config.  Outputs are written atomically and embed
-version, seed and generator id.  Exit codes: 0 success, 1 check failure,
-2 configuration or usage error.
+``--config <path>``, a JSON object whose keys are the long flag names with
+underscores.  A key's value is parsed exactly as the inline flag
+``--key-name=value`` is, inline flags win over the file, and a null value
+leaves the flag at its default.  ``verify`` instead takes the nested
+verification-suite config.  Outputs are written atomically and embed version,
+seed and generator id.  Exit codes: 0 success, 1 check failure, 2
+configuration or usage error; a malformed value of any flag, inline or from
+the file, exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .bounds import constants as theory_constants
 from .errors import ConfigError, EsquadError, InfeasibleBound, config_errors
-from .es_core import EsParams, EsState, run
+from .es_core import EsParams, EsState, alpha_schedule, run
 from .experiments import (
     SweepProtocol,
     default_initial_state,
@@ -77,23 +80,25 @@ def _metadata(seed: Optional[int]) -> dict:
     return {"version": VERSION, "generator_id": GENERATOR_ID, "seed": seed}
 
 
-def svg_line_plot(
-    series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    width: int = 640,
-    height: int = 400,
-) -> str:
-    """Minimal deterministic SVG line plot; no plotting dependency."""
-    pad = 56
-    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    finite = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if not np.any(finite):
+def _emit(payload: dict, out: Optional[str]) -> None:
+    """Print ``payload`` as JSON and also write it to ``out`` when given."""
+    text = dump_json(payload)
+    if out:
+        atomic_write_text(out, text)
+    print(text, end="")
+
+
+def svg_line_plot(path: str, xs, ys, label: str, title: str, xlabel: str,
+                  ylabel: str) -> None:
+    """Write one series as a minimal deterministic SVG line plot; no plotting
+    dependency."""
+    width, height, pad = 640, 400, 56
+    pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+           if math.isfinite(x) and math.isfinite(y)]
+    if not pts:
         raise EsquadError("nothing finite to plot")
-    x_lo, x_hi = float(xs_all[finite].min()), float(xs_all[finite].max())
-    y_lo, y_hi = float(ys_all[finite].min()), float(ys_all[finite].max())
+    x_lo, x_hi = min(x for x, _ in pts), max(x for x, _ in pts)
+    y_lo, y_hi = min(y for _, y in pts), max(y for _, y in pts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -105,7 +110,6 @@ def svg_line_plot(
     def py(y):
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
-    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -132,42 +136,33 @@ def svg_line_plot(
             f'<text x="{pad-6}" y="{py(yv)+3:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{yv:.4g}</text>'
         )
-    for i, (xs, ys, label) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        pts = " ".join(
-            f"{px(float(x)):.2f},{py(float(y)):.2f}"
-            for x, y in zip(xs[keep], ys[keep])
-        )
-        color = colors[i % len(colors)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
-        if label:
-            parts.append(
-                f'<text x="{width-pad}" y="{pad + 14 * i}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="{color}">'
-                f"{label}</text>"
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+    parts += [
+        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>',
+        f'<text x="{width-pad}" y="{pad}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11" fill="#1f77b4">{label}</text>',
+        "</svg>",
+    ]
+    atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def _load_flag_config(path: str, allowed: set) -> dict:
+def _config_tokens(path: str, keys: set) -> List[str]:
+    """The flag config at ``path`` as ``--key-name=value`` tokens, one per
+    non-null key; a null key keeps its flag's default."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("flag config must be a JSON object")
-    unknown = set(data) - allowed
+    unknown = set(data) - keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return data
+    return [f"--{key.replace('_', '-')}="
+            f"{value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in data.items() if value is not None]
 
 
-def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    """The ``esquad`` parser and its subparsers by command name."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``esquad`` parser; each subparser sets its command's ``handler``."""
     parser = argparse.ArgumentParser(
         prog="esquad",
         description="(1+1)-ES on convex quadratics: runs, theory constants, "
@@ -175,55 +170,46 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_problem_flags(p):
-        p.add_argument("--d", type=int, help="dimension")
-        p.add_argument(
-            "--spectrum",
-            help="sphere | cigar:XI | discus:XI | ellipsoid:XI | comma list",
-        )
-        p.add_argument("--rotation-seed", type=int, default=None)
-        p.add_argument("--problem", help="path to a problem JSON file")
+    def command(name, handler, help, problem_flags=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if problem_flags:
+            p.add_argument("--d", type=int, help="dimension")
+            p.add_argument(
+                "--spectrum",
+                help="sphere | cigar:XI | discus:XI | ellipsoid:XI | comma list",
+            )
+            p.add_argument("--rotation-seed", type=int, default=None)
+            p.add_argument("--problem", help="path to a problem JSON file")
+            p.add_argument("--alpha-up", type=float)
+            p.add_argument("--alpha-down", type=float)
+        return p
 
-    def add_alpha_flags(p):
-        p.add_argument("--alpha-up", type=float)
-        p.add_argument("--alpha-down", type=float)
-
-    p_run = sub.add_parser("run", help="run the ES and write a trace CSV")
-    add_problem_flags(p_run)
-    add_alpha_flags(p_run)
+    p_run = command("run", _cmd_run, "run the ES and write a trace CSV")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--budget", type=int, default=1000)
     p_run.add_argument("--sigma0", type=float, default=None)
     p_run.add_argument("--out", help="trace CSV path (required)")
     p_run.add_argument("--svg", help="also write a log f vs t plot")
-    p_run.add_argument("--config")
 
-    p_bounds = sub.add_parser("bounds", help="print theory constants as JSON")
-    add_problem_flags(p_bounds)
-    add_alpha_flags(p_bounds)
-    p_bounds.add_argument("--config")
+    p_bounds = command("bounds", _cmd_bounds, "print theory constants as JSON")
 
-    p_drift = sub.add_parser("drift", help="one-step potential drift report")
-    add_problem_flags(p_drift)
-    add_alpha_flags(p_drift)
+    p_drift = command("drift", _cmd_drift, "one-step potential drift report")
     p_drift.add_argument("--state", help="JSON file {m, log_sigma} (required)")
     p_drift.add_argument("--n", type=int, default=100000)
     p_drift.add_argument("--seed", type=int, default=0)
     p_drift.add_argument("--out")
-    p_drift.add_argument("--config")
 
-    p_rate = sub.add_parser("rate", help="measure the convergence rate")
-    add_problem_flags(p_rate)
-    add_alpha_flags(p_rate)
+    p_rate = command("rate", _cmd_rate, "measure the convergence rate")
     p_rate.add_argument("--seed", type=int, default=0)
     p_rate.add_argument("--budget", type=int, default=20000)
     p_rate.add_argument("--burn-in", type=int, default=None)
     p_rate.add_argument("--trials", type=int, default=20)
     p_rate.add_argument("--out")
     p_rate.add_argument("--svg")
-    p_rate.add_argument("--config")
 
-    p_sweep = sub.add_parser("sweep", help="rate estimates across dimensions")
+    p_sweep = command("sweep", _cmd_sweep, "rate estimates across dimensions",
+                      problem_flags=False)
     p_sweep.add_argument("--spectrum", default="sphere")
     p_sweep.add_argument("--dims", default="8,16,32,64")
     p_sweep.add_argument("--target", type=float, default=0.2,
@@ -234,91 +220,85 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--out", help="sweep CSV path (required)")
     p_sweep.add_argument("--svg")
-    p_sweep.add_argument("--config")
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
+    for p in (p_run, p_bounds, p_drift, p_rate, p_sweep):
+        p.add_argument("--config")
+    p_verify = command("verify", _cmd_verify, "run the verification suite",
+                       problem_flags=False)
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--out", help="output directory (overrides config)")
+    return parser
 
-    return parser, sub.choices
+
+def _spectrum_problem(spectrum: str, d: Optional[int],
+                      rotation_seed: Optional[int] = None) -> QuadraticProblem:
+    with config_errors(f"spectrum {spectrum!r} at d={d}"):
+        return make_problem(parse_spectrum(spectrum, d), 0, rotation_seed=rotation_seed)
 
 
-def _problem_from_args(args) -> QuadraticProblem:
-    if getattr(args, "problem", None):
+def _inputs(args) -> Tuple[QuadraticProblem, EsParams]:
+    """The problem and ES parameters the flags name; a malformed value raises
+    ConfigError."""
+    if args.problem:
         with open(args.problem) as fh:
             obj = json.load(fh)
         with config_errors(f"problem file {args.problem}"):
-            return problem_from_json(obj)
-    if not getattr(args, "spectrum", None):
+            problem = problem_from_json(obj)
+    elif args.spectrum:
+        problem = _spectrum_problem(args.spectrum, args.d, args.rotation_seed)
+    else:
         raise ConfigError("either --problem or --spectrum is required")
-    eigenvalues = parse_spectrum(args.spectrum, args.d)
-    return make_problem(eigenvalues, 0, rotation_seed=args.rotation_seed)
-
-
-def _params_from_args(args) -> EsParams:
     if args.alpha_up is None or args.alpha_down is None:
         raise ConfigError("--alpha-up and --alpha-down are required")
-    return EsParams(args.alpha_up, args.alpha_down)
+    with config_errors("--alpha-up/--alpha-down"):
+        return problem, EsParams(args.alpha_up, args.alpha_down)
 
 
 def _cmd_run(args) -> int:
-    problem = _problem_from_args(args)
-    params = _params_from_args(args)
-    stream = RandomStream(args.seed)
+    problem, params = _inputs(args)
+    if args.budget < 0:
+        raise ConfigError("--budget must be >= 0")
     state0 = default_initial_state(problem)
     if args.sigma0 is not None:
-        state0 = EsState(state0.m, math.log(args.sigma0))
-    trace = run(problem, state0, params, args.budget, stream)
+        with config_errors(f"--sigma0 {args.sigma0!r}"):
+            state0 = EsState(state0.m, math.log(args.sigma0))
+    trace = run(problem, state0, params, args.budget, RandomStream(args.seed))
     trace.write_csv(args.out)
     if args.svg:
-        atomic_write_text(
-            args.svg,
-            svg_line_plot(
-                [(trace.t, trace.log_f, "log f")],
-                title="(1+1)-ES trace",
-                xlabel="iteration",
-                ylabel="log f (core)",
-            ),
-        )
+        svg_line_plot(args.svg, trace.t, trace.log_f, "log f", title="(1+1)-ES trace",
+                      xlabel="iteration", ylabel="log f (core)")
     print(f"wrote {args.out} ({len(trace)} rows)")
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    problem = _problem_from_args(args)
-    params = _params_from_args(args)
-    stats = spectrum_stats(problem)
+    problem, params = _inputs(args)
     try:
-        consts = theory_constants(stats, params)
+        consts = theory_constants(spectrum_stats(problem), params)
     except InfeasibleBound as exc:
-        print(dump_json({"infeasible": True, "reason": str(exc)}), end="")
+        _emit({"infeasible": True, "reason": str(exc)}, None)
         return 1
-    payload = consts.to_json()
-    payload["metadata"] = _metadata(None)
-    print(dump_json(payload), end="")
+    _emit({**consts.to_json(), "metadata": _metadata(None)}, None)
     return 0
 
 
 def _cmd_drift(args) -> int:
-    problem = _problem_from_args(args)
-    params = _params_from_args(args)
+    problem, params = _inputs(args)
     with open(args.state) as fh:
         raw = json.load(fh)
     with config_errors(f"state file {args.state}"):
         state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
         problem.centered(state.m)  # of length d and not the optimum
+    if args.n < 1000:
+        raise ConfigError("--n must be >= 1000")
     try:
         consts = theory_constants(spectrum_stats(problem), params)
     except InfeasibleBound as exc:
-        payload = {"infeasible": True, "reason": str(exc)}
-        text = dump_json(payload)
-        if args.out:
-            atomic_write_text(args.out, text)
-        print(text, end="")
+        _emit({"infeasible": True, "reason": str(exc)}, args.out)
         return 1
     regime = classify(state, problem, consts)
     res = drift_check(problem, state, regime, consts, params, args.n, RandomStream(args.seed))
-    payload = {
+    _emit({
         "estimate": {
             "mean": res.estimate.mean,
             "std_error": res.estimate.std_error,
@@ -331,62 +311,36 @@ def _cmd_drift(args) -> int:
         "pathwise_max": res.pathwise_max,
         "pass": res.passed,
         "metadata": _metadata(args.seed),
-    }
-    text = dump_json(payload)
-    if args.out:
-        atomic_write_text(args.out, text)
-    print(text, end="")
+    }, args.out)
     return 0 if res.passed else 1
 
 
 def _cmd_rate(args) -> int:
-    problem = _problem_from_args(args)
-    params = _params_from_args(args)
+    problem, params = _inputs(args)
     burn_in = args.burn_in if args.burn_in is not None else args.budget // 10
-    est, trace = measure_rate(
-        problem,
-        params,
-        default_initial_state(problem),
-        args.budget,
-        burn_in,
-        args.trials,
-        RandomStream(args.seed),
-        keep_first_trace=True,
-    )
-    payload = est.to_json()
-    payload["metadata"] = _metadata(args.seed)
-    text = dump_json(payload)
-    if args.out:
-        atomic_write_text(args.out, text)
+    est, trace = measure_rate(problem, params, default_initial_state(problem),
+                              args.budget, burn_in, args.trials, RandomStream(args.seed))
     if args.svg:
-        atomic_write_text(
-            args.svg,
-            svg_line_plot(
-                [(trace.t, trace.log_f, "log f")],
-                title=f"rate trial (a_hat={est.a_hat:.4g})",
-                xlabel="iteration",
-                ylabel="log f (core)",
-            ),
-        )
-    print(text, end="")
+        svg_line_plot(args.svg, trace.t, trace.log_f, "log f",
+                      title=f"rate trial (a_hat={est.a_hat:.4g})",
+                      xlabel="iteration", ylabel="log f (core)")
+    _emit({**est.to_json(), "metadata": _metadata(args.seed)}, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from .es_core import alpha_schedule
-
-    dims = [int(tok) for tok in args.dims.split(",") if tok]
+    if "," in args.spectrum:
+        raise ConfigError("sweep needs a named spectrum, not a comma list")
+    with config_errors(f"--dims {args.dims!r}"):
+        dims = [int(tok) for tok in args.dims.split(",") if tok]
     if not dims:
         raise ConfigError("--dims must list at least one dimension")
-    problems = [
-        make_problem(parse_spectrum(args.spectrum, d), 0) for d in dims
-    ]
+    problems = [_spectrum_problem(args.spectrum, d) for d in dims]
+    with config_errors(f"--target {args.target!r}"):
+        schedule = {d: alpha_schedule(d, args.target) for d in dims}
     burn_in = args.burn_in if args.burn_in is not None else args.budget // 10
-    rows = sweep(
-        problems,
-        lambda p: alpha_schedule(p.d, args.target),
-        SweepProtocol(args.budget, burn_in, args.trials, args.seed),
-    )
+    rows = sweep(problems, lambda p: schedule[p.d],
+                 SweepProtocol(args.budget, burn_in, args.trials, args.seed))
     atomic_write_text(args.out, sweep_csv(rows))
     atomic_write_text(
         args.out + ".meta.json",
@@ -400,26 +354,13 @@ def _cmd_sweep(args) -> int:
             }
         ),
     )
-    if args.svg:
-        kept = [(r["d"], r["a_hat"]) for r in rows if r["a_hat"] is not None]
-        if kept:
-            atomic_write_text(
-                args.svg,
-                svg_line_plot(
-                    [
-                        (
-                            np.array([k[0] for k in kept], dtype=float),
-                            np.array([k[1] for k in kept], dtype=float),
-                            "a_hat",
-                        )
-                    ],
-                    title="convergence rate vs dimension",
-                    xlabel="d",
-                    ylabel="a_hat",
-                ),
-            )
-    failures = [r for r in rows if r["a_hat"] is None]
-    print(f"wrote {args.out} ({len(rows)} rows, {len(failures)} failed)")
+    kept = [r for r in rows if r["a_hat"] is not None]
+    if args.svg and kept:
+        svg_line_plot(args.svg, [r["d"] for r in kept], [r["a_hat"] for r in kept],
+                      "a_hat", title="convergence rate vs dimension", xlabel="d",
+                      ylabel="a_hat")
+    failures = len(rows) - len(kept)
+    print(f"wrote {args.out} ({len(rows)} rows, {failures} failed)")
     return 0 if not failures else 1
 
 
@@ -458,39 +399,28 @@ _REQUIRED = {"run": "out", "drift": "state", "sweep": "out"}
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser, commands = _build_parser()
-    handlers = {
-        "run": _cmd_run,
-        "bounds": _cmd_bounds,
-        "drift": _cmd_drift,
-        "rate": _cmd_rate,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }
+    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if args.command != "verify" and args.config:
-            # The file's values become the subcommand's defaults and argv is
-            # parsed again, so flags given inline win over the file.
-            allowed = {k for k in vars(args) if k not in ("command", "config")}
-            commands[args.command].set_defaults(
-                **_load_flag_config(args.config, allowed))
-            args = parser.parse_args(argv)
+            # The file's values go in as flags right after the subcommand, so
+            # argparse types them as it types inline flags, and an inline
+            # flag, parsed later, wins.
+            keys = set(vars(args)) - {"command", "config", "handler"}
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config, keys) + argv[1:])
         # Checked after the merge, so a config file can supply these too.
         required = _REQUIRED.get(args.command)
         if required and getattr(args, required) is None:
             raise ConfigError(f"--{required} is required, inline or in --config")
-        return handlers[args.command](args)
+        return args.handler(args)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; preserve both.
         return int(exc.code or 0)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except EsquadError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,9 +115,9 @@ def measure_rate(
     burn_in: int,
     trials: int,
     stream: RandomStream,
-    keep_first_trace: bool = False,
-):
-    """Estimate the convergence rate over independent trials.
+) -> Tuple[RateEstimate, RunTrace]:
+    """Estimate the convergence rate over independent trials; returns the
+    estimate and the first trial's trace.
 
     Each trial runs on its own substream.  The trials run through
     ``es_core.run_many``: on one CPU one after another in this process, on
@@ -129,18 +129,19 @@ def measure_rate(
     violation raises NumericalFailure because it can only be a bug.
     """
     traces = run_many(_rate_jobs(problem, params, state0, budget, burn_in, trials, stream))
-    est = _rate_estimate(spectrum_stats(problem), traces, budget, burn_in)
-    if keep_first_trace:
-        return est, traces[0]
-    return est
+    return _rate_estimate(spectrum_stats(problem), traces, budget, burn_in), traces[0]
 
 
-def _rate_jobs(problem, params, state0, budget, burn_in, trials, stream) -> list:
-    """The ``run_many`` jobs of ``measure_rate``'s trials, one substream each."""
+def _check_protocol(budget: int, burn_in: int, trials: int) -> None:
     if not (budget > burn_in >= 0):
         raise ConfigError("need budget > burn_in >= 0")
     if trials < 1:
         raise ConfigError("need trials >= 1")
+
+
+def _rate_jobs(problem, params, state0, budget, burn_in, trials, stream) -> list:
+    """The ``run_many`` jobs of ``measure_rate``'s trials, one substream each."""
+    _check_protocol(budget, burn_in, trials)
     return [(problem, state0, params, budget, substream(stream, i)) for i in range(trials)]
 
 
@@ -194,6 +195,9 @@ class SweepProtocol:
     trials: int
     seed: int
 
+    def __post_init__(self):
+        _check_protocol(self.budget, self.burn_in, self.trials)
+
 
 SWEEP_COLUMNS = (
     "d",
@@ -245,7 +249,6 @@ def sweep(
             p = params(problem) if callable(params) else params
             rate_args = (problem, p, default_initial_state(problem), protocol.budget,
                          protocol.burn_in, protocol.trials, substream(stream, idx))
-            _rate_jobs(*rate_args)  # checks the protocol
             pending.append((row, stats, p, rate_args))
         except Exception as exc:  # per-row failure, recorded, sweep continues
             row["error"] = _error_text(exc)
@@ -333,6 +336,8 @@ def validate_config(config: dict) -> dict:
     missing = _CONFIG_KEYS - {"out_dir"} - set(config)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    if not isinstance(config.get("out_dir"), (str, type(None))):
+        raise ConfigError("out_dir must be a string or null")
     if not _is_int(config["seed"]):
         raise ConfigError("seed must be an integer")
     runcfg = config["run"]
@@ -453,7 +458,7 @@ class _Suite:
 
         self.rate, self.first_trace = measure_rate(
             problem, params, state0, run_cfg["budget"], run_cfg["burn_in"],
-            run_cfg["trials"], substream(root, _LBL_RATE), keep_first_trace=True,
+            run_cfg["trials"], substream(root, _LBL_RATE),
         )
 
 

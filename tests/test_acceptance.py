@@ -350,7 +350,7 @@ def rates():
                 "cigar": lambda: eq.cigar(d, xi),
             }[kind]()
             problem = eq.make_problem(lam, 0)
-            est = eq.measure_rate(
+            est, _ = eq.measure_rate(
                 problem,
                 eq.alpha_schedule(d, 0.2),
                 eq.default_initial_state(problem),
@@ -397,7 +397,7 @@ def test_criterion_07s_lower_bound_where_feasible(
 ):
     # Supplementary: the B/2 side of the bracket on a problem where the
     # constants exist (sphere d=256, target 0.4).
-    est = eq.measure_rate(
+    est, _ = eq.measure_rate(
         sphere256, params256, eq.default_initial_state(sphere256),
         20000, 2000, 20, eq.RandomStream(711),
     )

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -204,6 +207,15 @@ class TestSweep:
         assert meta["dims"] == [6, 8]
         ET.parse(tmp_path / "sweep.svg")
 
+    def test_comma_list_spectrum_config_error(self, tmp_path, capsys):
+        # a comma list fixes d, so --dims could not take effect
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--spectrum", "4,2,1,1,1", "--dims", "8,16",
+                     "--budget", "600", "--trials", "2", "--out", str(out)])
+        assert code == 2
+        assert "config error: sweep needs a named spectrum" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def small_verify_config():
     return {
@@ -248,6 +260,18 @@ class TestVerify:
         cpath.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(cpath)]) == 2
         assert f"config error: run.{key} must be" in capsys.readouterr().err
+
+    def test_bad_out_dir_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("verify ran before rejecting its config")
+
+        monkeypatch.setattr(eq.experiments, "run_many", no_runs)
+        cfg = small_verify_config()
+        cfg["out_dir"] = 5
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cpath)]) == 2
+        assert "config error: out_dir must be a string or null" in capsys.readouterr().err
 
     def test_small_verify_writes_report(self, tmp_path, capsys):
         cpath = tmp_path / "cfg.json"
@@ -344,7 +368,89 @@ class TestFlagConfig:
         assert main(argv) == 2
         assert "is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, command, kind):
+        path = tmp_path
+        if kind == "not-utf8":
+            path = tmp_path / "flags.json"
+            path.write_bytes(b"\xd0{")
+        assert main([command, "--config", str(path), "--out", "x"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "flags.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))
         assert main(["run", "--config", str(cfg), "--out", "x.csv"]) == 2
+
+    def test_null_config_value_keeps_flag_default(self, tmp_path, capsys):
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({
+            "d": 8, "spectrum": "sphere", "alpha_up": 1.1, "alpha_down": 0.97,
+            "budget": None, "sigma0": None,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert "(1001 rows)" in capsys.readouterr().out
+
+
+BOUNDS_D8 = ["bounds", "--d", "8", "--spectrum", "sphere"]
+ALPHAS = ["--alpha-up", "1.1", "--alpha-down", "0.97"]
+RUN_D8 = ["run", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--budget", "20"]
+
+
+class TestMalformedValues:
+    """A malformed value of any flag, inline or from --config, exits 2 before
+    any run, with a config error or argparse's usage message."""
+
+    @pytest.mark.parametrize("argv,config", [
+        (["bounds", "--d", "8", "--spectrum", "sphere",
+          "--alpha-up", "0.5", "--alpha-down", "0.97"], None),
+        (["bounds", "--d", "8", "--spectrum", "cigar:abc", *ALPHAS], None),
+        (["bounds", "--spectrum", "1,2,abc", *ALPHAS], None),
+        (["bounds", "--d", "8", "--spectrum", "cigar:nan", *ALPHAS], None),
+        (["bounds", "--d", "0", "--spectrum", "sphere", *ALPHAS], None),
+        (["sweep", "--dims", "8,x"], None),
+        (["sweep", "--dims", "8", "--target", "2"], None),
+        (["sweep", "--dims", "8", "--trials", "0"], None),
+        ([*RUN_D8, "--budget", "-5"], None),
+        ([*RUN_D8, "--sigma0", "-1"], None),
+        ([*RUN_D8, "--sigma0", "inf"], None),
+        (["drift", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--n", "5"], None),
+        (["run"], {"d": 8, "spectrum": "sphere", "alpha_up": 1.1,
+                   "alpha_down": 0.97, "budget": 1.5}),
+        (["run"], {"d": True, "spectrum": "sphere", "alpha_up": 1.1,
+                   "alpha_down": 0.97, "budget": 20}),
+    ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "cigar-nan", "d-zero",
+            "dims-x", "target-two", "trials-zero", "budget-negative",
+            "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
+            "config-d-true"])
+    def test_exits_two(self, tmp_path, capsys, monkeypatch, argv, config):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("ran before rejecting a malformed value")
+
+        monkeypatch.setattr(eq.experiments, "run_many", no_runs)
+        monkeypatch.setattr("esquad.cli.run", no_runs)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"m": [1.0] * 8, "log_sigma": -2.0}))
+        out = str(tmp_path / "o.csv")
+        argv = argv + {"bounds": [], "drift": ["--state", str(state)],
+                       "run": ["--out", out], "sweep": ["--out", out]}[argv[0]]
+        if config is not None:
+            cfg = tmp_path / "flags.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err or "usage:" in err
+
+    def test_exits_two_from_the_shell(self, tmp_path):
+        src = str(Path(eq.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "esquad.cli", *RUN_D8, "--budget", "-5",
+             "--out", str(tmp_path / "o.csv")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert "config error: --budget must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o.csv").exists()

@@ -37,7 +37,7 @@ def small_config(**overrides):
 class TestMeasureRate:
     def test_sphere_d8_basic(self):
         p = eq.make_problem(eq.sphere(8), 0)
-        est = eq.measure_rate(
+        est, _ = eq.measure_rate(
             p, eq.alpha_schedule(8), eq.default_initial_state(p),
             3000, 300, 6, eq.RandomStream(1),
         )
@@ -49,7 +49,7 @@ class TestMeasureRate:
 
     def test_small_trials_minmax_ci(self):
         p = eq.make_problem(eq.sphere(6), 0)
-        est = eq.measure_rate(
+        est, _ = eq.measure_rate(
             p, eq.alpha_schedule(6), eq.default_initial_state(p),
             1000, 100, 3, eq.RandomStream(2),
         )
@@ -60,8 +60,8 @@ class TestMeasureRate:
         p = eq.make_problem(eq.sphere(32), 0)
         params = eq.alpha_schedule(32)
         state0 = eq.default_initial_state(p)
-        a = eq.measure_rate(p, params, state0, 10000, 1000, 10, eq.RandomStream(3))
-        b = eq.measure_rate(p, params, state0, 10000, 2000, 10, eq.RandomStream(3))
+        a, _ = eq.measure_rate(p, params, state0, 10000, 1000, 10, eq.RandomStream(3))
+        b, _ = eq.measure_rate(p, params, state0, 10000, 2000, 10, eq.RandomStream(3))
         assert abs(b.a_hat - a.a_hat) / a.a_hat < 0.10
 
     def test_mis_scaled_sigma0_recovers(self):
@@ -69,7 +69,7 @@ class TestMeasureRate:
         p = eq.make_problem(eq.sphere(16), 0)
         base = eq.default_initial_state(p)
         state0 = eq.EsState(base.m, base.log_sigma + math.log(1e6))
-        est = eq.measure_rate(
+        est, _ = eq.measure_rate(
             p, eq.alpha_schedule(16), state0, 8000, 2000, 5, eq.RandomStream(4)
         )
         assert est.a_hat > 0.0
@@ -298,7 +298,7 @@ class TestCpuCount:
             cpus(n)
             results.append(eq.measure_rate(
                 problem, params, eq.default_initial_state(problem), 2000, 200, 5,
-                eq.RandomStream(29), keep_first_trace=True))
+                eq.RandomStream(29)))
             if n == 1:
                 assert multiprocessing.active_children() == []
         (one, trace_one), (two, trace_two) = results
@@ -372,7 +372,7 @@ class TestCpuCount:
                 assert row["error"] == f"NumericalFailure: {failure.value}"
                 assert row["a_hat"] is None
             else:
-                est = eq.measure_rate(*args)
+                est, _ = eq.measure_rate(*args)
                 assert (row["a_hat"], row["ci_low"], row["ci_high"]) == (
                     est.a_hat, est.ci_low, est.ci_high)
                 assert row["error"] is None or row["error"].startswith("constants infeasible")
