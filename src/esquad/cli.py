@@ -54,11 +54,14 @@ def parse_spectrum(text: str, d: Optional[int]) -> List[float]:
 
     ``sphere`` needs --d; ``cigar:XI``, ``discus:XI`` and ``ellipsoid:XI``
     need --d and a positive XI; a comma-separated list of numbers is taken
-    verbatim.
+    verbatim, and must have d entries when --d is given.
     """
     text = text.strip()
     if "," in text:
-        return [float(tok) for tok in text.split(",") if tok]
+        lam = [float(tok) for tok in text.split(",") if tok]
+        if d is not None and len(lam) != d:
+            raise ConfigError(f"spectrum lists {len(lam)} eigenvalues, but --d is {d}")
+        return lam
     name, _, arg = text.partition(":")
     if name == "sphere":
         if d is None:
@@ -240,6 +243,8 @@ def _inputs(args) -> Tuple[QuadraticProblem, EsParams]:
     """The problem and ES parameters the flags name; a malformed value raises
     ConfigError."""
     if args.problem:
+        if (args.spectrum, args.d, args.rotation_seed) != (None, None, None):
+            raise ConfigError("--problem excludes --spectrum, --d and --rotation-seed")
         with open(args.problem) as fh:
             obj = json.load(fh)
         with config_errors(f"problem file {args.problem}"):

@@ -55,10 +55,11 @@ from a companion stream that every run keys with one word of its stream, so
 
 ``run_many`` runs independent runs on every CPU the process may run on.  With
 n = min(CPUs, jobs) the calling process runs jobs 0, n, 2n, ... itself and a
-pool of forked worker processes runs the rest; with one CPU or one job it is a
-plain loop in the caller.  A trace is a function of its inputs alone, which
-reach a worker as pickled copies, bit for bit, so where a run executes cannot
-change its bytes.
+pool of n - 1 worker processes, forked for that call, runs the rest; the call
+joins the pool before it returns or raises, so no process outlives it.  With
+one CPU or one job it is a plain loop in the caller.  A trace is a function of
+its inputs alone, which reach a worker as pickled copies, bit for bit, so
+where a run executes cannot change its bytes.
 """
 
 from __future__ import annotations
@@ -268,11 +269,6 @@ def run(
     return trace
 
 
-_procs = None
-_procs_pid = None
-_in_worker = False
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -280,84 +276,44 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_many(jobs: Sequence[tuple], **options) -> List[RunTrace]:
-    """The traces of ``run(*job, **options)`` for each job, in job order.
+def run_many(jobs: Sequence[tuple]) -> List[RunTrace]:
+    """The traces of ``run(*job)`` for each job, in job order.
 
-    Each job is a tuple of ``run``'s positional arguments (problem, state0,
-    params, budget, stream) and owns its stream.  With n = min(CPUs, jobs),
-    the caller runs every job i with i % n == 0 and the pool of forked
-    workers the others, so the split is fixed by n and the job count.  The
-    first failing job in job order raises, with its own exception type and
-    its index in ``jobs`` set as the exception's ``job_index``.  A pool that
-    lost a worker raises BrokenProcessPool and is dropped, so the next call
-    starts a new one.
+    Each job is a tuple of ``run``'s positional arguments and owns its stream.
+    With n = min(CPUs, jobs), the caller runs every job i with i % n == 0 and
+    a pool of n - 1 workers, forked for this call and joined before it
+    returns, the others.  The first failing job in job order raises, with its
+    own exception type and its index in ``jobs`` as ``job_index``; a worker
+    that dies raises BrokenProcessPool.  Fork, not spawn: a spawned worker
+    would import numpy, scipy and esquad again, about 0.2 s, where a fork
+    takes milliseconds; this package starts no thread that a fork could copy.
     """
     jobs = list(jobs)
     n = min(_cpu_count(), len(jobs))
-    pooled = n > 1 and not _in_worker
-    futures = {}
-    i = 0
+    pool, futures, i = None, {}, 0
     try:
-        if pooled:
-            pool = _process_pool()
-            futures = {i: pool.submit(_run_job, job, options)
-                       for i, job in enumerate(jobs) if i % n}
+        if n > 1:
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
+            futures = {i: pool.submit(_run_job, job) for i, job in enumerate(jobs) if i % n}
         traces = []
         for i, job in enumerate(jobs):
-            traces.append(futures[i].result() if i in futures else run(*job, **options))
+            traces.append(futures[i].result() if i in futures else run(*job))
         return traces
     except Exception as exc:
         exc.job_index = i
-        if pooled:
-            from concurrent.futures.process import BrokenProcessPool
-
-            if isinstance(exc, BrokenProcessPool):
-                _drop_process_pool()
         raise
     finally:
-        for future in futures.values():
-            future.cancel()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
-def _run_job(job, options):
-    return run(*job, **options)
-
-
-def _enter_worker():
-    global _in_worker
-    _in_worker = True
-
-
-def _process_pool():
-    """The process's pool of CPUs - 1 forked run workers; a forked child
-    builds its own, and a worker none.
-
-    Fork, not spawn: a spawned worker would start an interpreter and import
-    numpy, scipy and esquad again before its first run, about 0.2 s, while
-    the runs of a call often take a few seconds in all.  The pool forks
-    every worker at its first submit, from the calling thread; this package
-    starts no other thread.
-    """
-    global _procs, _procs_pid
-    if _procs_pid != os.getpid():
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        _procs = ProcessPoolExecutor(
-            max_workers=_cpu_count() - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_enter_worker,
-        )
-        _procs_pid = os.getpid()
-    return _procs
-
-
-def _drop_process_pool():
-    """Shut down this process's pool of run workers, if it has one."""
-    global _procs, _procs_pid
-    if _procs_pid == os.getpid():
-        _procs.shutdown(cancel_futures=True)
-    _procs = _procs_pid = None
+def _run_job(job):
+    # submitted by name, as ``run`` may be patched to a closure that does not
+    # pickle; a forked worker looks ``run`` up here and runs what the caller would
+    return run(*job)
 
 
 def _walk(problem, state0, params, budget, stream, record_m=False):

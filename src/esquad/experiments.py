@@ -444,10 +444,8 @@ class _Suite:
         starts += [(replace(centred, transform=tag), start) for tag in (SQRT, LOG1P, CUBE)]
         starts.append((replace(problem, optimum=shift), EsState(y0 + shift, start.log_sigma)))
         self.canonical, *self.transformed, self.shifted = run_many(
-            [(p, s, params, min(1000, run_cfg["budget"]), substream(root, _LBL_INVARIANCE))
-             for p, s in starts],
-            record_m=True,
-        )
+            [(p, s, params, min(1000, run_cfg["budget"]), substream(root, _LBL_INVARIANCE), True)
+             for p, s in starts])
 
         self.consts: Optional[TheoryConstants] = None
         self.infeasible: Optional[str] = None  # the skip note of theory_constants

@@ -294,9 +294,21 @@ def make_problem(
 
 
 def problem_from_json(obj) -> QuadraticProblem:
-    """Inverse of ``QuadraticProblem.to_json`` (accepts a dict or a JSON string)."""
+    """Inverse of ``QuadraticProblem.to_json`` (accepts a dict or a JSON string).
+
+    Only the keys of ``to_json`` are accepted, and ``rotation_seed`` must be
+    an integer or null; anything else raises ValueError.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("a problem must be a JSON object")
+    unknown = set(obj) - {"eigenvalues", "optimum", "transform", "rotation_seed"}
+    if unknown:
+        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
+    seed = obj.get("rotation_seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValueError(f"rotation_seed must be an integer or null, not {seed!r}")
     return make_problem(
         obj["eigenvalues"],
         np.asarray(obj["optimum"], dtype=float),

@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -16,29 +17,34 @@ from esquad import es_core
 POOL_DEADLINE_S = 120
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process is still alive: ``run_many``
+    joins the workers it forks before it returns or raises."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPU count that ``es_core.run_many`` splits its jobs over.
 
-    Shuts down any pool of run workers before and after the test, so that
-    each test starts without child processes and builds its own pool.  The
-    test and each shutdown must end within POOL_DEADLINE_S, so that a hung
-    pool fails the test instead of stalling the suite.
+    The test must end within POOL_DEADLINE_S, and so must each join of a
+    pool after that, so that a hung pool fails the test instead of stalling
+    the suite.
     """
     def expire(signum, frame):
+        signal.alarm(POOL_DEADLINE_S)  # re-armed for the join in run_many's finally
         raise TimeoutError(f"no result from the run pool in {POOL_DEADLINE_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(POOL_DEADLINE_S)
-    es_core._drop_process_pool()
 
     def set_cpus(n):
         monkeypatch.setattr(es_core, "_cpu_count", lambda: n)
 
     try:
         yield set_cpus
-        signal.alarm(POOL_DEADLINE_S)
-        es_core._drop_process_pool()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -104,3 +110,16 @@ def run_python(code: str) -> str:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def kill_worker_on(monkeypatch, path):
+    """Make a forked worker SIGKILL itself when it starts the job on stream
+    ``path``; pools fork after the patch, so their workers inherit it."""
+    caller, real_run = os.getpid(), es_core.run
+
+    def dying_run(*job):
+        if os.getpid() != caller and job[4].path == path:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(*job)
+
+    monkeypatch.setattr(es_core, "run", dying_run)

@@ -118,7 +118,11 @@ class TestBounds:
     def test_missing_alphas_config_error(self, capsys):
         assert main(["bounds", "--d", "8", "--spectrum", "sphere"]) == 2
 
-    @pytest.mark.parametrize("doc", [{"eigenvalues": [1.0] * 8}, [1.0] * 8])
+    @pytest.mark.parametrize("doc", [
+        {"eigenvalues": [1.0] * 8}, [1.0] * 8,
+        {"eigenvalues": [1.0] * 8, "optimum": [0.0] * 8, "rotation_seed": 1.5},
+        {"eigenvalues": [1.0] * 8, "optimum": [0.0] * 8, "rotaton_seed": 4},
+    ])
     def test_malformed_problem_file_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
@@ -261,6 +265,22 @@ class TestVerify:
         assert main(["verify", "--config", str(cpath)]) == 2
         assert f"config error: run.{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("rotation_seed", True), ("rotation_seed", 1.5), ("rotaton_seed", 4),
+    ])
+    def test_bad_problem_exits_two_before_running(self, tmp_path, capsys,
+                                                  monkeypatch, key, value):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("verify ran before rejecting its config")
+
+        monkeypatch.setattr(eq.experiments, "run_many", no_runs)
+        cfg = small_verify_config()
+        cfg["problem"][key] = value
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cpath)]) == 2
+        assert "config error: invalid problem or params" in capsys.readouterr().err
+
     def test_bad_out_dir_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
         def no_runs(*args, **kwargs):
             raise AssertionError("verify ran before rejecting its config")
@@ -396,6 +416,7 @@ class TestFlagConfig:
 BOUNDS_D8 = ["bounds", "--d", "8", "--spectrum", "sphere"]
 ALPHAS = ["--alpha-up", "1.1", "--alpha-down", "0.97"]
 RUN_D8 = ["run", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--budget", "20"]
+PROBLEM = "<problem.json>"  # test_exits_two puts a d=6 problem file here
 
 
 class TestMalformedValues:
@@ -420,10 +441,21 @@ class TestMalformedValues:
                    "alpha_down": 0.97, "budget": 1.5}),
         (["run"], {"d": True, "spectrum": "sphere", "alpha_up": 1.1,
                    "alpha_down": 0.97, "budget": 20}),
+        (["run", "--spectrum", "4,2,1", "--d", "8", *ALPHAS], None),
+        (["bounds", "--spectrum", "4,2,1", "--d", "2", *ALPHAS], None),
+        (["run", "--problem", PROBLEM, "--spectrum", "sphere", *ALPHAS], None),
+        (["run", "--problem", PROBLEM, "--d", "6", *ALPHAS], None),
+        (["run", "--problem", PROBLEM, "--rotation-seed", "4", *ALPHAS], None),
+        (["run", "--problem", PROBLEM, *ALPHAS], {"d": 3}),
+        (["run", "--problem", PROBLEM, "--spectrum", "sphere", "--d", "3",
+          "--rotation-seed", "4", *ALPHAS], None),
+        (["bounds", "--problem", PROBLEM, *ALPHAS], {"spectrum": "sphere"}),
     ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "cigar-nan", "d-zero",
             "dims-x", "target-two", "trials-zero", "budget-negative",
             "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
-            "config-d-true"])
+            "config-d-true", "list-shorter-than-d", "list-longer-than-d",
+            "problem-and-spectrum", "problem-and-d", "problem-and-rotation-seed",
+            "problem-and-config-d", "problem-and-all-three", "problem-and-config-spectrum"])
     def test_exits_two(self, tmp_path, capsys, monkeypatch, argv, config):
         def no_runs(*args, **kwargs):
             raise AssertionError("ran before rejecting a malformed value")
@@ -432,9 +464,12 @@ class TestMalformedValues:
         monkeypatch.setattr("esquad.cli.run", no_runs)
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"m": [1.0] * 8, "log_sigma": -2.0}))
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(eq.make_problem(eq.sphere(6), 0).to_json()))
         out = str(tmp_path / "o.csv")
-        argv = argv + {"bounds": [], "drift": ["--state", str(state)],
-                       "run": ["--out", out], "sweep": ["--out", out]}[argv[0]]
+        argv = [str(problem) if a == PROBLEM else a for a in argv]
+        argv += {"bounds": [], "drift": ["--state", str(state)],
+                 "run": ["--out", out], "sweep": ["--out", out]}[argv[0]]
         if config is not None:
             cfg = tmp_path / "flags.json"
             cfg.write_text(json.dumps(config))

@@ -1,7 +1,7 @@
+import concurrent.futures.process
 import math
 import multiprocessing
 import os
-import signal
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core, stochastic
-from conftest import read_trace_csv
+from conftest import kill_worker_on, read_trace_csv
 
 
 class TestParams:
@@ -446,16 +446,31 @@ def _same_trace(a, b):
             and (a.m_centered is None or np.array_equal(a.m_centered, b.m_centered)))
 
 
+def _tag_pid(monkeypatch):
+    """Make each run record on its trace the pid of the process it ran in."""
+    real_run = es_core.run
+
+    def tagged_run(*job):
+        trace = real_run(*job)
+        trace.pid = os.getpid()
+        return trace
+
+    monkeypatch.setattr(es_core, "run", tagged_run)
+
+
 class TestRunMany:
     @pytest.mark.parametrize("n_cpus", [2, 3])
     @pytest.mark.parametrize("record_m", [False, True])
-    def test_matches_serial_loop_in_job_order(self, cpus, n_cpus, record_m):
-        serial = [eq.run(*job, record_m=record_m) for job in _jobs(7)]
+    def test_matches_serial_loop_in_job_order(self, cpus, monkeypatch, n_cpus, record_m):
+        serial = [eq.run(*job, record_m) for job in _jobs(7)]
         cpus(n_cpus)
-        traces = es_core.run_many(_jobs(7), record_m=record_m)
+        _tag_pid(monkeypatch)
+        traces = es_core.run_many([job + (record_m,) for job in _jobs(7)])
         assert len(traces) == 7
         assert all(_same_trace(a, b) for a, b in zip(serial, traces))
-        assert multiprocessing.active_children()  # the pool ran some of them
+        # the jobs i with i % n != 0 ran in the pool, and the pool is gone
+        assert [t.pid != os.getpid() for t in traces] == [i % n_cpus != 0 for i in range(7)]
+        assert multiprocessing.active_children() == []
 
     def test_caller_runs_every_nth_job(self, cpus, monkeypatch):
         # in-process spans (the benchmark's tracing) see the caller's share
@@ -471,13 +486,17 @@ class TestRunMany:
         es_core.run_many(_jobs(7))
         assert ran == [job[4].path for job in _jobs(7)[::3]]
 
-    def test_one_cpu_or_one_job_starts_no_process(self, cpus):
+    def test_one_cpu_or_one_job_starts_no_process(self, cpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built a pool")
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         cpus(1)
-        es_core.run_many(_jobs(3))
+        assert len(es_core.run_many(_jobs(3))) == 3
         cpus(2)
-        es_core.run_many(_jobs(1))
-        assert es_core._procs is None
-        assert multiprocessing.active_children() == []
+        assert len(es_core.run_many(_jobs(1))) == 1
+        with pytest.raises(AssertionError, match="built a pool"):  # the patch holds
+            es_core.run_many(_jobs(2))
 
     def test_error_in_worker_raises_its_own_type(self, cpus):
         cpus(2)
@@ -486,6 +505,7 @@ class TestRunMany:
         jobs[1] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
         with pytest.raises(eq.DegenerateStart):
             es_core.run_many(jobs)
+        assert multiprocessing.active_children() == []
         # the first failing job in job order raises: job 1 before job 2
         p, state, params, _, stream = jobs[2]  # job 2 runs in the caller
         jobs[2] = (p, state, params, -1, stream)
@@ -494,7 +514,8 @@ class TestRunMany:
         jobs[0], jobs[2] = jobs[2], jobs[0]
         with pytest.raises(ValueError, match="budget"):
             es_core.run_many(jobs)
-        # a failed call leaves the pool usable
+        assert multiprocessing.active_children() == []
+        # a failed call leaves nothing behind that the next call meets
         assert all(_same_trace(a, b) for a, b in
                    zip(es_core.run_many(_jobs(4)), [eq.run(*job) for job in _jobs(4)]))
 
@@ -509,12 +530,14 @@ class TestRunMany:
                 es_core.run_many(jobs)
             assert failure.value.job_index == bad
 
-    def test_killed_worker_does_not_poison_later_calls(self, cpus):
+    def test_killed_worker_does_not_poison_later_calls(self, cpus, monkeypatch):
         cpus(2)
-        es_core.run_many(_jobs(2))
-        (pid,) = es_core._procs._processes  # the one worker of a 2-CPU pool
-        os.kill(pid, signal.SIGKILL)
-        with pytest.raises(BrokenProcessPool):  # the call that meets the dead worker
-            es_core.run_many(_jobs(2))
+        jobs = _jobs(4)
+        kill_worker_on(monkeypatch, jobs[1][4].path)  # job 1 runs in the worker
+        with pytest.raises(BrokenProcessPool) as failure:
+            es_core.run_many(jobs)
+        assert failure.value.job_index == 1
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(es_core, "run", eq.run)
         traces = es_core.run_many(_jobs(2))
         assert all(_same_trace(a, b) for a, b in zip(traces, [eq.run(*job) for job in _jobs(2)]))

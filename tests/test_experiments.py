@@ -2,17 +2,16 @@ import io
 import json
 import math
 import multiprocessing
-import os
-import signal
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import cli, es_core
+from esquad import cli
 from esquad.experiments import SweepProtocol, stat_retry, sweep_csv, validate_config
 from esquad.stochastic import substream
+from conftest import kill_worker_on
 
 
 def small_config(**overrides):
@@ -299,8 +298,7 @@ class TestCpuCount:
             results.append(eq.measure_rate(
                 problem, params, eq.default_initial_state(problem), 2000, 200, 5,
                 eq.RandomStream(29)))
-            if n == 1:
-                assert multiprocessing.active_children() == []
+            assert multiprocessing.active_children() == []
         (one, trace_one), (two, trace_two) = results
         assert np.array_equal(one.trial_slopes, two.trial_slopes)
         assert np.array_equal(one.trial_norm_slopes, two.trial_norm_slopes)
@@ -320,8 +318,7 @@ class TestCpuCount:
             with redirect_stdout(io.StringIO()):
                 code = cli.main(["verify", "--config", str(config), "--out", str(outs[-1])])
             assert code == 0
-            if n == 1:
-                assert multiprocessing.active_children() == []
+            assert multiprocessing.active_children() == []
         files = sorted(p.name for p in outs[0].iterdir())
         assert files == sorted(p.name for p in outs[1].iterdir())
         assert len(files) == 4
@@ -377,15 +374,14 @@ class TestCpuCount:
                     est.a_hat, est.ci_low, est.ci_high)
                 assert row["error"] is None or row["error"].startswith("constants infeasible")
 
-    def test_killed_worker_fails_one_sweep_row_only(self, cpus):
+    def test_killed_worker_fails_one_sweep_row_only(self, cpus, monkeypatch):
         problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
         protocol = SweepProtocol(budget=400, burn_in=40, trials=2, seed=3)
         serial = eq.sweep(problems, eq.alpha_schedule(8), protocol)
         cpus(2)
-        es_core.run_many([(problems[0], eq.default_initial_state(problems[0]),
-                           eq.alpha_schedule(8), 10, eq.RandomStream(i)) for i in range(2)])
-        (pid,) = es_core._procs._processes  # the one worker of a 2-CPU pool
-        os.kill(pid, signal.SIGKILL)
+        # the sweep's job 1, row 0's trial 1, runs in the worker
+        row0 = substream(eq.RandomStream(3, path=(0x5357,)), 0)
+        kill_worker_on(monkeypatch, substream(row0, 1).path)
         rows = eq.sweep(problems, eq.alpha_schedule(8), protocol)
         assert rows[0]["error"].startswith("BrokenProcessPool")
         assert rows[1:] == serial[1:]

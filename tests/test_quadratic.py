@@ -201,6 +201,18 @@ class TestSerialization:
         q = eq.problem_from_json(p.to_json())
         assert q.transform.a == 2 and q.transform.b == 3
 
+    @pytest.mark.parametrize("change, match", [
+        ({"rotation_seed": 1.5}, "rotation_seed"),
+        ({"rotation_seed": True}, "rotation_seed"),
+        ({"rotation_seed": "4"}, "rotation_seed"),
+        ({"rotaton_seed": 4}, "unknown problem keys"),
+    ], ids=["seed-float", "seed-bool", "seed-string", "misspelt-key"])
+    def test_rejects_what_it_would_rewrite(self, change, match):
+        # a float or bool seed used to become seed 1, a misspelt key was dropped
+        doc = {**eq.make_problem([3, 1], 0).to_json(), **change}
+        with pytest.raises(ValueError, match=match):
+            eq.problem_from_json(doc)
+
 
 class TestCoreBatch:
     @pytest.mark.parametrize("rotation_seed", [None, 4])
