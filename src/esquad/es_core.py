@@ -33,18 +33,32 @@ terms.  By symmetry inside each eigenspace (r, sigma) is a Markov chain, and
 it gives the log f and log-norm columns exactly in law.  On the sphere a
 step costs one normal and one chi-square variate for any d.
 
-With one distinct eigenvalue (G = 1: the sphere, rotated or not) the chain
-is two floats, r and sigma, and ``run`` steps it on Python floats instead of
-1-element arrays, whose per-call overhead would dominate the step.  Its
-traces equal those of the group chain bit for bit: every reduction of the
-group chain has one term there, so each dot product, max and log-norm is a
-single correctly rounded product or log, sqrt is correctly rounded in numpy
-and in ``math`` alike, and the two chains evaluate the same expressions in
-the same order.  The group chain stays the reference, and tests compare the
-two.  The one-group chain draws its variates in larger blocks; that changes
-no variate, since a block of normals is the stream's next words whatever
-the block size, and the chi-square source's draws do not depend on how they
-are cut into calls.
+With at most two distinct eigenvalues (G <= 2: the sphere, cigar, discus
+and two-block spectra, rotated or not) the chain is at most a few floats,
+and ``run`` steps it on Python floats instead of arrays of one or two
+entries, whose per-call overhead would dominate the step.  With G = 1 the
+second group is absent: it has lambda = r = 0 and zero variates, and the
+zero terms change no sum and no max.  The float chain's traces equal those
+of the group chain bit for bit: a reduction of one or two terms in the group
+chain is the plain sum ``a + b`` that the float chain writes out, max is
+exact, sqrt is correctly rounded in numpy and in ``math`` alike, and the two
+chains evaluate the same expressions in the same order.  The group chain
+stays the reference, and tests compare the two.  The float chain draws its
+variates in larger blocks; that changes no variate, since a block of
+normals is the stream's next words whatever the block size, and the
+chi-square source's draws do not depend on how they are cut into calls.
+
+Every sum whose result reaches a trace (the group chain's dot products and
+cores, the log-norms, the start's log core and default step size, the group
+norms) is an einsum without ``optimize`` or a bincount, whose order numpy's
+own C code fixes, never a BLAS dot: OpenBLAS picks its kernel for the CPU at
+run time, and kernels with and without FMA differ in the last bit.  The exp
+and log that reach a trace are ``math``'s, never numpy's, whose SIMD loops
+are chosen per CPU and are not correctly rounded.  So the bytes of an
+unrotated problem's trace do not depend on the BLAS kernel.  A rotated
+problem's still do: its rotation comes from a LAPACK QR
+(``random_rotation``), and the start's eigenframe coordinates and the lifted
+points are BLAS products with it.
 
 With ``record_m`` a run also lifts the chain back to a point: on acceptance
 u_k' = (r_k + sigma xi_k) u_k/r_k + sigma sqrt(chi_k) e_k, rescaled to norm
@@ -64,6 +78,7 @@ where a run executes cannot change its bytes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -85,7 +100,8 @@ _LN2 = math.log(2.0)
 _RESCALE_LIMIT = 100
 _SCALE_LOW, _SCALE_HIGH = 2.0 ** -(_RESCALE_LIMIT + 1), 2.0**_RESCALE_LIMIT
 _BLOCK = 256  # variate rows per draw of the group chain
-_ONE_GROUP_BLOCK = 2048  # and at most this many of the one-group chain
+_WINDOW = 16  # rows per einsum of the group chain's dot products
+_FLOAT_BLOCK = 2048  # variate rows per draw of the float chain, at most
 
 
 @dataclass(frozen=True)
@@ -321,9 +337,9 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
 
     Takes up to ``budget`` steps from ``state0`` and returns the trace without
     metadata.  The stream keys the chi-square source and the lift stream with
-    one word each, then gives the xi_k in blocks.  A problem with one distinct
-    eigenvalue runs the one-group chain, any other the group chain; both
-    return the rows they kept, which are row 0 and the accepted rows, and
+    one word each, then gives the xi_k in blocks.  A problem with at most two
+    distinct eigenvalues runs the float chain, any other the group chain;
+    both return the rows they kept, which are row 0 and the accepted rows, and
     every other row carries the last kept one forward.
     """
     groups = problem.eigen_groups()
@@ -335,7 +351,7 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow
     scale_exp = math.frexp(float(abs(u).max()))[1]
     u = u * 2.0 ** float(-scale_exp)
-    chain = _one_group_chain if groups.eigenvalues.size == 1 else _group_chain
+    chain = _float_chain if groups.eigenvalues.size <= 2 else _group_chain
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),
         params, budget, stream, chi_square_source(stream),
@@ -375,65 +391,97 @@ def _draw_block(stream, chi_source, rows, groups):
 def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
                  chi_source, lift_stream, record_m):
     """The chain on arrays of G group norms, with the variates in blocks of
-    _BLOCK rows; the reference for ``_one_group_chain``.
+    _BLOCK rows; the reference for ``_float_chain``.
 
     Returns the kept rows, their log f, log-norm and (with ``record_m``)
-    lifted points, and whether the core hit an exact zero.
+    lifted points, and whether the core hit an exact zero.  The log-norms
+    are taken in batches of up to _BLOCK kept rows.
+
+    The parent's lambda_k r_k . xi_k of each row is taken from a window: one
+    einsum over the parent's r followed by the next _WINDOW rows of xi gives
+    its core and the dot products of those rows, and the window is redone
+    after every accepted step or renormalization and when it runs out.  The
+    buffer holds a block's xi in rows 1.. behind a free row 0, so r can be
+    written into the row just before the window, a spent or the free one.
     """
     lam = groups.eigenvalues
     sqrt_lam = np.sqrt(lam)
+    has_chi = bool(np.any(groups.counts > 1))
     log_up, log_down = params.log_up, params.log_down
     r = groups.norms(u)
-
-    def refresh(r):
-        """Gradient group norms lambda_k r_k, exact core and max r_k of a new parent."""
-        g = lam * r
-        return g, 0.5 * float(g.dot(r)), float(r.max())
-
+    g, r_max = lam * r, float(r.max())
     kept, log_f, log_norm, points = [], [], [], []
+    norms, exps = [], []  # r and scale_exp of kept rows without a log-norm yet
 
     def keep(i):
         kept.append(i)
         log_f.append(cur_log_f)
-        log_norm.append(_log_norm(r, r_max) + scale_exp * _LN2)
+        norms.append(r)
+        exps.append(scale_exp)
+        if len(norms) == _BLOCK:
+            take_log_norms()
         if record_m:
             points.append(u * 2.0**scale_exp)
 
-    g, core, r_max = refresh(r)
+    def take_log_norms():
+        log_norm.extend(n + e * _LN2 for n, e in zip(_log_norms(np.array(norms)), exps))
+        norms.clear()
+        exps.clear()
+
+    def window(i):
+        """Writes r into row i - 1 and returns g . r and g . xi of up to
+        _WINDOW rows from row i as a list, its first row and its end."""
+        rows[i - 1] = r
+        dots = np.einsum("ij,j->i", rows[i - 1:i + _WINDOW], g).tolist()
+        return dots, i - 1, i - 1 + len(dots)
+
+    rows = np.zeros((_BLOCK + 1, lam.size))
+    dots, first, end = window(1)
+    core = 0.5 * dots[0]
+    i = _BLOCK + 1  # draw the first block at step 1
     keep(0)
-    zi = _BLOCK
+    exp, isfinite, low, high = math.exp, math.isfinite, _SCALE_LOW, _SCALE_HIGH  # hot loop
+    shift = scale_exp * _LN2
     for t in range(1, budget + 1):
-        sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
+        sigma_hat = exp(log_sigma - shift)
         scale = r_max if r_max > sigma_hat else sigma_hat
-        if not _SCALE_LOW <= scale < _SCALE_HIGH:
+        if not low <= scale < high:
             e = math.frexp(scale)[1]  # the scale is in [2**(e-1), 2**e)
             r = r * 2.0 ** float(-e)
             if record_m:
                 u = u * 2.0 ** float(-e)
             scale_exp += e
-            g, core, r_max = refresh(r)
-            sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
-        if zi == _BLOCK:
+            shift = scale_exp * _LN2
+            g, r_max = lam * r, float(r.max())
+            end = i  # the window's dots are of the old scale
+            sigma_hat = exp(log_sigma - shift)
+        if i > _BLOCK:
             xi_block, chi_block, q = _draw_block(stream, chi_source, _BLOCK, groups)
-            zi = 0
-        xi = xi_block[zi]
-        delta = sigma_hat * float(g.dot(xi)) + sigma_hat * sigma_hat * q[zi]
-        if not math.isfinite(delta):
+            rows[1:] = xi_block
+            i = end = 1
+        if i == end:
+            dots, first, end = window(i)
+            core = 0.5 * dots[0]
+        delta = sigma_hat * dots[i - first] + sigma_hat * sigma_hat * q[i - 1]
+        if not isfinite(delta):
             raise NumericalFailure(f"non-finite core decrement at step {t}")
         if delta <= 0.0:
-            along = r + sigma_hat * xi
-            chi = chi_block[zi]
-            r_new = np.sqrt(along * along + sigma_hat * sigma_hat * chi)
+            along = r + sigma_hat * rows[i]
+            chi = chi_block[i - 1]
+            # with no chi_k the sum adds +0.0 to each square, which changes none
+            r_new = np.sqrt(along * along + sigma_hat * sigma_hat * chi if has_chi
+                            else along * along)
             if record_m:
                 across = sigma_hat * np.sqrt(chi)
                 u = _lift(u, r, along, across, r_new, groups, lift_stream)
             r = r_new
             core_old = core
-            g, core, r_max = refresh(r)
+            g, r_max = lam * r, float(r.max())
+            dots, first, end = window(i + 1)
+            core = 0.5 * dots[0]
             log_sigma += log_up
             if core == 0.0 or delta <= -0.5 * core_old:
-                w = sqrt_lam * r
-                cur_log_f = math.log(0.5) + 2.0 * (_log_norm(w, float(w.max())) + scale_exp * _LN2)
+                cur_log_f = math.log(0.5) + 2.0 * (_log_norms((sqrt_lam * r)[None])[0] + shift)
             else:
                 cur_log_f += math.log1p(delta / core_old)
             keep(t)
@@ -441,72 +489,92 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
                 break
         else:
             log_sigma += log_down
-        zi += 1
+        i += 1
+    take_log_norms()
     return kept, log_f, log_norm, points, core == 0.0
 
 
-def _one_group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
-                     chi_source, lift_stream, record_m):
-    """``_group_chain`` for G = 1 on Python floats, bit for bit, with the
-    variates in blocks of up to _ONE_GROUP_BLOCK rows (module docstring)."""
-    lam = float(groups.eigenvalues[0])
-    sqrt_lam = math.sqrt(lam)
+def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
+                 chi_source, lift_stream, record_m):
+    """``_group_chain`` for G <= 2 on Python floats, bit for bit, with the
+    variates in blocks of up to _FLOAT_BLOCK rows (module docstring).
+
+    With G = 1 the second group is absent: it has lambda = r = 0 and zero
+    variates.  Its terms add +0.0 to sums that are never -0.0 (no variate
+    of the stream is 0, and r is not 0 while the run goes on), so every sum
+    and max below equals its one-term form.
+    """
+    n_groups = groups.eigenvalues.size
+    lam1, lam2 = _pair(groups.eigenvalues.tolist(), 0.0)
+    sq1, sq2 = math.sqrt(lam1), math.sqrt(lam2)
     log_up, log_down = params.log_up, params.log_down
-    r = float(groups.norms(u)[0])
-    g = lam * r
-    core = 0.5 * (g * r)
-    kept, log_f, log_norm, points = [0], [cur_log_f], [_log(r) + scale_exp * _LN2], []
+    r1, r2 = _pair(groups.norms(u).tolist(), 0.0)
+    g1, g2 = lam1 * r1, lam2 * r2
+    core = 0.5 * (g1 * r1 + g2 * r2)
+    r_max = r1 if r1 > r2 else r2
+    shift = scale_exp * _LN2
+    kept, log_f, log_norm, points = [0], [cur_log_f], [_log_norm2(r1, r2) + shift], []
     if record_m:
         points.append(u * 2.0**scale_exp)
-    zi, q = 0, ()
-    for t in range(1, budget + 1):
-        sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
-        scale = r if r > sigma_hat else sigma_hat
-        if not _SCALE_LOW <= scale < _SCALE_HIGH:
-            e = math.frexp(scale)[1]
-            r *= 2.0 ** float(-e)
-            if record_m:
-                u = u * 2.0 ** float(-e)
-            scale_exp += e
-            g = lam * r
-            core = 0.5 * (g * r)
-            sigma_hat = math.exp(log_sigma - scale_exp * _LN2)
-        if zi == len(q):
-            xi, chi, q = _draw_block(stream, chi_source, min(_ONE_GROUP_BLOCK, budget + 1 - t),
-                                     groups)
-            xi, chi, zi = xi[:, 0].tolist(), chi[:, 0].tolist(), 0
-        x = xi[zi]
-        delta = sigma_hat * (g * x) + sigma_hat * sigma_hat * q[zi]
-        if not math.isfinite(delta):
-            raise NumericalFailure(f"non-finite core decrement at step {t}")
-        if delta <= 0.0:
-            along = r + sigma_hat * x
-            c = chi[zi]
-            r_new = math.sqrt(along * along + sigma_hat * sigma_hat * c)
-            if record_m:
-                u = _lift(u, np.array([r]), np.array([along]),
-                          np.array([sigma_hat * math.sqrt(c)]), np.array([r_new]),
-                          groups, lift_stream)
-            r = r_new
-            core_old = core
-            g = lam * r
-            core = 0.5 * (g * r)
-            log_sigma += log_up
-            if core == 0.0 or delta <= -0.5 * core_old:
-                cur_log_f = math.log(0.5) + 2.0 * (_log(sqrt_lam * r) + scale_exp * _LN2)
+    exp, isfinite, low, high = math.exp, math.isfinite, _SCALE_LOW, _SCALE_HIGH  # hot loop
+    t = 0
+    while t < budget:
+        xi, chi, q = _draw_block(stream, chi_source, min(_FLOAT_BLOCK, budget - t), groups)
+        zero = itertools.repeat(0.0)
+        for t, x1, x2, c1, c2, qt in zip(itertools.count(t + 1), *_pair(xi.T.tolist(), zero),
+                                         *_pair(chi.T.tolist(), zero), q):
+            sigma_hat = exp(log_sigma - shift)
+            scale = r_max if r_max > sigma_hat else sigma_hat
+            if not low <= scale < high:
+                e = math.frexp(scale)[1]
+                r1 *= 2.0 ** float(-e)
+                r2 *= 2.0 ** float(-e)
+                if record_m:
+                    u = u * 2.0 ** float(-e)
+                scale_exp += e
+                shift = scale_exp * _LN2
+                g1, g2 = lam1 * r1, lam2 * r2
+                core = 0.5 * (g1 * r1 + g2 * r2)
+                r_max = r1 if r1 > r2 else r2
+                sigma_hat = exp(log_sigma - shift)
+            delta = sigma_hat * (g1 * x1 + g2 * x2) + sigma_hat * sigma_hat * qt
+            if not isfinite(delta):
+                raise NumericalFailure(f"non-finite core decrement at step {t}")
+            if delta <= 0.0:
+                along1, along2 = r1 + sigma_hat * x1, r2 + sigma_hat * x2
+                n1 = math.sqrt(along1 * along1 + sigma_hat * sigma_hat * c1)
+                n2 = math.sqrt(along2 * along2 + sigma_hat * sigma_hat * c2)
+                if record_m:
+                    u = _lift(u, np.array([r1, r2][:n_groups]),
+                              np.array([along1, along2][:n_groups]),
+                              sigma_hat * np.sqrt([c1, c2][:n_groups]),
+                              np.array([n1, n2][:n_groups]), groups, lift_stream)
+                r1, r2 = n1, n2
+                core_old = core
+                g1, g2 = lam1 * r1, lam2 * r2
+                core = 0.5 * (g1 * r1 + g2 * r2)
+                r_max = r1 if r1 > r2 else r2
+                log_sigma += log_up
+                if core == 0.0 or delta <= -0.5 * core_old:
+                    cur_log_f = math.log(0.5) + 2.0 * (_log_norm2(sq1 * r1, sq2 * r2) + shift)
+                else:
+                    cur_log_f += math.log1p(delta / core_old)
+                kept.append(t)
+                log_f.append(cur_log_f)
+                log_norm.append(_log_norm2(r1, r2) + shift)
+                if record_m:
+                    points.append(u * 2.0**scale_exp)
+                if core == 0.0:
+                    return kept, log_f, log_norm, points, True
             else:
-                cur_log_f += math.log1p(delta / core_old)
-            kept.append(t)
-            log_f.append(cur_log_f)
-            log_norm.append(_log(r) + scale_exp * _LN2)
-            if record_m:
-                points.append(u * 2.0**scale_exp)
-            if core == 0.0:
-                break
-        else:
-            log_sigma += log_down
-        zi += 1
+                log_sigma += log_down
     return kept, log_f, log_norm, points, core == 0.0
+
+
+def _pair(values, absent):
+    """The one or two entries of ``values`` as a pair, ``absent`` standing in
+    for a missing second."""
+    return (*values, absent)[:2]
 
 
 def _lift(u, r, along, across, r_new, groups, stream):
@@ -528,15 +596,25 @@ def _lift(u, r, along, across, r_new, groups, stream):
     return out * (r_new / np.where(out_norm > 0.0, out_norm, 1.0))[k]
 
 
-def _log(x: float) -> float:
-    """log x of a nonnegative x; -inf for x = 0."""
-    return math.log(x) if x > 0.0 else -math.inf
+def _log_norm2(a: float, b: float) -> float:
+    """``_log_norms`` of the one row (a, b), on floats.
+
+    There the larger entry divides to 1.0, so the sum of squares is 1.0 plus
+    the smaller one's square, and with a zero entry log 1.0 adds 0.0."""
+    if a < b:
+        a, b = b, a
+    if b == 0.0:
+        return math.log(a) if a > 0.0 else -math.inf
+    b /= a
+    return math.log(a) + 0.5 * math.log(1.0 + b * b)
 
 
-def _log_norm(v: np.ndarray, v_max: float) -> float:
-    """log |v| of a nonnegative v with largest entry v_max, stable for tiny
-    or huge entries; -inf for v = 0."""
-    if v_max == 0.0:
-        return -math.inf
-    s = v / v_max
-    return math.log(v_max) + 0.5 * math.log(float(np.dot(s, s)))
+def _log_norms(v: np.ndarray) -> list:
+    """log |v_i| of each row of a nonnegative 2-d array, stable for tiny or
+    huge entries; -inf for a zero row.  The rows' squared norms are einsum
+    sums, and only ``math.log`` reaches the result."""
+    v_max = v.max(axis=1)
+    s = v / np.where(v_max > 0.0, v_max, 1.0)[:, None]
+    squares = np.einsum("ij,ij->i", s, s).tolist()
+    return [math.log(m) + 0.5 * math.log(x) if m > 0.0 else -math.inf
+            for m, x in zip(v_max.tolist(), squares)]

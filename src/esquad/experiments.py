@@ -95,7 +95,9 @@ def default_sigma0(problem: QuadraticProblem, m0) -> float:
     """Step size inside the reasonable band up to constants:
     ||m0 - x*|| sqrt(L) / Tr(H)."""
     stats = spectrum_stats(problem)
-    norm = float(np.linalg.norm(np.asarray(m0, dtype=float) - problem.optimum))
+    y = np.asarray(m0, dtype=float) - problem.optimum
+    # an einsum, not the BLAS dot of np.linalg.norm: sigma0 reaches a trace's bytes
+    norm = math.sqrt(float(np.einsum("i,i->", y, y)))
     if norm == 0.0:
         raise DegenerateStart("m0 coincides with the optimum")
     return norm * math.sqrt(stats.L) / stats.trace

@@ -44,6 +44,8 @@ class MonotoneTransform:
     def __post_init__(self):
         if self.name not in _TRANSFORM_NAMES:
             raise DomainError(f"unknown transform {self.name!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError("transform parameters must be finite")
         if self.name == "affine" and not self.a > 0:
             raise DomainError("affine transform requires a > 0")
 
@@ -65,11 +67,24 @@ class MonotoneTransform:
 
     @staticmethod
     def from_json(obj) -> "MonotoneTransform":
+        """Inverse of ``to_json``: a tag, or an affine object with exactly the
+        keys ``name``, ``a`` and ``b`` and finite numbers (not booleans) for
+        ``a`` and ``b``; anything else raises ValueError."""
         if isinstance(obj, str):
             return MonotoneTransform(obj)
-        if isinstance(obj, dict) and obj.get("name") == "affine":
-            return MonotoneTransform("affine", float(obj["a"]), float(obj["b"]))
-        raise DomainError(f"cannot parse transform {obj!r}")
+        if not (isinstance(obj, dict) and obj.get("name") == "affine"):
+            raise ValueError(f"cannot parse transform {obj!r}")
+        if set(obj) != {"name", "a", "b"}:
+            raise ValueError(f"an affine transform has the keys a, b and name, not {sorted(obj)}")
+        for key in ("a", "b"):
+            value = obj[key]
+            try:  # a string or null raises TypeError, an int beyond double range OverflowError
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"transform {key} must be a finite number, not {value!r}")
+        return MonotoneTransform("affine", float(obj["a"]), float(obj["b"]))
 
 
 IDENTITY = MonotoneTransform("identity")
@@ -212,7 +227,9 @@ class QuadraticProblem:
 
         Factors out the largest component of sqrt(lambda) * u before squaring,
         so the result is finite whenever y itself is representable.
-        Returns -inf for y = 0.
+        Returns -inf for y = 0.  The sum of squares is an einsum, whose order
+        numpy fixes, not a BLAS dot, whose kernel the CPU picks: a run's first
+        log f is this value.
         """
         u = self.eigen_frame(y)
         w = np.sqrt(self.spectrum.eigenvalues) * u
@@ -220,7 +237,7 @@ class QuadraticProblem:
         if mx == 0.0:
             return -math.inf
         s = w / mx
-        return math.log(0.5) + 2.0 * math.log(mx) + math.log(float(np.dot(s, s)))
+        return math.log(0.5) + 2.0 * math.log(mx) + math.log(float(np.einsum("i,i->", s, s)))
 
     def evaluate(self, x) -> float:
         """Objective value g(core(x)) with the problem's transform."""

@@ -97,7 +97,10 @@ def random_rotation(stream: RandomStream, d: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix.
 
     QR of a Gaussian matrix with the signs of diag(R) folded into Q, the
-    standard construction for uniform orthogonal sampling.
+    standard construction for uniform orthogonal sampling.  The QR is
+    LAPACK's, whose last bits depend on the BLAS kernel picked for the CPU,
+    so a rotation, and the trace of a rotated problem, is reproducible per
+    kernel only.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -417,6 +417,13 @@ BOUNDS_D8 = ["bounds", "--d", "8", "--spectrum", "sphere"]
 ALPHAS = ["--alpha-up", "1.1", "--alpha-down", "0.97"]
 RUN_D8 = ["run", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--budget", "20"]
 PROBLEM = "<problem.json>"  # test_exits_two puts a d=6 problem file here
+# and d=6 problem files with these malformed transforms at these names
+BAD_TRANSFORMS = {
+    "<affine-a-true.json>": {"name": "affine", "a": True, "b": 0},
+    "<affine-b-nan.json>": {"name": "affine", "a": 2, "b": math.nan},
+    "<affine-extra-key.json>": {"name": "affine", "a": 2, "b": 0, "c": 5},
+    "<affine-a-string.json>": {"name": "affine", "a": "2", "b": 0},
+}
 
 
 class TestMalformedValues:
@@ -450,12 +457,18 @@ class TestMalformedValues:
         (["run", "--problem", PROBLEM, "--spectrum", "sphere", "--d", "3",
           "--rotation-seed", "4", *ALPHAS], None),
         (["bounds", "--problem", PROBLEM, *ALPHAS], {"spectrum": "sphere"}),
+        (["run", "--problem", "<affine-a-true.json>", *ALPHAS], None),
+        (["run", "--problem", "<affine-b-nan.json>", *ALPHAS], None),
+        (["run", "--problem", "<affine-extra-key.json>", *ALPHAS], None),
+        (["bounds", "--problem", "<affine-a-string.json>", *ALPHAS], None),
     ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "cigar-nan", "d-zero",
             "dims-x", "target-two", "trials-zero", "budget-negative",
             "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
             "config-d-true", "list-shorter-than-d", "list-longer-than-d",
             "problem-and-spectrum", "problem-and-d", "problem-and-rotation-seed",
-            "problem-and-config-d", "problem-and-all-three", "problem-and-config-spectrum"])
+            "problem-and-config-d", "problem-and-all-three", "problem-and-config-spectrum",
+            "transform-a-true", "transform-b-nan", "transform-extra-key",
+            "transform-a-string"])
     def test_exits_two(self, tmp_path, capsys, monkeypatch, argv, config):
         def no_runs(*args, **kwargs):
             raise AssertionError("ran before rejecting a malformed value")
@@ -464,10 +477,13 @@ class TestMalformedValues:
         monkeypatch.setattr("esquad.cli.run", no_runs)
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"m": [1.0] * 8, "log_sigma": -2.0}))
-        problem = tmp_path / "problem.json"
-        problem.write_text(json.dumps(eq.make_problem(eq.sphere(6), 0).to_json()))
+        doc = eq.make_problem(eq.sphere(6), 0).to_json()
+        files = {}
+        for name, transform in {PROBLEM: doc["transform"], **BAD_TRANSFORMS}.items():
+            files[name] = tmp_path / name.strip("<>")
+            files[name].write_text(json.dumps({**doc, "transform": transform}))
         out = str(tmp_path / "o.csv")
-        argv = [str(problem) if a == PROBLEM else a for a in argv]
+        argv = [str(files[a]) if a in files else a for a in argv]
         argv += {"bounds": [], "drift": ["--state", str(state)],
                  "run": ["--out", out], "sweep": ["--out", out]}[argv[0]]
         if config is not None:

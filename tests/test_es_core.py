@@ -2,6 +2,8 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -48,10 +50,10 @@ REDUCED_CHAIN_CASES = pytest.mark.parametrize("lam, rotation_seed", [
 
 
 def both_chains(monkeypatch):
-    """Yields twice: problems with one distinct eigenvalue run on the
-    one-group chain, then on the group chain, its reference."""
-    yield "one-group chain"
-    monkeypatch.setattr(es_core, "_one_group_chain", es_core._group_chain)
+    """Yields twice: problems with one or two distinct eigenvalues run on the
+    float chain, then on the group chain, its reference."""
+    yield "float chain"
+    monkeypatch.setattr(es_core, "_float_chain", es_core._group_chain)
     yield "group chain"
 
 
@@ -344,8 +346,8 @@ def _coordinates(bound, d):
 
 
 class TestOneGroupChain:
-    """On one distinct eigenvalue ``run`` takes the one-group chain, which
-    must equal the group chain bit for bit in every column."""
+    """On one distinct eigenvalue ``run`` takes the float chain, which must
+    equal the group chain bit for bit in every column."""
 
     @pytest.mark.parametrize("d, rotation_seed", [(1, None), (2, None), (16, None), (16, 3),
                                                   (256, None)])
@@ -366,13 +368,89 @@ class TestOneGroupChain:
         monkeypatch.setattr(es_core, "normal_matrix", recording_normals)
         one = eq.run(p, state0, params, 5000, eq.RandomStream(d), record_m=record_m)
         assert rows == [2048, 2048, 904]
-        monkeypatch.setattr(es_core, "_one_group_chain", es_core._group_chain)
+        monkeypatch.setattr(es_core, "_float_chain", es_core._group_chain)
         group = eq.run(p, state0, params, 5000, eq.RandomStream(d), record_m=record_m)
         assert rows[3:] == [256] * 20
         assert one.accept_count() > 500
         assert _same_trace(one, group)
         if d < 16:
             assert one.log_norm[-1] < -400.0 * math.log(2.0)
+
+
+def _two_values(d, _):
+    return [4.0] * (d // 2) + [0.5] * (d - d // 2)
+
+
+class TestTwoGroupChain:
+    """On two distinct eigenvalues ``run`` takes the float chain too, which
+    must equal the group chain bit for bit in every column."""
+
+    @pytest.mark.parametrize("spectrum", [eq.cigar, eq.discus, _two_values],
+                             ids=["cigar", "discus", "two-values"])
+    @pytest.mark.parametrize("d, rotation_seed", [(2, None), (16, None), (16, 3),
+                                                  (64, None), (64, 3)])
+    @pytest.mark.parametrize("record_m", [False, True])
+    def test_equals_group_chain_bit_for_bit(self, monkeypatch, spectrum, d, rotation_seed,
+                                            record_m):
+        # 6000 steps cross 24 blocks of 256 rows and 3 of up to 2048; at
+        # d = 2 with eigenvalues 4 and 0.5 the norm falls below 2**-400,
+        # through renormalizations by 2**100 or more
+        p = eq.make_problem(spectrum(d, 100.0), 0, rotation_seed=rotation_seed)
+        assert p.eigen_groups().eigenvalues.size == 2
+        params = eq.alpha_schedule(d, 0.2)
+        state0 = eq.default_initial_state(p)
+        rows = []
+
+        def recording_normals(stream, n, groups):
+            rows.append(n)
+            return stochastic.normal_matrix(stream, n, groups)
+
+        monkeypatch.setattr(es_core, "normal_matrix", recording_normals)
+        two = eq.run(p, state0, params, 6000, eq.RandomStream(d), record_m=record_m)
+        assert rows == [2048, 2048, 1904]
+        monkeypatch.setattr(es_core, "_float_chain", es_core._group_chain)
+        group = eq.run(p, state0, params, 6000, eq.RandomStream(d), record_m=record_m)
+        assert rows[3:] == [256] * 24
+        assert two.accept_count() > 500
+        assert _same_trace(two, group)
+        if d == 2 and spectrum is _two_values:
+            assert two.log_norm[-1] < -400.0 * math.log(2.0)
+
+
+_KERNEL_TRACES = """
+import hashlib
+import numpy as np
+import esquad as eq
+for lam in (eq.cigar(64, 100.0), eq.ellipsoid(64, 100.0)):
+    p = eq.make_problem(lam, 0)
+    m0 = np.random.default_rng(11).normal(size=64)  # a start with unequal coordinates
+    state0 = eq.EsState(m0, eq.default_initial_state(p).log_sigma)
+    tr = eq.run(p, state0, eq.alpha_schedule(64), 20000, eq.RandomStream(3), record_m=True)
+    h = hashlib.sha256()
+    for column in (tr.log_f, tr.log_sigma, tr.accepted, tr.log_norm, tr.m_centered):
+        h.update(column.tobytes())
+    print(p.eigen_groups().eigenvalues.size, h.hexdigest())
+for d in (10, 1023):  # the default sigma0 of sums of d equal squares
+    print(d, repr(eq.default_initial_state(eq.make_problem(eq.sphere(d), 0)).log_sigma))
+"""
+
+
+def test_unrotated_trace_bytes_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its dot kernel per CPU at run time, and kernels with and
+    # without FMA differ in the last bit; no BLAS reduction may reach a trace
+    src = os.path.dirname(os.path.dirname(eq.__file__))
+    outputs = {}
+    for core in (None, "Haswell", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_TRACES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[core] = proc.stdout
+    assert [line.split()[0] for line in outputs[None].splitlines()] == ["2", "64", "10", "1023"]
+    assert len(set(outputs.values())) == 1, outputs
 
 
 class TestDecrementForm:

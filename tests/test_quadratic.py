@@ -175,6 +175,12 @@ class TestTransforms:
         with pytest.raises(eq.DomainError):
             eq.MonotoneTransform("exp")
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan),
+                                      (2.0, -math.inf)])
+    def test_parameters_must_be_finite(self, a, b):
+        with pytest.raises(eq.DomainError, match="finite"):
+            eq.MonotoneTransform("affine", a, b)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -206,9 +212,18 @@ class TestSerialization:
         ({"rotation_seed": True}, "rotation_seed"),
         ({"rotation_seed": "4"}, "rotation_seed"),
         ({"rotaton_seed": 4}, "unknown problem keys"),
-    ], ids=["seed-float", "seed-bool", "seed-string", "misspelt-key"])
+        ({"transform": {"name": "affine", "a": True, "b": 0}}, "transform a"),
+        ({"transform": {"name": "affine", "a": 2, "b": math.nan}}, "transform b"),
+        ({"transform": {"name": "affine", "a": 2, "b": math.inf}}, "transform b"),
+        ({"transform": {"name": "affine", "a": "2", "b": 0}}, "transform a"),
+        ({"transform": {"name": "affine", "a": 2, "b": 0, "c": 5}}, "keys a, b and name"),
+        ({"transform": {"name": "affine", "a": 2}}, "keys a, b and name"),
+    ], ids=["seed-float", "seed-bool", "seed-string", "misspelt-key", "transform-a-true",
+            "transform-b-nan", "transform-b-inf", "transform-a-string",
+            "transform-extra-key", "transform-no-b"])
     def test_rejects_what_it_would_rewrite(self, change, match):
-        # a float or bool seed used to become seed 1, a misspelt key was dropped
+        # a float or bool seed used to become seed 1, a misspelt key was
+        # dropped; a bool slope became 1.0, and a NaN offset was kept
         doc = {**eq.make_problem([3, 1], 0).to_json(), **change}
         with pytest.raises(ValueError, match=match):
             eq.problem_from_json(doc)
