@@ -68,12 +68,14 @@ from a companion stream that every run keys with one word of its stream, so
 ``record_m`` changes no other column.
 
 ``run_many`` runs independent runs on every CPU the process may run on.  With
-n = min(CPUs, jobs) the calling process runs jobs 0, n, 2n, ... itself and a
-pool of n - 1 worker processes, forked for that call, runs the rest; the call
-joins the pool before it returns or raises, so no process outlives it.  With
-one CPU or one job it is a plain loop in the caller.  A trace is a function of
-its inputs alone, which reach a worker as pickled copies, bit for bit, so
-where a run executes cannot change its bytes.
+n = min(CPUs, jobs) a pool of n - 1 worker processes, forked for that call,
+runs part of the jobs, and the call joins the pool before it returns or
+raises, so no process outlives it.  The calling process runs jobs 0, n, 2n,
+... itself; or, given other work to do meanwhile (``verify``'s Monte Carlo
+checks), it does that work and then runs job 0 while the pool runs all the
+others.  With one CPU or one job it is a plain loop in the caller.  A trace
+is a function of its inputs alone, which reach a worker as pickled copies,
+bit for bit, so where a run executes cannot change its bytes.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -240,11 +242,18 @@ class RunTrace:
     def write_csv(self, path) -> None:
         """CSV with header t,log_f,log_sigma,accepted,regime plus a JSON sidecar.
 
-        The regime column is kept empty, so the layout stays fixed."""
-        rows = zip(self.t.tolist(), self.log_f.tolist(), self.log_sigma.tolist(),
-                   self.accepted.tolist())
-        text = "t,log_f,log_sigma,accepted,regime\n" + "".join(
-            f"{t},{f!r},{s!r},{a},\n" for t, f, s, a in rows)
+        The regime column is kept empty, so the layout stays fixed.  A row
+        whose log_f has the bits of the row before (every rejected step)
+        reuses that row's text instead of formatting the float again."""
+        bits = np.ascontiguousarray(self.log_f, dtype=float).view(np.int64)
+        fresh = np.r_[True, bits[1:] != bits[:-1]].tolist()
+        lines, cell = ["t,log_f,log_sigma,accepted,regime\n"], ""
+        for t, f, s, a, new in zip(self.t.tolist(), self.log_f.tolist(),
+                                   self.log_sigma.tolist(), self.accepted.tolist(), fresh):
+            if new:
+                cell = repr(f)
+            lines.append(f"{t},{cell},{s!r},{a},\n")
+        text = "".join(lines)
         atomic_write_text(path, text)
         atomic_write_text(str(path) + ".meta.json", dump_json(self.metadata))
 
@@ -292,35 +301,45 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_many(jobs: Sequence[tuple]) -> List[RunTrace]:
+def run_many(jobs: Sequence[tuple],
+             meanwhile: Optional[Callable[[], None]] = None) -> List[RunTrace]:
     """The traces of ``run(*job)`` for each job, in job order.
 
     Each job is a tuple of ``run``'s positional arguments and owns its stream.
-    With n = min(CPUs, jobs), the caller runs every job i with i % n == 0 and
-    a pool of n - 1 workers, forked for this call and joined before it
-    returns, the others.  The first failing job in job order raises, with its
-    own exception type and its index in ``jobs`` as ``job_index``; a worker
-    that dies raises BrokenProcessPool.  Fork, not spawn: a spawned worker
-    would import numpy, scipy and esquad again, about 0.2 s, where a fork
-    takes milliseconds; this package starts no thread that a fork could copy.
+    With n = min(CPUs, jobs), a pool of n - 1 workers, forked for this call
+    and joined before it returns or raises, runs some jobs and the caller the
+    rest.  Without ``meanwhile`` the caller runs every job i with i % n == 0.
+    With it the pool takes every job but job 0, the caller calls
+    ``meanwhile()`` while they run and then runs job 0; on one CPU it calls
+    ``meanwhile()`` and then runs every job in order.  An exception from
+    ``meanwhile`` propagates unchanged, once the pool is joined.  Otherwise
+    the first failing job in job order raises, with its own exception type
+    and its index in ``jobs`` as ``job_index``; a worker that dies raises
+    BrokenProcessPool.  Fork, not spawn: a spawned worker would import
+    numpy, scipy and esquad again, about 0.2 s, where a fork takes
+    milliseconds; this package starts no thread that a fork could copy.
     """
     jobs = list(jobs)
     n = min(_cpu_count(), len(jobs))
-    pool, futures, i = None, {}, 0
+    pooled = [] if n < 2 else [i for i in range(1, len(jobs)) if meanwhile or i % n]
+    pool, futures = None, {}
     try:
-        if n > 1:
+        if pooled:
             import multiprocessing
             from concurrent.futures.process import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
-            futures = {i: pool.submit(_run_job, job) for i, job in enumerate(jobs) if i % n}
-        traces = []
-        for i, job in enumerate(jobs):
-            traces.append(futures[i].result() if i in futures else run(*job))
+            futures = {i: pool.submit(_run_job, jobs[i]) for i in pooled}
+        if meanwhile is not None:
+            meanwhile()
+        traces, i = [], 0
+        try:
+            for i, job in enumerate(jobs):
+                traces.append(futures[i].result() if i in futures else run(*job))
+        except Exception as exc:
+            exc.job_index = i
+            raise
         return traces
-    except Exception as exc:
-        exc.job_index = i
-        raise
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -13,8 +13,9 @@ precondition that returns the skip note when the configured problem cannot
 support the check.  A statistical row goes through ``stat_retry``: a failure
 at 3 standard errors reruns once at 4x n on a fresh substream.  Work that
 several rows share (the invariance runs, the theory constants, the rate
-measurement) is done once up front in ``_Suite``; substreams are pure
-functions of ``(seed, path, label)``, so that order moves no byte.
+measurement) is done once in ``_Suite``, and the rows that read no trace are
+evaluated while forked workers do the runs; substreams are pure functions of
+``(seed, path, label)``, so that order moves no byte.
 """
 
 from __future__ import annotations
@@ -421,9 +422,14 @@ def drift_check(problem: QuadraticProblem, state: EsState, regime: RegimeLabel,
 
 class _Suite:
     """The inputs of every check row, and the work that several rows share:
-    the invariance runs, the theory constants and the rate measurement."""
+    the invariance runs, the theory constants and the rate measurement.
 
-    def __init__(self, cfg: dict):
+    The invariance runs and the rate trials go to ``run_many`` as one batch.
+    While forked workers run it, the caller sets the theory constants and
+    calls ``meanwhile(suite)``, which may evaluate every row that reads no
+    trace."""
+
+    def __init__(self, cfg: dict, meanwhile: Callable[["_Suite"], None]):
         problem, params, run_cfg = cfg["problem"], cfg["params"], cfg["run"]
         self.problem, self.params, self.seed = problem, params, cfg["seed"]
         self.n_mc = run_cfg["n_mc"]
@@ -445,21 +451,26 @@ class _Suite:
         starts = [(centred, start)]
         starts += [(replace(centred, transform=tag), start) for tag in (SQRT, LOG1P, CUBE)]
         starts.append((replace(problem, optimum=shift), EsState(y0 + shift, start.log_sigma)))
-        self.canonical, *self.transformed, self.shifted = run_many(
-            [(p, s, params, min(1000, run_cfg["budget"]), substream(root, _LBL_INVARIANCE), True)
-             for p, s in starts])
+        jobs = [(p, s, params, min(1000, run_cfg["budget"]), substream(root, _LBL_INVARIANCE), True)
+                for p, s in starts]
+        budget, burn_in = run_cfg["budget"], run_cfg["burn_in"]
+        jobs += _rate_jobs(problem, params, state0, budget, burn_in, run_cfg["trials"],
+                           substream(root, _LBL_RATE))
 
         self.consts: Optional[TheoryConstants] = None
         self.infeasible: Optional[str] = None  # the skip note of theory_constants
-        try:
-            self.consts = theory_constants(stats, params)
-        except InfeasibleBound as exc:
-            self.infeasible = f"infeasible: {exc}"
 
-        self.rate, self.first_trace = measure_rate(
-            problem, params, state0, run_cfg["budget"], run_cfg["burn_in"],
-            run_cfg["trials"], substream(root, _LBL_RATE),
-        )
+        def untraced():
+            try:
+                self.consts = theory_constants(stats, params)
+            except InfeasibleBound as exc:
+                self.infeasible = f"infeasible: {exc}"
+            meanwhile(self)
+
+        traces = run_many(jobs, meanwhile=untraced)
+        self.canonical, *self.transformed, self.shifted = traces[:len(starts)]
+        self.first_trace = traces[len(starts)]
+        self.rate = _rate_estimate(stats, traces[len(starts):], budget, burn_in)
 
 
 def _same_run(s: _Suite, trace: RunTrace) -> bool:
@@ -600,26 +611,38 @@ class _Check(NamedTuple):
     tolerance: str
     evaluate: Callable[[_Suite, int, int], tuple]  # -> (passed, observed, bound, note)
     statistical: bool  # goes through stat_retry
+    traced: bool  # reads a trace, so waits for the suite's runs
     precondition: Optional[Callable[[_Suite], Optional[str]]]  # -> None, or the skip note
 
 
 _CHECKS = (
-    _Check("invariance_transform", "exact", _invariance_transform, False, None),
-    _Check("invariance_translation", "exact", _invariance_translation, False, None),
-    _Check("monotonicity", "exact", _monotonicity, False, None),
-    _Check("sigma_bookkeeping", "1e-9 absolute", _sigma_bookkeeping, False, None),
-    _Check("success_sandwich", "3 SE, epsilon=0.5", _success_sandwich, True, None),
-    _Check("quality_gain", "3 SE (combined)", _quality_gain, True, None),
-    _Check("exp_moment", "3 SE", _exp_moment, True, _d_above_3),
-    _Check("theory_constants", "drift_bound > 0", _theory_constants, False,
+    _Check("invariance_transform", "exact", _invariance_transform, False, True, None),
+    _Check("invariance_translation", "exact", _invariance_translation, False, True, None),
+    _Check("monotonicity", "exact", _monotonicity, False, True, None),
+    _Check("sigma_bookkeeping", "1e-9 absolute", _sigma_bookkeeping, False, True, None),
+    _Check("success_sandwich", "3 SE, epsilon=0.5", _success_sandwich, True, False, None),
+    _Check("quality_gain", "3 SE (combined)", _quality_gain, True, False, None),
+    _Check("exp_moment", "3 SE", _exp_moment, True, False, _d_above_3),
+    _Check("theory_constants", "drift_bound > 0", _theory_constants, False, False,
            lambda s: s.infeasible),
     *(_Check(f"drift_{regime.value}", "3 SE + exact pathwise cap", _drift(regime), True,
-             _feasible) for regime in _LBL_DRIFT),
-    _Check("rate_upper_cap", "3 trial SE", _rate_upper_cap, False,
+             False, _feasible) for regime in _LBL_DRIFT),
+    _Check("rate_upper_cap", "3 trial SE", _rate_upper_cap, False, True,
            lambda s: None if s.stats.d > 3 else "requires d > 3"),
-    _Check("rate_lower_bound", "3 trial SE", _rate_lower_bound, False, _feasible),
-    _Check("bound_limits", "1e-3 absolute", _bound_limits, False, None),
+    _Check("rate_lower_bound", "3 trial SE", _rate_lower_bound, False, True, _feasible),
+    _Check("bound_limits", "1e-3 absolute", _bound_limits, False, False, None),
 )
+
+
+def _evaluate(s: _Suite, row: _Check) -> CheckResult:
+    skip = row.precondition and row.precondition(s)
+    if skip is not None:
+        return CheckResult(row.check_id, "skip", seed=s.seed, note=skip)
+    evaluate = partial(row.evaluate, s)
+    passed, observed, bound, note = (
+        stat_retry(evaluate, s.n_mc) if row.statistical else evaluate(s.n_mc, 0))
+    return CheckResult(row.check_id, "pass" if passed else "fail", observed, bound,
+                       row.tolerance, s.seed, note)
 
 
 def verify_suite(config: dict) -> dict:
@@ -632,22 +655,26 @@ def verify_suite(config: dict) -> dict:
     infeasible theory constants) are reported as skips with the diagnosis,
     not as failures.
 
+    The rows that read no trace (the Monte Carlo rows, the theory constants
+    and the bound limits) are evaluated while forked workers run the suite's
+    ES runs, and the rows that read a trace once the runs are done; the
+    report lists the rows in table order.  Every row draws from its own
+    substream, so neither the split nor the CPU count moves a byte.
+
     The returned dict carries non-JSON artifacts (first trace, rate estimate)
     under the "_artifacts" key; strip it before serializing.
     """
     cfg = validate_config(config)
-    s = _Suite(cfg)
-    checks: List[CheckResult] = []
-    for row in _CHECKS:
-        skip = row.precondition and row.precondition(s)
-        if skip is not None:
-            checks.append(CheckResult(row.check_id, "skip", seed=s.seed, note=skip))
-            continue
-        evaluate = partial(row.evaluate, s)
-        passed, observed, bound, note = (
-            stat_retry(evaluate, s.n_mc) if row.statistical else evaluate(s.n_mc, 0))
-        checks.append(CheckResult(row.check_id, "pass" if passed else "fail", observed,
-                                  bound, row.tolerance, s.seed, note))
+    results = {}
+
+    def evaluate(s: _Suite, traced: bool) -> None:
+        for row in _CHECKS:
+            if row.traced == traced:
+                results[row.check_id] = _evaluate(s, row)
+
+    s = _Suite(cfg, partial(evaluate, traced=False))
+    evaluate(s, traced=True)
+    checks = [results[row.check_id] for row in _CHECKS]
     count = {status: sum(c.status == status for c in checks)
              for status in ("pass", "fail", "skip")}
     return {

@@ -18,6 +18,13 @@ ALPHAS_D256 = ["--alpha-up", repr(math.exp(1 / 256)),
                "--alpha-down", repr(math.exp(-(0.4 / 0.6) / 256))]
 
 
+def test_package_version_matches_pyproject():
+    # traces and reports carry esquad.VERSION; the installed package must say the same
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == eq.VERSION
+
+
 class TestParseSpectrum:
     def test_shorthands(self):
         assert parse_spectrum("sphere", 3) == [1.0, 1.0, 1.0]

@@ -608,6 +608,50 @@ class TestRunMany:
                 es_core.run_many(jobs)
             assert failure.value.job_index == bad
 
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_meanwhile_runs_once_beside_the_pool(self, cpus, monkeypatch, n_cpus):
+        serial = [eq.run(*job) for job in _jobs(5)]
+        cpus(n_cpus)
+        caller, events = os.getpid(), []
+        _tag_pid(monkeypatch)
+        tagged_run = es_core.run
+
+        def logged_run(*job):
+            events.append(job[4].path)  # in a worker, lands in the worker's copy
+            return tagged_run(*job)
+
+        monkeypatch.setattr(es_core, "run", logged_run)
+        traces = es_core.run_many(_jobs(5), meanwhile=lambda: events.append(os.getpid()))
+        assert len(traces) == 5
+        assert all(_same_trace(a, b) for a, b in zip(serial, traces))
+        # meanwhile runs in the caller before the caller's jobs: job 0 beside
+        # a pool that runs all the others, or every job on one CPU
+        mine = _jobs(5) if n_cpus == 1 else _jobs(1)
+        assert events == [caller] + [job[4].path for job in mine]
+        assert [t.pid != caller for t in traces] == [n_cpus > 1 and i > 0 for i in range(5)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_meanwhile_error_carries_no_job_index(self, cpus, n_cpus):
+        cpus(n_cpus)
+
+        def fail():
+            raise KeyError("meanwhile")
+
+        with pytest.raises(KeyError, match="meanwhile") as failure:
+            es_core.run_many(_jobs(4), meanwhile=fail)
+        assert not hasattr(failure.value, "job_index")
+        assert multiprocessing.active_children() == []
+        # a failing job still names itself, in the caller (job 0) or a worker
+        for bad in (0, 2):
+            jobs = _jobs(4)
+            p, state, *rest = jobs[bad]
+            jobs[bad] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
+            with pytest.raises(eq.DegenerateStart) as failure:
+                es_core.run_many(jobs, meanwhile=lambda: None)
+            assert failure.value.job_index == bad
+            assert multiprocessing.active_children() == []
+
     def test_killed_worker_does_not_poison_later_calls(self, cpus, monkeypatch):
         cpus(2)
         jobs = _jobs(4)

@@ -284,7 +284,7 @@ class TestStatRetry:
 class TestCpuCount:
     """The trials of measure_rate, and so verify and sweep, run on every CPU
     through es_core.run_many; every output must be the same bytes on one CPU
-    and on two."""
+    and on more."""
 
     @pytest.mark.parametrize("lam, rotation_seed", [
         (eq.sphere(16), None), (eq.cigar(16, 100.0), None), (eq.ellipsoid(8, 10.0), 5),
@@ -311,19 +311,22 @@ class TestCpuCount:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
             small_config(run={"budget": 600, "burn_in": 60, "trials": 5, "n_mc": 5000})))
-        outs = []
-        for n in (1, 2):
+        outs, stdouts = [], []
+        for n in (1, 2, 3):  # on three CPUs two workers share the runs
             cpus(n)
             outs.append(tmp_path / f"cpus{n}")
-            with redirect_stdout(io.StringIO()):
+            stdouts.append(io.StringIO())
+            with redirect_stdout(stdouts[-1]):
                 code = cli.main(["verify", "--config", str(config), "--out", str(outs[-1])])
             assert code == 0
             assert multiprocessing.active_children() == []
+        assert len({out.getvalue() for out in stdouts}) == 1
         files = sorted(p.name for p in outs[0].iterdir())
-        assert files == sorted(p.name for p in outs[1].iterdir())
         assert len(files) == 4
-        for name in files:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for out in outs[1:]:
+            assert files == sorted(p.name for p in out.iterdir())
+            for name in files:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_sweep_row_error_from_a_worker(self, cpus):
