@@ -46,6 +46,7 @@ from .quadratic import (
     SQRT,
     QuadraticProblem,
     SpectrumStats,
+    einsum_dot,
     problem_from_json,
     spectrum_stats,
 )
@@ -92,13 +93,18 @@ class RateEstimate:
         }
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm, not BLAS's (``quadratic.einsum_dot``): it reaches
+    trace and report bytes through sigma0 and the Monte Carlo rows."""
+    return math.sqrt(einsum_dot(v, v))
+
+
 def default_sigma0(problem: QuadraticProblem, m0) -> float:
     """Step size inside the reasonable band up to constants:
     ||m0 - x*|| sqrt(L) / Tr(H)."""
     stats = spectrum_stats(problem)
     y = np.asarray(m0, dtype=float) - problem.optimum
-    # an einsum, not the BLAS dot of np.linalg.norm: sigma0 reaches a trace's bytes
-    norm = math.sqrt(float(np.einsum("i,i->", y, y)))
+    norm = _norm(y)
     if norm == 0.0:
         raise DegenerateStart("m0 coincides with the optimum")
     return norm * math.sqrt(stats.L) / stats.trace
@@ -505,12 +511,12 @@ def _sigma_bookkeeping(s: _Suite, n: int, attempt: int) -> tuple:
 def _unit_point(problem: QuadraticProblem, stream: RandomStream):
     """A random point at distance 1 from the optimum, and its gradient norm."""
     direction = normal_vector(stream, problem.d)
-    point = problem.optimum + direction / max(float(np.linalg.norm(direction)), 1e-12)
-    return point, float(np.linalg.norm(problem.gradient_core(point)))
+    point = problem.optimum + direction / max(_norm(direction), 1e-12)
+    return point, _norm(problem.gradient_core(point))
 
 
 def _success_sandwich(s: _Suite, n: int, attempt: int) -> tuple:
-    grad_norm = float(np.linalg.norm(s.problem.gradient_core(s.state0.m)))
+    grad_norm = _norm(s.problem.gradient_core(s.state0.m))
     worst_gap = -math.inf
     notes = []
     base = substream(s.root, _LBL_SANDWICH + attempt)

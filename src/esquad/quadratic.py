@@ -28,6 +28,14 @@ ORTHOGONALITY_TOL = 1e-10
 _TRANSFORM_NAMES = ("identity", "affine", "sqrt", "log1p", "cube")
 
 
+def einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors as an einsum, whose summation order
+    numpy's own C code fixes.  A BLAS dot (``np.dot``, ``np.linalg.norm``)
+    would take OpenBLAS's kernel for the CPU, and kernels with and without
+    FMA differ in the last bit; these sums reach trace and report bytes."""
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass(frozen=True)
 class MonotoneTransform:
     """Strictly increasing map applied to the nonnegative quadratic core.
@@ -210,12 +218,12 @@ class QuadraticProblem:
     def core(self, x) -> float:
         """Untransformed core 0.5 (x - x*)^T H (x - x*)."""
         u = self.eigen_frame(self._check_dim(x) - self.optimum)
-        return 0.5 * float(np.dot(self.spectrum.eigenvalues * u, u))
+        return 0.5 * einsum_dot(self.spectrum.eigenvalues * u, u)
 
     def core_centered(self, y: np.ndarray) -> float:
         """Core of an already-centered vector, no dimension check."""
         u = self.eigen_frame(y)
-        return 0.5 * float(np.dot(self.spectrum.eigenvalues * u, u))
+        return 0.5 * einsum_dot(self.spectrum.eigenvalues * u, u)
 
     def core_centered_batch(self, Y: np.ndarray) -> np.ndarray:
         """Cores of a batch of centered row vectors."""
@@ -227,9 +235,7 @@ class QuadraticProblem:
 
         Factors out the largest component of sqrt(lambda) * u before squaring,
         so the result is finite whenever y itself is representable.
-        Returns -inf for y = 0.  The sum of squares is an einsum, whose order
-        numpy fixes, not a BLAS dot, whose kernel the CPU picks: a run's first
-        log f is this value.
+        Returns -inf for y = 0.  A run's first log f is this value.
         """
         u = self.eigen_frame(y)
         w = np.sqrt(self.spectrum.eigenvalues) * u
@@ -237,7 +243,7 @@ class QuadraticProblem:
         if mx == 0.0:
             return -math.inf
         s = w / mx
-        return math.log(0.5) + 2.0 * math.log(mx) + math.log(float(np.einsum("i,i->", s, s)))
+        return math.log(0.5) + 2.0 * math.log(mx) + math.log(einsum_dot(s, s))
 
     def evaluate(self, x) -> float:
         """Objective value g(core(x)) with the problem's transform."""
@@ -254,7 +260,8 @@ class QuadraticProblem:
     def grad_norm_centered(self, y: np.ndarray) -> float:
         """Euclidean norm of the core gradient at a centered point."""
         u = self.eigen_frame(y)
-        return float(np.linalg.norm(self.spectrum.eigenvalues * u))
+        g = self.spectrum.eigenvalues * u
+        return math.sqrt(einsum_dot(g, g))
 
     def log_grad_norm_centered(self, y: np.ndarray) -> float:
         """log of the core gradient norm, stable for tiny or huge y."""
@@ -264,7 +271,7 @@ class QuadraticProblem:
         if mx == 0.0:
             return -math.inf
         s = g / mx
-        return math.log(mx) + 0.5 * math.log(float(np.dot(s, s)))
+        return math.log(mx) + 0.5 * math.log(einsum_dot(s, s))
 
     def stats(self) -> SpectrumStats:
         return spectrum_stats(self)

@@ -112,6 +112,24 @@ def run_python(code: str) -> str:
     return proc.stdout.strip()
 
 
+def run_under_blas_kernels(code: str) -> dict:
+    """The stdout of ``code`` in a fresh interpreter that imports this
+    checkout's esquad, under OpenBLAS's kernel for this CPU (key None) and
+    under each kernel that ``OPENBLAS_CORETYPE`` forces: kernels with and
+    without FMA differ in the last bit of a dot product."""
+    outputs = {}
+    for core in (None, "Haswell", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(pathlib.Path(eq.__file__).parent.parent)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[core] = proc.stdout
+    return outputs
+
+
 def kill_worker_on(monkeypatch, path):
     """Make a forked worker SIGKILL itself when it starts the job on stream
     ``path``; pools fork after the patch, so their workers inherit it."""

@@ -2,8 +2,6 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core, stochastic
-from conftest import kill_worker_on, read_trace_csv
+from conftest import kill_worker_on, read_trace_csv, run_under_blas_kernels
 
 
 class TestParams:
@@ -436,19 +434,9 @@ for d in (10, 1023):  # the default sigma0 of sums of d equal squares
 
 
 def test_unrotated_trace_bytes_do_not_depend_on_the_blas_kernel():
-    # OpenBLAS picks its dot kernel per CPU at run time, and kernels with and
-    # without FMA differ in the last bit; no BLAS reduction may reach a trace
-    src = os.path.dirname(os.path.dirname(eq.__file__))
-    outputs = {}
-    for core in (None, "Haswell", "Sandybridge", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = src
-        if core is not None:
-            env["OPENBLAS_CORETYPE"] = core
-        proc = subprocess.run([sys.executable, "-c", _KERNEL_TRACES], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs[core] = proc.stdout
+    # OpenBLAS picks its dot kernel per CPU at run time; no BLAS reduction
+    # may reach a trace
+    outputs = run_under_blas_kernels(_KERNEL_TRACES)
     assert [line.split()[0] for line in outputs[None].splitlines()] == ["2", "64", "10", "1023"]
     assert len(set(outputs.values())) == 1, outputs
 

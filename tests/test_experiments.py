@@ -11,7 +11,7 @@ import esquad as eq
 from esquad import cli
 from esquad.experiments import SweepProtocol, stat_retry, sweep_csv, validate_config
 from esquad.stochastic import substream
-from conftest import kill_worker_on
+from conftest import kill_worker_on, run_under_blas_kernels
 
 
 def small_config(**overrides):
@@ -279,6 +279,26 @@ class TestStatRetry:
 
         assert stat_retry(check, 100) == (True, "note")
         assert calls == [(100, 0)]
+
+
+_KERNEL_REPORT = """
+import esquad as eq
+from esquad.ioutil import dump_json
+p = eq.make_problem(eq.ellipsoid(100, 10.0), 0)
+report = eq.verify_suite({
+    "seed": 3, "problem": p.to_json(), "params": eq.alpha_schedule(100, 0.4).to_json(),
+    "run": {"budget": 200, "burn_in": 20, "trials": 2, "n_mc": 4000}})
+del report["_artifacts"]
+print(dump_json(report))
+"""
+
+
+def test_unrotated_report_bytes_do_not_depend_on_the_blas_kernel():
+    # the sibling of the trace test in test_es_core: no BLAS reduction may
+    # reach report.json on an unrotated problem
+    outputs = run_under_blas_kernels(_KERNEL_REPORT)
+    assert json.loads(outputs[None])["n_pass"] > 0
+    assert len(set(outputs.values())) == 1, outputs
 
 
 class TestCpuCount:
