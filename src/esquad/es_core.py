@@ -321,7 +321,8 @@ def run_many(jobs: Sequence[tuple],
     """
     jobs = list(jobs)
     n = min(_cpu_count(), len(jobs))
-    pooled = [] if n < 2 else [i for i in range(1, len(jobs)) if meanwhile or i % n]
+    pooled = [] if n < 2 else [i for i in range(1, len(jobs))
+                               if meanwhile is not None or i % n]
     pool, futures = None, {}
     try:
         if pooled:

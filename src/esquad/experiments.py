@@ -671,16 +671,10 @@ def verify_suite(config: dict) -> dict:
     under the "_artifacts" key; strip it before serializing.
     """
     cfg = validate_config(config)
-    results = {}
-
-    def evaluate(s: _Suite, traced: bool) -> None:
-        for row in _CHECKS:
-            if row.traced == traced:
-                results[row.check_id] = _evaluate(s, row)
-
-    s = _Suite(cfg, partial(evaluate, traced=False))
-    evaluate(s, traced=True)
-    checks = [results[row.check_id] for row in _CHECKS]
+    untraced = {}
+    s = _Suite(cfg, lambda s: untraced.update(
+        (row.check_id, _evaluate(s, row)) for row in _CHECKS if not row.traced))
+    checks = [_evaluate(s, row) if row.traced else untraced[row.check_id] for row in _CHECKS]
     count = {status: sum(c.status == status for c in checks)
              for status in ("pass", "fail", "skip")}
     return {
