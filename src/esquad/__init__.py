@@ -29,7 +29,6 @@ from .bounds import (
 )
 from .errors import (
     ConfigError,
-    DegenerateStart,
     DegenerateState,
     DimensionMismatch,
     DomainError,
@@ -44,7 +43,6 @@ from .es_core import (
     RunTrace,
     StepOutcome,
     alpha_schedule,
-    p_target,
     run,
     step,
 )

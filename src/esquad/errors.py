@@ -15,10 +15,6 @@ class DimensionMismatch(EsquadError):
     """Vector or matrix length does not match the problem dimension."""
 
 
-class DegenerateStart(EsquadError):
-    """A run was started exactly at the optimum."""
-
-
 class DegenerateState(EsquadError):
     """A state-dependent quantity is undefined because m equals the optimum."""
 

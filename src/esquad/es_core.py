@@ -88,7 +88,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateStart, NumericalFailure
+from .errors import NumericalFailure
 from .ioutil import atomic_write_text, dump_json
 from .quadratic import QuadraticProblem
 from .stochastic import (GENERATOR_ID, RandomStream, chi_square_matrix,
@@ -134,15 +134,11 @@ class EsParams:
 
     @property
     def p_target(self) -> float:
-        return p_target(self)
+        """Success probability at which the expected log step size is stationary."""
+        return math.log(1.0 / self.alpha_down) / self.log_ratio
 
     def to_json(self) -> dict:
         return {"alpha_up": self.alpha_up, "alpha_down": self.alpha_down}
-
-
-def p_target(params: EsParams) -> float:
-    """Success probability at which the expected log step size is stationary."""
-    return math.log(1.0 / params.alpha_down) / params.log_ratio
 
 
 def alpha_schedule(d: int, target: float = 0.2, c: float = 1.0) -> EsParams:
@@ -190,9 +186,7 @@ def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsPar
     The full-dimension reference for ``run``, with the same decrement-form
     decision and log f rule.
     """
-    y = np.asarray(state.m, dtype=float) - problem.optimum
-    if not np.any(y):
-        raise DegenerateStart("started exactly at the optimum")
+    y = problem.centered(state.m)
     lam = problem.spectrum.eigenvalues
     sigma = state.sigma
     z = np.asarray(z, dtype=float)
@@ -363,9 +357,7 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     every other row carries the last kept one forward.
     """
     groups = problem.eigen_groups()
-    y = np.asarray(state0.m, dtype=float) - problem.optimum
-    if not np.any(y):
-        raise DegenerateStart("started exactly at the optimum")
+    y = problem.centered(state0.m)
     u = problem.eigen_frame(y)
     # the centred point is u * 2**scale_exp in the eigenframe; start at
     # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow

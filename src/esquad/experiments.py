@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import TheoryConstants, constants as theory_constants
-from .errors import (ConfigError, DegenerateStart, InfeasibleBound, NumericalFailure,
+from .errors import (ConfigError, DegenerateState, InfeasibleBound, NumericalFailure,
                      config_errors)
 from .es_core import EsParams, EsState, RunTrace, run_many
 from .montecarlo import (
@@ -103,10 +103,9 @@ def default_sigma0(problem: QuadraticProblem, m0) -> float:
     """Step size inside the reasonable band up to constants:
     ||m0 - x*|| sqrt(L) / Tr(H)."""
     stats = spectrum_stats(problem)
-    y = np.asarray(m0, dtype=float) - problem.optimum
-    norm = _norm(y)
+    norm = _norm(problem.centered(m0))
     if norm == 0.0:
-        raise DegenerateStart("m0 coincides with the optimum")
+        raise DegenerateState("||m0 - x*|| underflows to 0")
     return norm * math.sqrt(stats.L) / stats.trace
 
 
@@ -223,13 +222,13 @@ SWEEP_COLUMNS = (
 
 def sweep(
     problems: Sequence[QuadraticProblem],
-    params: Union[EsParams, Callable[[QuadraticProblem], EsParams]],
+    params: Callable[[QuadraticProblem], EsParams],
     protocol: SweepProtocol,
 ) -> List[dict]:
     """One rate estimate per problem, plus the theorem constants where feasible.
 
-    ``params`` is either a fixed EsParams or a callable mapping a problem to
-    its multipliers (the usual choice scales alpha with the dimension).
+    ``params`` maps a problem to its multipliers (the usual choice scales
+    alpha with the dimension).
     Per-row failures land in the row's ``error`` entry and the sweep continues.
     The trials of all rows run as one ``run_many`` batch, so that the CPUs
     share them all; a run that fails there fails only its own row, and the
@@ -255,7 +254,7 @@ def sweep(
         }
         rows.append(row)
         try:
-            p = params(problem) if callable(params) else params
+            p = params(problem)
             rate_args = (problem, p, default_initial_state(problem), protocol.budget,
                          protocol.burn_in, protocol.trials, substream(stream, idx))
             pending.append((row, stats, p, rate_args))
@@ -419,8 +418,7 @@ def drift_check(problem: QuadraticProblem, state: EsState, regime: RegimeLabel,
     cap."""
     target = drift_target(regime, consts, params)
     cap = potential_step_cap(consts, params)
-    est, samples = estimate_drift_V(problem, state, consts, params, n, stream,
-                                    with_samples=True)
+    est, samples = estimate_drift_V(problem, state, consts, params, n, stream)
     gap = est.mean - target - 3 * est.std_error
     passed = gap <= 0.0 and bool(np.all(samples <= cap))
     return DriftCheck(passed, gap, target, cap, est, float(np.max(samples)))
@@ -448,7 +446,7 @@ class _Suite:
         # are independent, so they run as one batch.  They start from the
         # centred start rounded to a grid on which adding the integer shift is
         # exact, so the shifted run centres back to the very same start.
-        y0 = np.asarray(state0.m) - problem.optimum
+        y0 = problem.centered(state0.m)
         grid = 2.0 ** (math.frexp(float(np.max(np.abs(y0))) + problem.d)[1] - 52)
         y0 = np.round(y0 / grid) * grid
         shift = np.arange(1.0, problem.d + 1.0)
@@ -698,7 +696,7 @@ def verify_suite(config: dict) -> dict:
 def _regime_states(problem, stats, consts, m0):
     """One state per regime: far below the band, inside it (geometric mean of
     the edges), and far above it."""
-    y = np.asarray(m0, dtype=float) - problem.optimum
+    y = problem.centered(m0)
     f_val = problem.core_centered(y)
     grad_norm = problem.grad_norm_centered(y)
     thr_small = (

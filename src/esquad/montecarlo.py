@@ -48,7 +48,7 @@ from .bounds import TheoryConstants
 from .errors import DomainError, NumericalFailure
 from .es_core import EsParams
 from .potential import potential_from_logs
-from .quadratic import QuadraticProblem
+from .quadratic import QuadraticProblem, spectrum_stats
 from .stochastic import (RandomStream, chi_square_matrix, chi_square_source,
                          normal_matrix)
 
@@ -173,16 +173,12 @@ def estimate_drift_V(
     params: EsParams,
     n: int,
     stream: RandomStream,
-    with_samples: bool = False,
-):
-    """E[V(next) - V(current)] for one step from the given state.
-
-    With ``with_samples=True`` also returns the raw sample array, which the
-    pathwise-bound checks need.
-    """
+) -> Tuple[McEstimate, np.ndarray]:
+    """E[V(next) - V(current)] for one step from the given state, and the
+    raw samples, which the pathwise-bound checks need."""
     if n < 1000:
         raise DomainError("estimate_drift_V requires n >= 1000")
-    stats = problem.stats()
+    stats = spectrum_stats(problem)
     log_f = problem.log_core_centered(problem.centered(state.m))
     v_now = float(potential_from_logs(log_f, state.log_sigma, stats, constants))
 
@@ -195,7 +191,4 @@ def estimate_drift_V(
 
     samples = _sample(problem, state.m, math.exp(state.log_sigma), n, stream, drift)
     mean, se = _mean_se(samples)
-    est = McEstimate(mean, se, n, "drift_V/plain-v3")
-    if with_samples:
-        return est, samples
-    return est
+    return McEstimate(mean, se, n, "drift_V/plain-v3"), samples

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import TheoryConstants
-from .quadratic import QuadraticProblem, SpectrumStats
+from .quadratic import QuadraticProblem, SpectrumStats, spectrum_stats
 
 if TYPE_CHECKING:
     from .es_core import EsParams, EsState
@@ -77,7 +77,7 @@ def classify(
         problem.log_core_centered(y),
         problem.log_grad_norm_centered(y),
         state.log_sigma,
-        problem.stats(),
+        spectrum_stats(problem),
         constants,
     )
 
@@ -101,7 +101,7 @@ def potential_value(
     """V(state) >= log f(m), computed without exponentiating."""
     y = problem.centered(state.m)
     return potential_from_logs(
-        problem.log_core_centered(y), state.log_sigma, problem.stats(), constants
+        problem.log_core_centered(y), state.log_sigma, spectrum_stats(problem), constants
     )
 
 

@@ -3,7 +3,9 @@
 A problem is ``f(x) = g(h(x))`` where the core is ``h(x) = 0.5 (x - x*)^T H (x - x*)``
 and ``g`` is a strictly increasing transform.  ``H`` is represented by its
 eigenvalues plus an optional orthogonal rotation, so the diagonal case stays the
-fast path.  The factor 1/2 belongs to the core everywhere in this package; a
+fast path.  A rotation is drawn from its seed when the problem is built: the
+seed is what a problem stores and serialises, and the matrix follows from it.
+The factor 1/2 belongs to the core everywhere in this package; a
 plain quadratic form without it is just another monotone transform of the core.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,8 +24,6 @@ from .errors import (
     DomainError,
     InvalidSpectrum,
 )
-
-ORTHOGONALITY_TOL = 1e-10
 
 _TRANSFORM_NAMES = ("identity", "affine", "sqrt", "log1p", "cube")
 
@@ -156,13 +156,17 @@ class EigenGroups:
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """A member of the convex quadratic family, immutable after construction."""
+    """A member of the convex quadratic family, immutable after construction.
+
+    ``rotation`` is drawn from ``rotation_seed`` by every construction, so
+    also by ``dataclasses.replace``, to the same bits; None without a seed.
+    """
 
     spectrum: Spectrum
     optimum: np.ndarray
     transform: MonotoneTransform = IDENTITY
-    rotation: Optional[np.ndarray] = None
     rotation_seed: Optional[int] = None
+    rotation: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         opt = np.asarray(self.optimum, dtype=float)
@@ -170,19 +174,21 @@ class QuadraticProblem:
             raise DimensionMismatch(
                 f"optimum has shape {opt.shape}, expected ({self.spectrum.d},)"
             )
+        if not np.all(np.isfinite(opt)):
+            raise DomainError("optimum must be finite")
         opt = opt.copy()
         opt.setflags(write=False)
         object.__setattr__(self, "optimum", opt)
-        if self.rotation is not None:
-            rot = np.asarray(self.rotation, dtype=float)
-            d = self.spectrum.d
-            if rot.shape != (d, d):
-                raise DimensionMismatch("rotation must be d x d")
-            if np.max(np.abs(rot.T @ rot - np.eye(d))) > ORTHOGONALITY_TOL:
-                raise InvalidSpectrum("rotation is not orthogonal within 1e-10")
-            rot = rot.copy()
-            rot.setflags(write=False)
-            object.__setattr__(self, "rotation", rot)
+        rotation = None
+        if self.rotation_seed is not None:
+            from .stochastic import RandomStream, random_rotation
+
+            object.__setattr__(self, "rotation_seed", int(self.rotation_seed))
+            rotation = random_rotation(
+                RandomStream(self.rotation_seed, path=(0x726F74,)), self.spectrum.d
+            )
+            rotation.setflags(write=False)
+        object.__setattr__(self, "rotation", rotation)
 
     @property
     def d(self) -> int:
@@ -195,7 +201,8 @@ class QuadraticProblem:
         return x
 
     def centered(self, m) -> np.ndarray:
-        """y = m - x* of a state's mean, which must be finite and not x*."""
+        """y = m - x* of a state's mean, which must have length d, be finite
+        and not be x*; every state is centred here."""
         y = self._check_dim(m) - self.optimum
         if not np.all(np.isfinite(y)):
             raise DomainError("m - x* must be finite")
@@ -273,9 +280,6 @@ class QuadraticProblem:
         s = g / mx
         return math.log(mx) + 0.5 * math.log(einsum_dot(s, s))
 
-    def stats(self) -> SpectrumStats:
-        return spectrum_stats(self)
-
     def to_json(self) -> dict:
         return {
             "eigenvalues": [float(v) for v in self.spectrum.eigenvalues],
@@ -301,20 +305,7 @@ def make_problem(
     spectrum = Spectrum(np.asarray(eigenvalues, dtype=float))
     if np.isscalar(optimum) and optimum == 0:
         optimum = np.zeros(spectrum.d)
-    rotation = None
-    if rotation_seed is not None:
-        from .stochastic import RandomStream, random_rotation
-
-        rotation = random_rotation(
-            RandomStream(int(rotation_seed), path=(0x726F74,)), spectrum.d
-        )
-    return QuadraticProblem(
-        spectrum=spectrum,
-        optimum=np.asarray(optimum, dtype=float),
-        transform=transform,
-        rotation=rotation,
-        rotation_seed=None if rotation_seed is None else int(rotation_seed),
-    )
+    return QuadraticProblem(spectrum, optimum, transform, rotation_seed)
 
 
 def problem_from_json(obj) -> QuadraticProblem:

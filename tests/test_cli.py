@@ -274,6 +274,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("key,value", [
         ("rotation_seed", True), ("rotation_seed", 1.5), ("rotaton_seed", 4),
+        ("optimum", [0.0] * 15 + [math.nan]),
     ])
     def test_bad_problem_exits_two_before_running(self, tmp_path, capsys,
                                                   monkeypatch, key, value):
@@ -424,12 +425,13 @@ BOUNDS_D8 = ["bounds", "--d", "8", "--spectrum", "sphere"]
 ALPHAS = ["--alpha-up", "1.1", "--alpha-down", "0.97"]
 RUN_D8 = ["run", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--budget", "20"]
 PROBLEM = "<problem.json>"  # test_exits_two puts a d=6 problem file here
-# and d=6 problem files with these malformed transforms at these names
-BAD_TRANSFORMS = {
-    "<affine-a-true.json>": {"name": "affine", "a": True, "b": 0},
-    "<affine-b-nan.json>": {"name": "affine", "a": 2, "b": math.nan},
-    "<affine-extra-key.json>": {"name": "affine", "a": 2, "b": 0, "c": 5},
-    "<affine-a-string.json>": {"name": "affine", "a": "2", "b": 0},
+# and d=6 problem files with these malformed entries at these names
+BAD_PROBLEMS = {
+    "<affine-a-true.json>": {"transform": {"name": "affine", "a": True, "b": 0}},
+    "<affine-b-nan.json>": {"transform": {"name": "affine", "a": 2, "b": math.nan}},
+    "<affine-extra-key.json>": {"transform": {"name": "affine", "a": 2, "b": 0, "c": 5}},
+    "<affine-a-string.json>": {"transform": {"name": "affine", "a": "2", "b": 0}},
+    "<optimum-inf.json>": {"optimum": [0.0] * 5 + [math.inf]},
 }
 
 
@@ -468,6 +470,7 @@ class TestMalformedValues:
         (["run", "--problem", "<affine-b-nan.json>", *ALPHAS], None),
         (["run", "--problem", "<affine-extra-key.json>", *ALPHAS], None),
         (["bounds", "--problem", "<affine-a-string.json>", *ALPHAS], None),
+        (["run", "--problem", "<optimum-inf.json>", *ALPHAS], None),
     ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "cigar-nan", "d-zero",
             "dims-x", "target-two", "trials-zero", "budget-negative",
             "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
@@ -475,7 +478,7 @@ class TestMalformedValues:
             "problem-and-spectrum", "problem-and-d", "problem-and-rotation-seed",
             "problem-and-config-d", "problem-and-all-three", "problem-and-config-spectrum",
             "transform-a-true", "transform-b-nan", "transform-extra-key",
-            "transform-a-string"])
+            "transform-a-string", "optimum-inf"])
     def test_exits_two(self, tmp_path, capsys, monkeypatch, argv, config):
         def no_runs(*args, **kwargs):
             raise AssertionError("ran before rejecting a malformed value")
@@ -486,9 +489,9 @@ class TestMalformedValues:
         state.write_text(json.dumps({"m": [1.0] * 8, "log_sigma": -2.0}))
         doc = eq.make_problem(eq.sphere(6), 0).to_json()
         files = {}
-        for name, transform in {PROBLEM: doc["transform"], **BAD_TRANSFORMS}.items():
+        for name, entries in {PROBLEM: {}, **BAD_PROBLEMS}.items():
             files[name] = tmp_path / name.strip("<>")
-            files[name].write_text(json.dumps({**doc, "transform": transform}))
+            files[name].write_text(json.dumps({**doc, **entries}))
         out = str(tmp_path / "o.csv")
         argv = [str(files[a]) if a in files else a for a in argv]
         argv += {"bounds": [], "drift": ["--state", str(state)],

@@ -98,10 +98,25 @@ class TestRun:
 
     def test_degenerate_start(self):
         p = eq.make_problem(eq.sphere(3), 0)
-        with pytest.raises(eq.DegenerateStart):
+        with pytest.raises(eq.DegenerateState):
             eq.run(p, eq.EsState(np.zeros(3), 0.0), PARAMS, 10, eq.RandomStream(0))
-        with pytest.raises(eq.DegenerateStart):
+        with pytest.raises(eq.DegenerateState):
             eq.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_start_of_wrong_length(self, length):
+        # a start of length 1 once broadcast to (1, 1, 1, 1) and ran
+        p = eq.make_problem(eq.sphere(4), 0)
+        state = eq.EsState(np.ones(length), 0.0)
+        with pytest.raises(eq.DimensionMismatch):
+            eq.run(p, state, PARAMS, 10, eq.RandomStream(0))
+        with pytest.raises(eq.DimensionMismatch):
+            eq.step(state, np.ones(4), p, PARAMS)
+        with pytest.raises(eq.DimensionMismatch):
+            eq.default_sigma0(p, np.ones(length))
+        with pytest.raises(eq.DimensionMismatch) as failure:
+            es_core.run_many([(p, state, PARAMS, 10, eq.RandomStream(0))])
+        assert failure.value.job_index == 0
 
     @REDUCED_CHAIN_CASES
     def test_matches_step_loop_in_law(self, lam, rotation_seed):
@@ -569,13 +584,13 @@ class TestRunMany:
         jobs = _jobs(4)
         p, state, *rest = jobs[1]  # job 1 runs in a worker
         jobs[1] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
-        with pytest.raises(eq.DegenerateStart):
+        with pytest.raises(eq.DegenerateState):
             es_core.run_many(jobs)
         assert multiprocessing.active_children() == []
         # the first failing job in job order raises: job 1 before job 2
         p, state, params, _, stream = jobs[2]  # job 2 runs in the caller
         jobs[2] = (p, state, params, -1, stream)
-        with pytest.raises(eq.DegenerateStart):
+        with pytest.raises(eq.DegenerateState):
             es_core.run_many(jobs)
         jobs[0], jobs[2] = jobs[2], jobs[0]
         with pytest.raises(ValueError, match="budget"):
@@ -592,7 +607,7 @@ class TestRunMany:
         for bad in (4, 1):  # job 1 runs in a worker on two CPUs
             p, state, *rest = jobs[bad]
             jobs[bad] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
-            with pytest.raises(eq.DegenerateStart) as failure:
+            with pytest.raises(eq.DegenerateState) as failure:
                 es_core.run_many(jobs)
             assert failure.value.job_index == bad
 
@@ -635,7 +650,7 @@ class TestRunMany:
             jobs = _jobs(4)
             p, state, *rest = jobs[bad]
             jobs[bad] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
-            with pytest.raises(eq.DegenerateStart) as failure:
+            with pytest.raises(eq.DegenerateState) as failure:
                 es_core.run_many(jobs, meanwhile=lambda: None)
             assert failure.value.job_index == bad
             assert multiprocessing.active_children() == []

@@ -117,7 +117,7 @@ class TestSweep:
 
     def test_empty_rejected(self):
         with pytest.raises(eq.ConfigError):
-            eq.sweep([], eq.alpha_schedule(4), SweepProtocol(10, 1, 1, 0))
+            eq.sweep([], lambda p: eq.alpha_schedule(4), SweepProtocol(10, 1, 1, 0))
 
 
 class TestValidateConfig:
@@ -365,7 +365,7 @@ class TestCpuCount:
         rows = []
         for n in (1, 2):
             cpus(n)
-            rows.append(eq.sweep(problems, params, protocol))
+            rows.append(eq.sweep(problems, lambda p: params, protocol))
         assert rows[0][0]["error"] == "NumericalFailure: non-finite core decrement at step 2"
         assert rows[1] == rows[0]
         assert rows[1][1]["a_hat"] is not None
@@ -400,11 +400,11 @@ class TestCpuCount:
     def test_killed_worker_fails_one_sweep_row_only(self, cpus, monkeypatch):
         problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
         protocol = SweepProtocol(budget=400, burn_in=40, trials=2, seed=3)
-        serial = eq.sweep(problems, eq.alpha_schedule(8), protocol)
+        serial = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
         cpus(2)
         # the sweep's job 1, row 0's trial 1, runs in the worker
         row0 = substream(eq.RandomStream(3, path=(0x5357,)), 0)
         kill_worker_on(monkeypatch, substream(row0, 1).path)
-        rows = eq.sweep(problems, eq.alpha_schedule(8), protocol)
+        rows = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
         assert rows[0]["error"].startswith("BrokenProcessPool")
         assert rows[1:] == serial[1:]

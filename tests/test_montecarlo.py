@@ -102,7 +102,7 @@ class TestDriftV:
         state = eq.default_initial_state(sphere256)
         est, samples = eq.estimate_drift_V(
             sphere256, state, constants256, params256, 2000,
-            eq.RandomStream(9), with_samples=True,
+            eq.RandomStream(9),
         )
         cap = eq.potential_step_cap(constants256, params256)
         assert np.all(samples <= cap)
@@ -144,7 +144,7 @@ class TestEstimatorContracts:
                 eq.estimate_log_progress(p, m, 0.4, 1000, eq.RandomStream(78)),
                 eq.estimate_exp_abs(p, m, 0.4, 1000, eq.RandomStream(79)),
                 eq.estimate_drift_V(p, state, constants256, params256,
-                                    1000, eq.RandomStream(80)),
+                                    1000, eq.RandomStream(80))[0],
             )
 
         ref = [all_four(p) for p in problems]

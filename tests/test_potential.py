@@ -209,7 +209,7 @@ class TestDriftMonteCarlo:
         assert eq.classify(state, sphere256, constants256) is regime
         est, samples = eq.estimate_drift_V(
             sphere256, state, constants256, params256, 20000,
-            eq.RandomStream(41), with_samples=True,
+            eq.RandomStream(41),
         )
         target = eq.drift_target(regime, constants256, params256)
         assert est.mean <= target + 3 * est.std_error

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ class TestMakeProblem:
     def test_dimension_mismatch(self):
         with pytest.raises(eq.DimensionMismatch):
             eq.make_problem([1, 1], (0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_optimum_must_be_finite(self, bad):
+        with pytest.raises(eq.DomainError, match="optimum must be finite"):
+            eq.make_problem([1, 1], (0.0, bad))
 
     def test_eigenvalues_sorted_descending(self):
         p = eq.make_problem([1, 5, 2], 0)
@@ -194,6 +200,17 @@ class TestSerialization:
         assert q.transform == p.transform
         assert q.rotation_seed == 9
         assert np.array_equal(q.rotation, p.rotation)
+
+    def test_rotation_is_drawn_from_its_seed(self):
+        p = eq.make_problem(eq.ellipsoid(32, 10.0), 0, rotation_seed=3)
+        moved = replace(p, optimum=np.arange(32.0))
+        loaded = eq.problem_from_json(json.dumps(p.to_json()))
+        for q in (moved, loaded):
+            assert q.rotation.tobytes() == p.rotation.tobytes()
+        assert not p.rotation.flags.writeable
+        assert eq.make_problem([2, 1], 0).rotation is None
+        with pytest.raises(TypeError):
+            eq.QuadraticProblem(p.spectrum, p.optimum, rotation=p.rotation)
 
     def test_schema_shape(self):
         p = eq.make_problem([1, 1], 0)
