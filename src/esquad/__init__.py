@@ -69,7 +69,6 @@ from .potential import (
     drift_target,
     potential_step_cap,
     potential_step_floor,
-    potential_value,
 )
 from .quadratic import (
     IDENTITY,

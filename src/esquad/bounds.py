@@ -300,6 +300,14 @@ class TheoryConstants:
         return {k: float(v) for k, v in asdict(self).items()}
 
 
+def rate_cap(stats: SpectrumStats) -> float:
+    """cond / (2 (d - 3)), the almost-sure cap on the per-step decrease of
+    log distance; defined for d > 3."""
+    if stats.d <= 3:
+        raise DomainError("rate_cap requires d > 3")
+    return stats.cond / (2.0 * (stats.d - 3))
+
+
 def _band_gain(stats: SpectrumStats, bh: float, bl: float, floor: float) -> float:
     return (stats.L * bh / (2.0 * stats.trace)) * (FOUR_OVER_SQRT_2PI - bl) * floor
 
@@ -326,8 +334,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
             f"trace condition failed: ratio {r:.6g} >= threshold "
             f"{trace_condition_threshold():.6g}"
         )
-    if stats.d <= 3:
-        raise DomainError("rate_cap requires d > 3")
+    cap = rate_cap(stats)
     pt = params.p_target
     if not pt < 0.5:
         raise InfeasibleBound("q_condition1: p_target must be < 1/2 to admit q_high")
@@ -419,7 +426,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         b_large=math.sqrt(2.0) * bl * params.alpha_down,
         drift_bound=min(w / 4.0, log_ratio)
         * min(pt - q_low_star, q_high_star - pt),
-        rate_cap=stats.cond / (2.0 * (stats.d - 3)),
+        rate_cap=cap,
     )
     result.validate(params)
     return result
@@ -441,8 +448,8 @@ def quality_gain_bound(
     return lead * bracket * p_succ
 
 
-def exp_moment_bound(stats: SpectrumStats, d: int) -> float:
+def exp_moment_bound(stats: SpectrumStats) -> float:
     """Bound 1 + U / ((d - 3) L) on E[exp(|log f-ratio| * 1{accept})]."""
-    if d <= 3:
+    if stats.d <= 3:
         raise DomainError("exp_moment_bound requires d > 3")
-    return 1.0 + stats.cond / (d - 3.0)
+    return 1.0 + stats.cond / (stats.d - 3.0)

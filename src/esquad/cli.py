@@ -263,7 +263,8 @@ def _cmd_run(args) -> int:
     problem, params = _inputs(args)
     if args.budget < 0:
         raise ConfigError("--budget must be >= 0")
-    state0 = default_initial_state(problem)
+    with config_errors("problem"):
+        state0 = default_initial_state(problem)
     if args.sigma0 is not None:
         with config_errors(f"--sigma0 {args.sigma0!r}"):
             state0 = EsState(state0.m, math.log(args.sigma0))
@@ -323,7 +324,9 @@ def _cmd_drift(args) -> int:
 def _cmd_rate(args) -> int:
     problem, params = _inputs(args)
     burn_in = args.burn_in if args.burn_in is not None else args.budget // 10
-    est, trace = measure_rate(problem, params, default_initial_state(problem),
+    with config_errors("problem"):
+        state0 = default_initial_state(problem)
+    est, trace = measure_rate(problem, params, state0,
                               args.budget, burn_in, args.trials, RandomStream(args.seed))
     if args.svg:
         svg_line_plot(args.svg, trace.t, trace.log_f, "log f",

@@ -90,7 +90,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .ioutil import atomic_write_text, dump_json
-from .quadratic import QuadraticProblem
+from .quadratic import QuadraticProblem, log_norms
 from .stochastic import (GENERATOR_ID, RandomStream, chi_square_matrix,
                          chi_square_source, companion_stream, normal_matrix,
                          normal_vector)
@@ -154,7 +154,7 @@ def alpha_schedule(d: int, target: float = 0.2, c: float = 1.0) -> EsParams:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EsState:
     """Algorithm state: search point m and log step size."""
 
@@ -436,7 +436,7 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
             points.append(u * 2.0**scale_exp)
 
     def take_log_norms():
-        log_norm.extend(n + e * _LN2 for n, e in zip(_log_norms(np.array(norms)), exps))
+        log_norm.extend(n + e * _LN2 for n, e in zip(log_norms(np.array(norms)), exps))
         norms.clear()
         exps.clear()
 
@@ -493,7 +493,7 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
             core = 0.5 * dots[0]
             log_sigma += log_up
             if core == 0.0 or delta <= -0.5 * core_old:
-                cur_log_f = math.log(0.5) + 2.0 * (_log_norms((sqrt_lam * r)[None])[0] + shift)
+                cur_log_f = math.log(0.5) + 2.0 * (log_norms((sqrt_lam * r)[None])[0] + shift)
             else:
                 cur_log_f += math.log1p(delta / core_old)
             keep(t)
@@ -609,7 +609,7 @@ def _lift(u, r, along, across, r_new, groups, stream):
 
 
 def _log_norm2(a: float, b: float) -> float:
-    """``_log_norms`` of the one row (a, b), on floats.
+    """``quadratic.log_norms`` of the one row (a, b), on floats.
 
     There the larger entry divides to 1.0, so the sum of squares is 1.0 plus
     the smaller one's square, and with a zero entry log 1.0 adds 0.0."""
@@ -619,14 +619,3 @@ def _log_norm2(a: float, b: float) -> float:
         return math.log(a) if a > 0.0 else -math.inf
     b /= a
     return math.log(a) + 0.5 * math.log(1.0 + b * b)
-
-
-def _log_norms(v: np.ndarray) -> list:
-    """log |v_i| of each row of a nonnegative 2-d array, stable for tiny or
-    huge entries; -inf for a zero row.  The rows' squared norms are einsum
-    sums, and only ``math.log`` reaches the result."""
-    v_max = v.max(axis=1)
-    s = v / np.where(v_max > 0.0, v_max, 1.0)[:, None]
-    squares = np.einsum("ij,ij->i", s, s).tolist()
-    return [math.log(m) + 0.5 * math.log(x) if m > 0.0 else -math.inf
-            for m, x in zip(v_max.tolist(), squares)]

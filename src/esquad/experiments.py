@@ -29,8 +29,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import TheoryConstants, constants as theory_constants
-from .errors import (ConfigError, DegenerateState, InfeasibleBound, NumericalFailure,
-                     config_errors)
+from .errors import (ConfigError, DegenerateState, DomainError, InfeasibleBound,
+                     NumericalFailure, config_errors)
 from .es_core import EsParams, EsState, RunTrace, run_many
 from .montecarlo import (
     McEstimate,
@@ -39,7 +39,7 @@ from .montecarlo import (
     estimate_log_progress,
     estimate_success_prob,
 )
-from .potential import RegimeLabel, drift_target, potential_step_cap
+from .potential import RegimeLabel, band_edges, drift_target, potential_step_cap
 from .quadratic import (
     CUBE,
     LOG1P,
@@ -110,8 +110,15 @@ def default_sigma0(problem: QuadraticProblem, m0) -> float:
 
 
 def default_initial_state(problem: QuadraticProblem) -> EsState:
-    """Unit-distance start along the all-ones direction with the default sigma."""
+    """Unit-distance start along the all-ones direction with the default sigma.
+
+    Raises DomainError when x* is so large that the offset rounds away in
+    some coordinate, since the start would then lie off that direction."""
     m0 = np.ones(problem.d) / math.sqrt(problem.d) + problem.optimum
+    if np.any(m0 == problem.optimum):
+        raise DomainError(
+            f"the default start x* + (1, ..., 1)/sqrt(d) rounds to x* in some coordinate: "
+            f"max |x*_i| = {float(np.max(np.abs(problem.optimum))):.3g}")
     return EsState(m0, math.log(default_sigma0(problem, m0)))
 
 
@@ -277,7 +284,7 @@ def sweep(
             row["ci_low"] = est.ci_low
             row["ci_high"] = est.ci_high
             if stats.d > 3:
-                row["lower_const"] = stats.cond / (2.0 * (stats.d - 3))
+                row["lower_const"] = bounds_mod.rate_cap(stats)
             try:
                 row["B_half"] = theory_constants(stats, p).drift_bound / 2.0
             except InfeasibleBound as exc:
@@ -361,6 +368,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("params section must have exactly alpha_up and alpha_down")
     with config_errors("problem or params"):
         problem = problem_from_json(config["problem"])
+        default_initial_state(problem)  # raises when x* rounds the start away
         params = EsParams(float(pcfg["alpha_up"]), float(pcfg["alpha_down"]))
     return {
         "seed": config["seed"],
@@ -510,11 +518,11 @@ def _unit_point(problem: QuadraticProblem, stream: RandomStream):
     """A random point at distance 1 from the optimum, and its gradient norm."""
     direction = normal_vector(stream, problem.d)
     point = problem.optimum + direction / max(_norm(direction), 1e-12)
-    return point, _norm(problem.gradient_core(point))
+    return point, problem.grad_norm_centered(problem.centered(point))
 
 
 def _success_sandwich(s: _Suite, n: int, attempt: int) -> tuple:
-    grad_norm = _norm(s.problem.gradient_core(s.state0.m))
+    grad_norm = s.problem.grad_norm_centered(s.problem.centered(s.state0.m))
     worst_gap = -math.inf
     notes = []
     base = substream(s.root, _LBL_SANDWICH + attempt)
@@ -544,7 +552,7 @@ def _quality_gain(s: _Suite, n: int, attempt: int) -> tuple:
 
 
 def _exp_moment(s: _Suite, n: int, attempt: int) -> tuple:
-    bound = bounds_mod.exp_moment_bound(s.stats, s.stats.d)
+    bound = bounds_mod.exp_moment_bound(s.stats)
     worst_gap = -math.inf
     base = substream(s.root, _LBL_EXP_MOMENT + attempt)
     for k in range(4):
@@ -566,7 +574,7 @@ def _drift(regime: RegimeLabel):
     """The evaluator of the drift row of ``regime``."""
 
     def evaluate(s: _Suite, n: int, attempt: int) -> tuple:
-        state = _regime_states(s.problem, s.stats, s.consts, s.state0.m)[regime]
+        state = _regime_states(s.problem, s.consts, s.state0.m)[regime]
         res = drift_check(s.problem, state, regime, s.consts, s.params, max(n, 1000),
                           substream(s.root, _LBL_DRIFT[regime] + 10 * attempt))
         return res.passed, res.gap, res.target, (
@@ -581,7 +589,7 @@ def _rate_se(s: _Suite) -> float:
 
 
 def _rate_upper_cap(s: _Suite, n: int, attempt: int) -> tuple:
-    cap = s.stats.cond / (2.0 * (s.stats.d - 3))
+    cap = bounds_mod.rate_cap(s.stats)
     return s.rate.a_hat <= cap + 3.0 * _rate_se(s), s.rate.a_hat, cap, ""
 
 
@@ -631,8 +639,7 @@ _CHECKS = (
            lambda s: s.infeasible),
     *(_Check(f"drift_{regime.value}", "3 SE + exact pathwise cap", _drift(regime), True,
              False, _feasible) for regime in _LBL_DRIFT),
-    _Check("rate_upper_cap", "3 trial SE", _rate_upper_cap, False, True,
-           lambda s: None if s.stats.d > 3 else "requires d > 3"),
+    _Check("rate_upper_cap", "3 trial SE", _rate_upper_cap, False, True, _d_above_3),
     _Check("rate_lower_bound", "3 trial SE", _rate_lower_bound, False, True, _feasible),
     _Check("bound_limits", "1e-3 absolute", _bound_limits, False, False, None),
 )
@@ -693,23 +700,12 @@ def verify_suite(config: dict) -> dict:
     }
 
 
-def _regime_states(problem, stats, consts, m0):
-    """One state per regime: far below the band, inside it (geometric mean of
-    the edges), and far above it."""
-    y = problem.centered(m0)
-    f_val = problem.core_centered(y)
-    grad_norm = problem.grad_norm_centered(y)
-    thr_small = (
-        math.sqrt(2.0)
-        * consts.b_high_at_qhigh
-        * math.sqrt(stats.L * f_val)
-        / stats.trace
-    )
-    thr_large = consts.b_low_at_qlow * grad_norm / stats.trace
+def _regime_states(problem, consts, m0):
+    """One state per regime: far below the band, inside it (the mean of the
+    log edges), and far above it."""
+    log_small, log_large = band_edges(problem, problem.centered(m0), consts)
     return {
-        RegimeLabel.SMALL_STEP: EsState(m0, math.log(thr_small) - 3.0),
-        RegimeLabel.REASONABLE: EsState(
-            m0, 0.5 * (math.log(thr_small) + math.log(thr_large))
-        ),
-        RegimeLabel.LARGE_STEP: EsState(m0, math.log(thr_large) + 3.0),
+        RegimeLabel.SMALL_STEP: EsState(m0, log_small - 3.0),
+        RegimeLabel.REASONABLE: EsState(m0, 0.5 * (log_small + log_large)),
+        RegimeLabel.LARGE_STEP: EsState(m0, log_large + 3.0),
     }

@@ -8,17 +8,18 @@ is far too small or far too large for the current distance to the optimum:
 
 with log+(x) = log(x) for x >= 1 and 0 otherwise.  Because b_small < b_large,
 at most one penalty is active at a time.  The state space splits into three
-regimes by where sigma sits relative to the band; inside the band the expected
-log-f decrease is guaranteed, outside it the active penalty shrinks in
-expectation.  All formulas work on log f and log sigma directly so they remain
-exact arbitrarily deep into a run.
+regimes by where sigma sits relative to the band (``band_edges``, ``classify``);
+inside the band the expected log-f decrease is guaranteed, outside it the
+active penalty shrinks in expectation.  All formulas work on log f and
+log sigma directly (``potential_from_logs``) so they remain exact arbitrarily
+deep into a run.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -37,49 +38,44 @@ class RegimeLabel(Enum):
     REASONABLE = "reasonable"
 
 
-def classify_from_logs(
-    log_f: float,
-    log_grad_norm: float,
-    log_sigma: float,
-    stats: SpectrumStats,
-    constants: TheoryConstants,
-) -> RegimeLabel:
-    """Regime of a state given log f, log ||grad|| and log sigma.
+def band_edges(
+    problem: QuadraticProblem, y: np.ndarray, constants: TheoryConstants
+) -> Tuple[float, float]:
+    """log of the two band edges at the centred point y, (small, large).
 
-    The boundaries are the band edges of the analysis; the alpha factors in
-    b_small and b_large cancel against the hypotheses' alpha factors, leaving
-    thresholds sqrt(2) b_high(q_high) sqrt(L f)/Tr and b_low(q_low) ||grad||/Tr.
-    Boundary states (equalities) classify as REASONABLE.
+    The alpha factors in b_small and b_large cancel against the hypotheses'
+    alpha factors, leaving the edges sqrt(2) b_high(q_high) sqrt(L f)/Tr and
+    b_low(q_low) ||grad||/Tr.  Computed from log f and log ||grad||, so they
+    stay finite where f underflows.
     """
-    log_thr_small = (
+    stats = spectrum_stats(problem)
+    log_small = (
         math.log(_SQRT2)
         + math.log(constants.b_high_at_qhigh)
-        + 0.5 * (math.log(stats.L) + log_f)
+        + 0.5 * (math.log(stats.L) + problem.log_core_centered(y))
         - math.log(stats.trace)
     )
-    if log_sigma < log_thr_small:
-        return RegimeLabel.SMALL_STEP
-    log_thr_large = (
-        math.log(constants.b_low_at_qlow) + log_grad_norm - math.log(stats.trace)
+    log_large = (
+        math.log(constants.b_low_at_qlow)
+        + problem.log_grad_norm_centered(y)
+        - math.log(stats.trace)
     )
-    if log_sigma > log_thr_large:
-        return RegimeLabel.LARGE_STEP
-    return RegimeLabel.REASONABLE
+    return log_small, log_large
 
 
 def classify(
     state: "EsState", problem: QuadraticProblem, constants: TheoryConstants
 ) -> RegimeLabel:
-    """Regime of an algorithm state; the two thresholds never overlap because
-    b_small < b_large and sqrt(2 L f) <= ||grad||."""
-    y = problem.centered(state.m)
-    return classify_from_logs(
-        problem.log_core_centered(y),
-        problem.log_grad_norm_centered(y),
-        state.log_sigma,
-        spectrum_stats(problem),
-        constants,
-    )
+    """Regime of an algorithm state by where log sigma sits against
+    ``band_edges``; the edges never overlap because b_small < b_large and
+    sqrt(2 L f) <= ||grad||.  Boundary states (equalities) classify as
+    REASONABLE."""
+    log_small, log_large = band_edges(problem, problem.centered(state.m), constants)
+    if state.log_sigma < log_small:
+        return RegimeLabel.SMALL_STEP
+    if state.log_sigma > log_large:
+        return RegimeLabel.LARGE_STEP
+    return RegimeLabel.REASONABLE
 
 
 def potential_from_logs(log_f, log_sigma, stats: SpectrumStats, constants: TheoryConstants):
@@ -93,16 +89,6 @@ def potential_from_logs(log_f, log_sigma, stats: SpectrumStats, constants: Theor
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def potential_value(
-    state: "EsState", problem: QuadraticProblem, constants: TheoryConstants
-) -> float:
-    """V(state) >= log f(m), computed without exponentiating."""
-    y = problem.centered(state.m)
-    return potential_from_logs(
-        problem.log_core_centered(y), state.log_sigma, spectrum_stats(problem), constants
-    )
 
 
 def drift_target(

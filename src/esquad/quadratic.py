@@ -36,6 +36,17 @@ def einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def log_norms(v: np.ndarray) -> list:
+    """log |v_i| of each row of a nonnegative 2-d array, stable for tiny or
+    huge entries; -inf for a zero row.  The rows' squared norms are einsum
+    sums, and only ``math.log`` reaches the result."""
+    v_max = v.max(axis=1)
+    s = v / np.where(v_max > 0.0, v_max, 1.0)[:, None]
+    squares = np.einsum("ij,ij->i", s, s).tolist()
+    return [math.log(m) + 0.5 * math.log(x) if m > 0.0 else -math.inf
+            for m, x in zip(v_max.tolist(), squares)]
+
+
 @dataclass(frozen=True)
 class MonotoneTransform:
     """Strictly increasing map applied to the nonnegative quadratic core.
@@ -101,7 +112,7 @@ LOG1P = MonotoneTransform("log1p")
 CUBE = MonotoneTransform("cube")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Positive eigenvalues of the Hessian, sorted descending."""
 
@@ -135,7 +146,7 @@ class SpectrumStats:
     ratio: float      # trace_sq / trace**2, the Gaussianity parameter of z^T H z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenGroups:
     """The distinct eigenvalues of H, ascending, with their multiplicities n_k
     and the group k of each eigenframe coordinate.
@@ -154,19 +165,21 @@ class EigenGroups:
         return np.sqrt(np.bincount(self.index, weights=u * u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """A member of the convex quadratic family, immutable after construction.
 
     ``rotation`` is drawn from ``rotation_seed`` by every construction, so
     also by ``dataclasses.replace``, to the same bits; None without a seed.
+    Problems compare and hash by identity, since their fields hold arrays;
+    ``to_json`` gives a comparable value.
     """
 
     spectrum: Spectrum
     optimum: np.ndarray
     transform: MonotoneTransform = IDENTITY
     rotation_seed: Optional[int] = None
-    rotation: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    rotation: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         opt = np.asarray(self.optimum, dtype=float)
@@ -256,14 +269,6 @@ class QuadraticProblem:
         """Objective value g(core(x)) with the problem's transform."""
         return self.transform.apply(self.core(x))
 
-    def gradient_core(self, x) -> np.ndarray:
-        """Gradient H (x - x*) of the untransformed core."""
-        u = self.eigen_frame(self._check_dim(x) - self.optimum)
-        g = self.spectrum.eigenvalues * u
-        if self.rotation is None:
-            return g
-        return self.rotation @ g
-
     def grad_norm_centered(self, y: np.ndarray) -> float:
         """Euclidean norm of the core gradient at a centered point."""
         u = self.eigen_frame(y)
@@ -272,13 +277,7 @@ class QuadraticProblem:
 
     def log_grad_norm_centered(self, y: np.ndarray) -> float:
         """log of the core gradient norm, stable for tiny or huge y."""
-        u = self.eigen_frame(y)
-        g = self.spectrum.eigenvalues * u
-        mx = float(np.max(np.abs(g)))
-        if mx == 0.0:
-            return -math.inf
-        s = g / mx
-        return math.log(mx) + 0.5 * math.log(einsum_dot(s, s))
+        return log_norms(np.abs(self.spectrum.eigenvalues * self.eigen_frame(y))[None])[0]
 
     def to_json(self) -> dict:
         return {

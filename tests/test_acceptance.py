@@ -133,7 +133,7 @@ def test_criterion_03_success_sandwich():
         problem = eq.make_problem(lam, 0)
         stats = eq.spectrum_stats(problem)
         m = problem.optimum + np.ones(100) / 10.0
-        grad_norm = float(np.linalg.norm(problem.gradient_core(m)))
+        grad_norm = problem.grad_norm_centered(problem.centered(m))
         for k, sigma_norm in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
             sigma = sigma_norm * grad_norm / stats.trace
             lower, upper = eq.success_prob_sandwich(stats, sigma_norm, epsilon)
@@ -171,7 +171,7 @@ def test_criterion_04_quality_gain():
         problem = eq.make_problem(lam, rng.normal(size=d))
         stats = eq.spectrum_stats(problem)
         m = problem.optimum + rng.normal(size=d)
-        grad_norm = float(np.linalg.norm(problem.gradient_core(m)))
+        grad_norm = problem.grad_norm_centered(problem.centered(m))
         f_val = problem.core(m)
         sigma = float(grad_norm / stats.trace * math.exp(rng.uniform(-2, 2)))
         coeff = eq.quality_gain_bound(stats, grad_norm, f_val, sigma, 1.0)
@@ -212,9 +212,9 @@ def test_criterion_05_exp_moment():
             lam = eq.sphere(d) if cond == 1.0 else eq.ellipsoid(d, cond)
             problem = eq.make_problem(lam, 0)
             stats = eq.spectrum_stats(problem)
-            bound = eq.exp_moment_bound(stats, d)
+            bound = eq.exp_moment_bound(stats)
             m = problem.optimum + rng.normal(size=d)
-            grad_norm = float(np.linalg.norm(problem.gradient_core(m)))
+            grad_norm = problem.grad_norm_centered(problem.centered(m))
             sigma = grad_norm / stats.trace
 
             def check(n, attempt, problem=problem, m=m, sigma=sigma,
@@ -243,7 +243,6 @@ def test_criterion_05_exp_moment():
 
 def _drift_checks(problem, params, constants, n, label):
     """5 states per regime: MC drift <= target + 3 SE and exact pathwise cap."""
-    stats = eq.spectrum_stats(problem)
     rng = np.random.default_rng(606)
     failures = []
     for regime in eq.RegimeLabel:
@@ -252,7 +251,7 @@ def _drift_checks(problem, params, constants, n, label):
             m = problem.optimum + direction / np.linalg.norm(direction) * (
                 math.exp(rng.uniform(-2, 2))
             )
-            edges = _regime_states(problem, stats, constants, m)
+            edges = _regime_states(problem, constants, m)
             base = edges[regime].log_sigma
             tweak = {
                 eq.RegimeLabel.SMALL_STEP: -3.0 * j,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad.bounds import FOUR_OVER_SQRT_2PI, _q_low_edge
+from esquad.bounds import FOUR_OVER_SQRT_2PI, _q_low_edge, rate_cap
 from conftest import random_problem
 
 
@@ -140,7 +140,7 @@ class TestSandwich:
             p = random_problem(rng, d, cond=float(rng.uniform(1, 4)))
             stats = eq.spectrum_stats(p)
             m = p.optimum + rng.normal(size=d)
-            grad_norm = float(np.linalg.norm(p.gradient_core(m)))
+            grad_norm = p.grad_norm_centered(p.centered(m))
             s = float(rng.uniform(0.2, 3.0))
             sigma = s * grad_norm / stats.trace
             est = eq.estimate_success_prob(
@@ -236,7 +236,7 @@ class TestBLow:
             q = float(rng.uniform(max(0.1, 2.5 * stats.ratio), 0.45))
             threshold = eq.b_low(stats, q)
             m = p.optimum + rng.normal(size=d)
-            grad_norm = float(np.linalg.norm(p.gradient_core(m)))
+            grad_norm = p.grad_norm_centered(p.centered(m))
             sigma = (threshold * 1.0001) * grad_norm / stats.trace
             est = eq.estimate_success_prob(
                 p, m, sigma, 20000, eq.RandomStream(2000 + trial)
@@ -379,7 +379,12 @@ class TestConstants:
     def test_rate_cap_sphere_d7(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.sphere(7), 0))
         # trace condition fails at d=7, but the cap itself is Cond/(2(d-3))
-        assert stats.cond / (2 * (stats.d - 3)) == pytest.approx(1.0 / 8.0)
+        assert rate_cap(stats) == pytest.approx(1.0 / 8.0)
+
+    def test_rate_cap_requires_d_above_3(self):
+        stats = eq.spectrum_stats(eq.make_problem(eq.sphere(3), 0))
+        with pytest.raises(eq.DomainError, match="d > 3"):
+            rate_cap(stats)
 
     def test_p_target_02_infeasible_everywhere(self):
         # b_low(q) >= 2 QuantilePhi(1-q) > 4/sqrt(2 pi) for q <= 0.2, so no
@@ -447,7 +452,7 @@ class TestQualityGainBound:
             p = random_problem(rng, d)
             stats = eq.spectrum_stats(p)
             m = p.optimum + rng.normal(size=d)
-            grad_norm = float(np.linalg.norm(p.gradient_core(m)))
+            grad_norm = p.grad_norm_centered(p.centered(m))
             f_val = p.core(m)
             sigma = float(grad_norm / stats.trace * math.exp(rng.uniform(-1.5, 1.5)))
             lhs = eq.estimate_log_progress(
@@ -465,16 +470,16 @@ class TestQualityGainBound:
 class TestExpMomentBound:
     def test_sphere_d103(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.sphere(103), 0))
-        assert eq.exp_moment_bound(stats, 103) == pytest.approx(1.01)
+        assert eq.exp_moment_bound(stats) == pytest.approx(1.01)
 
     def test_cond10_d13(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.ellipsoid(13, 10), 0))
-        assert eq.exp_moment_bound(stats, 13) == pytest.approx(2.0)
+        assert eq.exp_moment_bound(stats) == pytest.approx(2.0)
 
     def test_requires_d_above_3(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.sphere(3), 0))
         with pytest.raises(eq.DomainError):
-            eq.exp_moment_bound(stats, 3)
+            eq.exp_moment_bound(stats)
 
     def test_monte_carlo_respects_bound(self):
         rng = np.random.default_rng(14)
@@ -484,10 +489,10 @@ class TestExpMomentBound:
                 p = eq.make_problem(lam, 0)
                 stats = eq.spectrum_stats(p)
                 m = p.optimum + rng.normal(size=d)
-                grad_norm = float(np.linalg.norm(p.gradient_core(m)))
+                grad_norm = p.grad_norm_centered(p.centered(m))
                 sigma = grad_norm / stats.trace
                 est = eq.estimate_exp_abs(
                     p, m, sigma, 20000, eq.RandomStream(4000 + d + int(cond))
                 )
-                bound = eq.exp_moment_bound(stats, d)
+                bound = eq.exp_moment_bound(stats)
                 assert est.mean <= bound + 3 * est.std_error

@@ -315,6 +315,36 @@ class TestVerify:
         assert "[PASS]" in stdout
 
 
+class TestHugeOptimum:
+    """A problem whose default start rounds to x* in some coordinate exits 2
+    before any run."""
+
+    @pytest.mark.parametrize("optimum", [[1e17] * 4, [3e16, 0.0, 0.0, 0.0]],
+                             ids=["all-coordinates", "one-coordinate"])
+    @pytest.mark.parametrize("command", ["run", "rate", "verify"])
+    def test_exits_two_before_running(self, tmp_path, capsys, monkeypatch, command,
+                                      optimum):
+        def no_runs(*args, **kwargs):
+            raise AssertionError(f"{command} ran before rejecting its problem")
+
+        monkeypatch.setattr(eq.cli, "run", no_runs)
+        monkeypatch.setattr(eq.experiments, "run_many", no_runs)
+        problem = eq.make_problem(eq.sphere(4), optimum).to_json()
+        if command == "verify":
+            cfg = {**small_verify_config(), "problem": problem}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            argv = ["verify", "--config", str(path)]
+        else:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            argv = [command, "--problem", str(path), "--alpha-up", "1.1",
+                    "--alpha-down", "0.95", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rounds to x*" in err
+
+
 class TestFlagConfig:
     def test_flags_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "flags.json"

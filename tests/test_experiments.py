@@ -2,6 +2,7 @@ import io
 import json
 import math
 import multiprocessing
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -31,6 +32,26 @@ def small_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# optima whose size rounds the default start's offset of 1/2 away
+HUGE_OPTIMA = pytest.mark.parametrize("optimum, size", [
+    ([1e17] * 4, "1e+17"),  # every coordinate: the start was x*
+    ([3e16, 0.0, 0.0, 0.0], "3e+16"),  # one coordinate: the start left the diagonal
+], ids=["all-coordinates", "one-coordinate"])
+
+
+class TestDefaultStart:
+    @HUGE_OPTIMA
+    def test_offset_lost_to_a_huge_optimum_raises(self, optimum, size):
+        problem = eq.make_problem(eq.sphere(4), optimum)
+        with pytest.raises(eq.DomainError, match=re.escape(f"max |x*_i| = {size}")):
+            eq.default_initial_state(problem)
+
+    def test_large_optimum_keeps_the_offset(self):
+        problem = eq.make_problem(eq.sphere(4), [1e15] * 4)
+        state = eq.default_initial_state(problem)
+        assert np.array_equal(problem.centered(state.m), np.full(4, 0.5))
 
 
 class TestMeasureRate:
@@ -191,6 +212,7 @@ class TestVerifySuite:
         assert by_id["exp_moment"]["status"] == "skip"
         assert "d > 3" in by_id["exp_moment"]["note"]
         assert by_id["rate_upper_cap"]["status"] == "skip"
+        assert by_id["rate_upper_cap"]["note"] == "requires d > 3, got d=3"
         assert by_id["invariance_transform"]["status"] == "pass"
 
     def test_p_target_half_drift_skipped_runs_execute(self):

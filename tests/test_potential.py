@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad.potential import classify_from_logs, potential_from_logs
+from esquad.experiments import _regime_states
+from esquad.potential import band_edges, potential_from_logs
 
 
 def synthetic_constants(**overrides):
@@ -58,7 +59,11 @@ class TestClassify:
 
     def test_boundaries_classify_reasonable(self):
         c = synthetic_constants()
-        stats = eq.spectrum_stats(eq.make_problem(eq.sphere(16), 0))
+        problem = eq.make_problem(eq.sphere(16), 0)
+        stats = eq.spectrum_stats(problem)
+        # f = 1 and ||grad|| = sqrt(2 L f) at y = (sqrt 2, 0, ..., 0)
+        y = np.zeros(16)
+        y[0] = math.sqrt(2.0)
         log_f, log_grad = 0.0, 0.5 * math.log(2.0 * stats.L * 1.0)
         thr_small = (
             math.log(math.sqrt(2.0) * c.b_high_at_qhigh)
@@ -66,12 +71,20 @@ class TestClassify:
             - math.log(stats.trace)
         )
         thr_large = math.log(c.b_low_at_qlow) + log_grad - math.log(stats.trace)
-        assert classify_from_logs(log_f, log_grad, thr_small, stats, c) is (
-            eq.RegimeLabel.REASONABLE
-        )
-        assert classify_from_logs(log_f, log_grad, thr_large, stats, c) is (
-            eq.RegimeLabel.REASONABLE
-        )
+        edges = band_edges(problem, y, c)
+        assert edges == pytest.approx((thr_small, thr_large), rel=1e-14)
+        for edge in edges:
+            state = eq.EsState(y, edge)
+            assert eq.classify(state, problem, c) is eq.RegimeLabel.REASONABLE
+
+    def test_regime_states_deep_in_a_run(self, sphere256, constants256):
+        # the core 1.28e-398 underflows to 0, but the log band edges do not
+        m = np.full(256, 1e-200)
+        assert sphere256.core_centered(sphere256.centered(m)) == 0.0
+        states = _regime_states(sphere256, constants256, m)
+        for regime, state in states.items():
+            assert math.isfinite(state.log_sigma)
+            assert eq.classify(state, sphere256, constants256) is regime
 
     def test_degenerate_state(self, sphere256, constants256):
         at_opt = eq.EsState(np.zeros(256), 0.0)
@@ -89,18 +102,17 @@ class TestPotentialValue:
         lo = math.log(constants256.b_small) + 0.5 * (math.log(stats.L) + log_f) - math.log(stats.trace)
         hi = math.log(constants256.b_large) + 0.5 * (math.log(stats.L) + log_f) - math.log(stats.trace)
         mid = eq.EsState(state.m, 0.5 * (lo + hi))
-        assert eq.potential_value(mid, sphere256, constants256) == pytest.approx(
-            log_f, rel=1e-12
-        )
+        assert potential_from_logs(
+            log_f, mid.log_sigma, stats, constants256
+        ) == pytest.approx(log_f, rel=1e-12)
 
     def test_small_sigma_penalty_diverges(self, sphere256, constants256):
+        stats = eq.spectrum_stats(sphere256)
         state = eq.default_initial_state(sphere256)
         y = state.m - sphere256.optimum
         log_f = sphere256.log_core_centered(y)
         values = [
-            eq.potential_value(
-                eq.EsState(state.m, state.log_sigma - k), sphere256, constants256
-            )
+            potential_from_logs(log_f, state.log_sigma - k, stats, constants256)
             - log_f
             for k in (10.0, 20.0, 40.0)
         ]
@@ -131,9 +143,11 @@ class TestPotentialValue:
             )
 
     def test_degenerate_state(self, sphere256, constants256):
+        # log f of a state comes from its centred point, which rejects x*
         with pytest.raises(eq.DegenerateState):
-            eq.potential_value(
-                eq.EsState(np.zeros(256), 0.0), sphere256, constants256
+            potential_from_logs(
+                sphere256.log_core_centered(sphere256.centered(np.zeros(256))),
+                0.0, eq.spectrum_stats(sphere256), constants256,
             )
 
 
@@ -200,11 +214,8 @@ class TestDriftMonteCarlo:
     def test_conditional_drift_below_target(
         self, regime, sphere256, params256, constants256
     ):
-        from esquad.experiments import _regime_states
-
-        stats = eq.spectrum_stats(sphere256)
         state = _regime_states(
-            sphere256, stats, constants256, eq.default_initial_state(sphere256).m
+            sphere256, constants256, eq.default_initial_state(sphere256).m
         )[regime]
         assert eq.classify(state, sphere256, constants256) is regime
         est, samples = eq.estimate_drift_V(
