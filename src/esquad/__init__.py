@@ -11,22 +11,24 @@ The package has three layers:
 * verification (`montecarlo`, `experiments`, `cli`): one-step Monte Carlo
   estimators with standard errors, convergence-rate measurement, sweeps, and
   an end-to-end check suite.
+
+The package exports these names (``__all__``); everything else is imported
+from its module, e.g. ``esquad.bounds.b_high`` or ``esquad.es_core.step``:
+
+* problems: QuadraticProblem, Spectrum, SpectrumStats, MonotoneTransform,
+  IDENTITY, SQRT, LOG1P, CUBE, make_problem, problem_from_json,
+  spectrum_stats, sphere, cigar, discus, ellipsoid
+* algorithm: EsParams, EsState, RunTrace, alpha_schedule, run
+* randomness: RandomStream, substream, GENERATOR_ID
+* theory: TheoryConstants, constants
+* measurement: RateEstimate, SweepProtocol, default_initial_state,
+  measure_rate, sweep, sweep_csv, verify_suite
+* errors: EsquadError, ConfigError, DomainError, DimensionMismatch,
+  InvalidSpectrum, DegenerateState, InfeasibleBound, NumericalFailure
+* version: VERSION
 """
 
-from .bounds import (
-    TheoryConstants,
-    b_high,
-    b_low,
-    constants,
-    exp_moment_bound,
-    normal_cdf,
-    normal_quantile,
-    q_h,
-    quality_gain_bound,
-    success_prob_sandwich,
-    trace_condition,
-    trace_condition_threshold,
-)
+from .bounds import TheoryConstants, constants
 from .errors import (
     ConfigError,
     DegenerateState,
@@ -37,38 +39,15 @@ from .errors import (
     InvalidSpectrum,
     NumericalFailure,
 )
-from .es_core import (
-    EsParams,
-    EsState,
-    RunTrace,
-    StepOutcome,
-    alpha_schedule,
-    run,
-    step,
-)
+from .es_core import EsParams, EsState, RunTrace, alpha_schedule, run
 from .experiments import (
     RateEstimate,
     SweepProtocol,
     default_initial_state,
-    default_sigma0,
     measure_rate,
     sweep,
     sweep_csv,
     verify_suite,
-)
-from .montecarlo import (
-    McEstimate,
-    estimate_drift_V,
-    estimate_exp_abs,
-    estimate_log_progress,
-    estimate_success_prob,
-)
-from .potential import (
-    RegimeLabel,
-    classify,
-    drift_target,
-    potential_step_cap,
-    potential_step_floor,
 )
 from .quadratic import (
     IDENTITY,
@@ -87,14 +66,21 @@ from .quadratic import (
     spectrum_stats,
     sphere,
 )
-from .stochastic import (
-    GENERATOR_ID,
-    RandomStream,
-    normal_matrix,
-    normal_vector,
-    random_rotation,
-    substream,
-)
+from .stochastic import GENERATOR_ID, RandomStream, substream
 from .version import VERSION
+
+__all__ = [
+    "QuadraticProblem", "Spectrum", "SpectrumStats", "MonotoneTransform",
+    "IDENTITY", "SQRT", "LOG1P", "CUBE", "make_problem", "problem_from_json",
+    "spectrum_stats", "sphere", "cigar", "discus", "ellipsoid",
+    "EsParams", "EsState", "RunTrace", "alpha_schedule", "run",
+    "RandomStream", "substream", "GENERATOR_ID",
+    "TheoryConstants", "constants",
+    "RateEstimate", "SweepProtocol", "default_initial_state", "measure_rate",
+    "sweep", "sweep_csv", "verify_suite",
+    "EsquadError", "ConfigError", "DomainError", "DimensionMismatch",
+    "InvalidSpectrum", "DegenerateState", "InfeasibleBound", "NumericalFailure",
+    "VERSION",
+]
 
 __version__ = VERSION

@@ -1,7 +1,7 @@
 """Closed-form machinery of the drift analysis on convex quadratics.
 
 Everything here is a pure function of spectrum statistics and the step-size
-multipliers: the normal CDF/quantile, the success-probability sandwich, the
+multipliers: the normal quantile, the success-probability sandwich, the
 step-size threshold functions and their feasibility conditions, the potential
 function constants, and the convergence-rate bounds.
 
@@ -39,13 +39,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PAIR_GRID = 128
 _REFINE_ROUNDS = 2
 _REFINE_GRID = 32
-
-
-def normal_cdf(x):
-    """Standard normal CDF, accurate to ~1e-15 relative in both tails."""
-    if np.isscalar(x):
-        return float(ndtr(x))
-    return ndtr(np.asarray(x, dtype=float))
 
 
 def normal_quantile(p):

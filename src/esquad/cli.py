@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,12 +306,7 @@ def _cmd_drift(args) -> int:
     regime = classify(state, problem, consts)
     res = drift_check(problem, state, regime, consts, params, args.n, RandomStream(args.seed))
     _emit({
-        "estimate": {
-            "mean": res.estimate.mean,
-            "std_error": res.estimate.std_error,
-            "n": res.estimate.n,
-            "estimator_id": res.estimate.estimator_id,
-        },
+        "estimate": asdict(res.estimate),
         "regime": regime.value,
         "bound": res.target,
         "pathwise_cap": res.cap,

@@ -80,17 +80,8 @@ class RateEstimate:
     std_error: float
 
     def to_json(self) -> dict:
-        return {
-            "a_hat": self.a_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-            "budget": self.budget,
-            "burn_in": self.burn_in,
-            "slope_source": self.slope_source,
-            "norm_a_hat": self.norm_a_hat,
-            "std_error": self.std_error,
-        }
+        """Every field but the per-trial slope arrays."""
+        return {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
 
 
 def _norm(v: np.ndarray) -> float:

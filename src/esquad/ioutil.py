@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -23,6 +24,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _finite(obj):
+    """obj with every non-finite float, also in nested dicts and lists, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def dump_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, LF endings, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic, strictly valid JSON text: sorted keys, LF endings,
+    trailing newline, and null for a NaN or infinite float."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -27,8 +27,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import esquad as eq
+from esquad import bounds, montecarlo, potential
 from esquad.bounds import FOUR_OVER_SQRT_2PI
 from esquad.experiments import _regime_states, drift_check, stat_retry
 
@@ -136,10 +138,10 @@ def test_criterion_03_success_sandwich():
         grad_norm = problem.grad_norm_centered(problem.centered(m))
         for k, sigma_norm in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
             sigma = sigma_norm * grad_norm / stats.trace
-            lower, upper = eq.success_prob_sandwich(stats, sigma_norm, epsilon)
+            lower, upper = bounds.success_prob_sandwich(stats, sigma_norm, epsilon)
 
             def check(n, attempt, sigma=sigma, lower=lower, upper=upper, k=k):
-                est = eq.estimate_success_prob(
+                est = montecarlo.estimate_success_prob(
                     problem, m, sigma, n,
                     eq.RandomStream(300 + k, (attempt,)),
                 )
@@ -174,14 +176,14 @@ def test_criterion_04_quality_gain():
         grad_norm = problem.grad_norm_centered(problem.centered(m))
         f_val = problem.core(m)
         sigma = float(grad_norm / stats.trace * math.exp(rng.uniform(-2, 2)))
-        coeff = eq.quality_gain_bound(stats, grad_norm, f_val, sigma, 1.0)
+        coeff = bounds.quality_gain_bound(stats, grad_norm, f_val, sigma, 1.0)
 
         def check(n, attempt, problem=problem, m=m, sigma=sigma, coeff=coeff,
                   trial=trial):
-            lhs = eq.estimate_log_progress(
+            lhs = montecarlo.estimate_log_progress(
                 problem, m, sigma, n, eq.RandomStream(400 + trial, (attempt,))
             )
-            psucc = eq.estimate_success_prob(
+            psucc = montecarlo.estimate_success_prob(
                 problem, m, sigma, n, eq.RandomStream(440 + trial, (attempt,))
             )
             rhs = coeff * psucc.mean
@@ -212,14 +214,14 @@ def test_criterion_05_exp_moment():
             lam = eq.sphere(d) if cond == 1.0 else eq.ellipsoid(d, cond)
             problem = eq.make_problem(lam, 0)
             stats = eq.spectrum_stats(problem)
-            bound = eq.exp_moment_bound(stats)
+            bound = bounds.exp_moment_bound(stats)
             m = problem.optimum + rng.normal(size=d)
             grad_norm = problem.grad_norm_centered(problem.centered(m))
             sigma = grad_norm / stats.trace
 
             def check(n, attempt, problem=problem, m=m, sigma=sigma,
                       bound=bound, d=d, cond=cond):
-                est = eq.estimate_exp_abs(
+                est = montecarlo.estimate_exp_abs(
                     problem, m, sigma, n,
                     eq.RandomStream(500 + d + int(cond), (attempt,)),
                 )
@@ -245,7 +247,7 @@ def _drift_checks(problem, params, constants, n, label):
     """5 states per regime: MC drift <= target + 3 SE and exact pathwise cap."""
     rng = np.random.default_rng(606)
     failures = []
-    for regime in eq.RegimeLabel:
+    for regime in potential.RegimeLabel:
         for j in range(5):
             direction = rng.normal(size=problem.d)
             m = problem.optimum + direction / np.linalg.norm(direction) * (
@@ -254,12 +256,12 @@ def _drift_checks(problem, params, constants, n, label):
             edges = _regime_states(problem, constants, m)
             base = edges[regime].log_sigma
             tweak = {
-                eq.RegimeLabel.SMALL_STEP: -3.0 * j,
-                eq.RegimeLabel.LARGE_STEP: +3.0 * j,
-                eq.RegimeLabel.REASONABLE: 0.15 * (j - 2),
+                potential.RegimeLabel.SMALL_STEP: -3.0 * j,
+                potential.RegimeLabel.LARGE_STEP: +3.0 * j,
+                potential.RegimeLabel.REASONABLE: 0.15 * (j - 2),
             }[regime]
             state = eq.EsState(m, base + tweak)
-            assert eq.classify(state, problem, constants) is regime
+            assert potential.classify(state, problem, constants) is regime
 
             def check(nn, attempt, state=state, regime=regime, j=j):
                 res = drift_check(problem, state, regime, constants, params, nn,
@@ -292,12 +294,12 @@ def test_criterion_06_drift_per_regime_as_specified():
     """
     problem = eq.make_problem(eq.sphere(256), 0)
     stats = eq.spectrum_stats(problem)
-    assert eq.trace_condition(stats)[0]
-    assert eq.b_low(stats, 0.2) >= 2.0 * eq.normal_quantile(0.8) > FOUR_OVER_SQRT_2PI
+    assert bounds.trace_condition(stats)[0]
+    assert bounds.b_low(stats, 0.2) >= 2.0 * bounds.normal_quantile(0.8) > FOUR_OVER_SQRT_2PI
     with pytest.raises(eq.InfeasibleBound, match="p_target condition"):
         eq.constants(stats, eq.alpha_schedule(256, 0.2))
 
-    floor = eq.normal_cdf(-math.sqrt(2.0 / math.pi))
+    floor = ndtr(-math.sqrt(2.0 / math.pi))
     infeasible = []
     for k in range(20, 40):
         p_target = k / 100
@@ -443,8 +445,8 @@ def test_criterion_10_bound_function_limits():
     tiny = eq.SpectrumStats(
         d=10**12, L=1.0, U=1.0, trace=1e12, trace_sq=1e12, cond=1.0, ratio=1e-12
     )
-    bh = eq.b_high(tiny, 0.2)
-    bl = eq.b_low(tiny, 0.3)
+    bh = bounds.b_high(tiny, 0.2)
+    bl = bounds.b_low(tiny, 0.3)
 
     def quantile_oracle(p):
         # bisection on the Maclaurin erf series, independent of the library path

@@ -11,6 +11,7 @@ import pytest
 
 import esquad as eq
 from esquad.cli import main, parse_spectrum
+from esquad.ioutil import dump_json
 from conftest import read_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -545,3 +546,49 @@ class TestMalformedValues:
         assert "config error: --budget must be >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every JSON output parses strictly: a NaN or infinite float is null."""
+
+    def test_dump_json_writes_null_for_non_finite(self):
+        text = dump_json({"x": [math.nan, math.inf, -math.inf, 0.5], "y": (math.nan,)})
+        assert _strict_json(text) == {"x": [None, None, None, 0.5], "y": [None]}
+
+    def test_every_command_output(self, tmp_path, capsys):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        state, config = inputs / "state.json", inputs / "verify.json"
+        state.write_text(json.dumps({"m": [0.0625] * 256, "log_sigma": -6.0}))
+        config.write_text(json.dumps({**small_verify_config(), "out_dir": str(out / "verify")}))
+        d256 = ["--d", "256", "--spectrum", "sphere", *ALPHAS_D256]
+        commands = [
+            [*RUN_D8, "--out", str(out / "run.csv")],
+            ["bounds", *d256],
+            ["drift", *d256, "--state", str(state), "--n", "1000",
+             "--out", str(out / "drift.json")],
+            # a single trial has no standard error, so std_error is NaN
+            ["rate", "--d", "8", "--spectrum", "sphere", *ALPHAS, "--budget", "2000",
+             "--trials", "1", "--out", str(out / "rate.json")],
+            ["sweep", "--dims", "6", "--budget", "600", "--trials", "1",
+             "--out", str(out / "sweep.csv")],
+            ["verify", "--config", str(config)],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            if argv[0] in ("bounds", "drift", "rate"):
+                _strict_json(printed)
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.json"))
+        assert written == ["drift.json", "rate.json", "run.csv.meta.json",
+                           "sweep.csv.meta.json", "verify/rate_trace.csv.meta.json",
+                           "verify/report.json"]
+        for name in written:
+            _strict_json((out / name).read_text())
+        assert _strict_json((out / "rate.json").read_text())["std_error"] is None

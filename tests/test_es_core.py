@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import esquad as eq
-from esquad import es_core, stochastic
+from esquad import es_core, experiments, stochastic
 from conftest import kill_worker_on, read_trace_csv, run_under_blas_kernels
 
 
@@ -61,14 +61,14 @@ class TestStep:
         self.state = eq.EsState(np.array([1.0, 0.0]), math.log(0.5))
 
     def test_accept_moves_and_grows_sigma(self):
-        out = eq.step(self.state, np.array([-1.0, 0.0]), self.problem, PARAMS)
+        out = es_core.step(self.state, np.array([-1.0, 0.0]), self.problem, PARAMS)
         assert out.accepted
         assert np.array_equal(out.next.m, [0.5, 0.0])
         assert out.next.log_sigma == self.state.log_sigma + math.log(1.5)
         assert out.log_f_ratio == pytest.approx(math.log(0.125 / 0.5))
 
     def test_reject_keeps_m_and_shrinks_sigma(self):
-        out = eq.step(self.state, np.array([1.0, 0.0]), self.problem, PARAMS)
+        out = es_core.step(self.state, np.array([1.0, 0.0]), self.problem, PARAMS)
         assert not out.accepted
         assert np.array_equal(out.next.m, [1.0, 0.0])
         assert out.next.log_sigma == self.state.log_sigma + math.log(0.8)
@@ -76,7 +76,7 @@ class TestStep:
 
     def test_tie_accepts(self):
         # x = m + 0.5 * (-4, 0) = (-1, 0): f(x) = f(m) = 0.5 exactly
-        out = eq.step(self.state, np.array([-4.0, 0.0]), self.problem, PARAMS)
+        out = es_core.step(self.state, np.array([-4.0, 0.0]), self.problem, PARAMS)
         assert out.accepted
         assert np.array_equal(out.next.m, [-1.0, 0.0])
 
@@ -84,7 +84,7 @@ class TestStep:
         rng = np.random.default_rng(1)
         state = self.state
         for _ in range(200):
-            out = eq.step(state, rng.normal(size=2), self.problem, PARAMS)
+            out = es_core.step(state, rng.normal(size=2), self.problem, PARAMS)
             assert out.log_f_ratio <= 0.0
             state = out.next
 
@@ -101,7 +101,7 @@ class TestRun:
         with pytest.raises(eq.DegenerateState):
             eq.run(p, eq.EsState(np.zeros(3), 0.0), PARAMS, 10, eq.RandomStream(0))
         with pytest.raises(eq.DegenerateState):
-            eq.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
+            es_core.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_start_of_wrong_length(self, length):
@@ -111,9 +111,9 @@ class TestRun:
         with pytest.raises(eq.DimensionMismatch):
             eq.run(p, state, PARAMS, 10, eq.RandomStream(0))
         with pytest.raises(eq.DimensionMismatch):
-            eq.step(state, np.ones(4), p, PARAMS)
+            es_core.step(state, np.ones(4), p, PARAMS)
         with pytest.raises(eq.DimensionMismatch):
-            eq.default_sigma0(p, np.ones(length))
+            experiments.default_sigma0(p, np.ones(length))
         with pytest.raises(eq.DimensionMismatch) as failure:
             es_core.run_many([(p, state, PARAMS, 10, eq.RandomStream(0))])
         assert failure.value.job_index == 0
@@ -133,7 +133,7 @@ class TestRun:
         def reference(stream):
             state, log_f, acc, m = state0, [0.0], [], [state0.m]
             for _ in range(budget):
-                out = eq.step(state, eq.normal_vector(stream, p.d), p, params)
+                out = es_core.step(state, stochastic.normal_vector(stream, p.d), p, params)
                 state = out.next
                 log_f.append(log_f[-1] + out.log_f_ratio)
                 acc.append(out.accepted)
@@ -472,7 +472,7 @@ class TestDecrementForm:
         lam = sorted(lam, reverse=True)  # the order the problem stores them in
         p = eq.make_problem(lam, 0)
         state = eq.EsState(np.array(u), math.log(sigma))
-        out = eq.step(state, np.array(w), p, PARAMS)
+        out = es_core.step(state, np.array(w), p, PARAMS)
         cand = np.array(u) + math.exp(state.log_sigma) * np.array(w)
         core = _exact_core(lam, u)
         exact = _exact_core(lam, cand) - core

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import montecarlo, stochastic
+from esquad import bounds, montecarlo, potential, stochastic
 from conftest import random_problem
 
 
@@ -14,14 +14,14 @@ class TestSuccessProb:
         p = eq.make_problem(eq.ellipsoid(12, 5), 0)
         m = p.optimum + np.ones(12)
         sigma = 1e-12 * float(np.linalg.norm(m - p.optimum))
-        est = eq.estimate_success_prob(p, m, sigma, 10000, eq.RandomStream(1))
+        est = montecarlo.estimate_success_prob(p, m, sigma, 10000, eq.RandomStream(1))
         assert abs(est.mean - 0.5) <= 3 * est.std_error + 1e-12
 
     def test_overshoot_limit_near_zero(self):
         p = eq.make_problem(eq.sphere(16), 0)
         m = p.optimum + np.ones(16) / 4.0
         sigma = 1e6 * float(np.linalg.norm(m - p.optimum))
-        est = eq.estimate_success_prob(p, m, sigma, 10000, eq.RandomStream(2))
+        est = montecarlo.estimate_success_prob(p, m, sigma, 10000, eq.RandomStream(2))
         assert est.mean < 0.01
         assert est.mean <= 3 * est.std_error + 1e-12
 
@@ -31,19 +31,19 @@ class TestSuccessProb:
         m = p.optimum + np.ones(100) / 10.0
         grad_norm = p.grad_norm_centered(p.centered(m))
         sigma = 1.0 * grad_norm / stats.trace
-        est = eq.estimate_success_prob(p, m, sigma, 100000, eq.RandomStream(3))
-        lower, upper = eq.success_prob_sandwich(stats, 1.0, 0.5)
+        est = montecarlo.estimate_success_prob(p, m, sigma, 100000, eq.RandomStream(3))
+        lower, upper = bounds.success_prob_sandwich(stats, 1.0, 0.5)
         assert lower - 3 * est.std_error <= est.mean <= upper + 3 * est.std_error
 
     def test_minimum_n(self):
         p = eq.make_problem(eq.sphere(4), 0)
         with pytest.raises(eq.DomainError):
-            eq.estimate_success_prob(p, np.ones(4), 0.1, 50, eq.RandomStream(0))
+            montecarlo.estimate_success_prob(p, np.ones(4), 0.1, 50, eq.RandomStream(0))
 
     def test_degenerate_state(self):
         p = eq.make_problem(eq.sphere(4), 0)
         with pytest.raises(eq.DegenerateState):
-            eq.estimate_success_prob(p, np.zeros(4), 0.1, 1000, eq.RandomStream(0))
+            montecarlo.estimate_success_prob(p, np.zeros(4), 0.1, 1000, eq.RandomStream(0))
 
 
 class TestLogProgress:
@@ -51,7 +51,7 @@ class TestLogProgress:
         p = eq.make_problem(eq.sphere(8), 0)
         m = p.optimum + np.ones(8)
         scale = float(np.linalg.norm(m - p.optimum))
-        est = eq.estimate_log_progress(p, m, 1e-8 * scale, 5000, eq.RandomStream(4))
+        est = montecarlo.estimate_log_progress(p, m, 1e-8 * scale, 5000, eq.RandomStream(4))
         assert abs(est.mean) < 1e-6
 
     def test_always_nonpositive(self):
@@ -61,7 +61,7 @@ class TestLogProgress:
             p = random_problem(rng, d)
             m = p.optimum + rng.normal(size=d)
             sigma = float(math.exp(rng.uniform(-3, 3)))
-            est = eq.estimate_log_progress(p, m, sigma, 500, eq.RandomStream(trial))
+            est = montecarlo.estimate_log_progress(p, m, sigma, 500, eq.RandomStream(trial))
             assert est.mean <= 0.0
 
 
@@ -69,7 +69,7 @@ class TestExpAbs:
     def test_vanishing_sigma_approaches_one(self):
         p = eq.make_problem(eq.sphere(8), 0)
         m = p.optimum + np.ones(8)
-        est = eq.estimate_exp_abs(p, m, 1e-10, 2000, eq.RandomStream(6))
+        est = montecarlo.estimate_exp_abs(p, m, 1e-10, 2000, eq.RandomStream(6))
         assert est.mean == pytest.approx(1.0, abs=1e-6)
 
     def test_at_least_one(self):
@@ -79,7 +79,7 @@ class TestExpAbs:
             p = random_problem(rng, d)
             m = p.optimum + rng.normal(size=d)
             sigma = float(math.exp(rng.uniform(-2, 2)))
-            est = eq.estimate_exp_abs(p, m, sigma, 1000, eq.RandomStream(trial))
+            est = montecarlo.estimate_exp_abs(p, m, sigma, 1000, eq.RandomStream(trial))
             assert est.mean >= 1.0
 
     def test_bound_d8_d32(self):
@@ -91,26 +91,26 @@ class TestExpAbs:
                 stats = eq.spectrum_stats(p)
                 m = p.optimum + rng.normal(size=d)
                 sigma = p.grad_norm_centered(p.centered(m)) / stats.trace
-                est = eq.estimate_exp_abs(
+                est = montecarlo.estimate_exp_abs(
                     p, m, sigma, 20000, eq.RandomStream(60 + d + int(cond))
                 )
-                assert est.mean <= eq.exp_moment_bound(stats) + 3 * est.std_error
+                assert est.mean <= bounds.exp_moment_bound(stats) + 3 * est.std_error
 
 
 class TestDriftV:
     def test_pathwise_cap_every_sample(self, sphere256, params256, constants256):
         state = eq.default_initial_state(sphere256)
-        est, samples = eq.estimate_drift_V(
+        est, samples = montecarlo.estimate_drift_V(
             sphere256, state, constants256, params256, 2000,
             eq.RandomStream(9),
         )
-        cap = eq.potential_step_cap(constants256, params256)
+        cap = potential.potential_step_cap(constants256, params256)
         assert np.all(samples <= cap)
         assert est.n == 2000
 
     def test_minimum_n(self, sphere256, params256, constants256):
         with pytest.raises(eq.DomainError):
-            eq.estimate_drift_V(
+            montecarlo.estimate_drift_V(
                 sphere256, eq.default_initial_state(sphere256), constants256,
                 params256, 500, eq.RandomStream(0),
             )
@@ -120,11 +120,11 @@ class TestEstimatorContracts:
     def test_bit_reproducibility(self):
         p = eq.make_problem(eq.ellipsoid(10, 3), 0)
         m = p.optimum + np.ones(10)
-        a = eq.estimate_success_prob(p, m, 0.3, 5000, eq.RandomStream(55, (7,)))
-        b = eq.estimate_success_prob(p, m, 0.3, 5000, eq.RandomStream(55, (7,)))
+        a = montecarlo.estimate_success_prob(p, m, 0.3, 5000, eq.RandomStream(55, (7,)))
+        b = montecarlo.estimate_success_prob(p, m, 0.3, 5000, eq.RandomStream(55, (7,)))
         assert a == b
-        c = eq.estimate_log_progress(p, m, 0.3, 5000, eq.RandomStream(56))
-        d = eq.estimate_log_progress(p, m, 0.3, 5000, eq.RandomStream(56))
+        c = montecarlo.estimate_log_progress(p, m, 0.3, 5000, eq.RandomStream(56))
+        d = montecarlo.estimate_log_progress(p, m, 0.3, 5000, eq.RandomStream(56))
         assert c == d
 
     def test_chunking_does_not_change_results(
@@ -140,10 +140,10 @@ class TestEstimatorContracts:
             m = p.optimum + np.ones(p.d)
             state = eq.default_initial_state(p)
             return (
-                eq.estimate_success_prob(p, m, 0.4, 1000, eq.RandomStream(77)),
-                eq.estimate_log_progress(p, m, 0.4, 1000, eq.RandomStream(78)),
-                eq.estimate_exp_abs(p, m, 0.4, 1000, eq.RandomStream(79)),
-                eq.estimate_drift_V(p, state, constants256, params256,
+                montecarlo.estimate_success_prob(p, m, 0.4, 1000, eq.RandomStream(77)),
+                montecarlo.estimate_log_progress(p, m, 0.4, 1000, eq.RandomStream(78)),
+                montecarlo.estimate_exp_abs(p, m, 0.4, 1000, eq.RandomStream(79)),
+                montecarlo.estimate_drift_V(p, state, constants256, params256,
                                     1000, eq.RandomStream(80))[0],
             )
 
@@ -174,10 +174,10 @@ class TestEstimatorContracts:
         m = p.optimum + np.ones(8)
         ratios = []
         for k in range(10):
-            a = eq.estimate_log_progress(
+            a = montecarlo.estimate_log_progress(
                 p, m, 0.5, 4000, eq.RandomStream(100 + k)
             )
-            b = eq.estimate_log_progress(
+            b = montecarlo.estimate_log_progress(
                 p, m, 0.5, 8000, eq.RandomStream(200 + k)
             )
             ratios.append(a.std_error / b.std_error)
@@ -187,10 +187,10 @@ class TestEstimatorContracts:
     def test_estimator_ids(self):
         p = eq.make_problem(eq.sphere(4), 0)
         m = p.optimum + np.ones(4)
-        assert "antithetic" in eq.estimate_success_prob(
+        assert "antithetic" in montecarlo.estimate_success_prob(
             p, m, 0.1, 100, eq.RandomStream(0)
         ).estimator_id
-        assert eq.estimate_log_progress(
+        assert montecarlo.estimate_log_progress(
             p, m, 0.1, 100, eq.RandomStream(0)
         ).estimator_id.startswith("log_progress")
 
@@ -205,12 +205,12 @@ def _four_estimators(p, m, sigma, constants, params):
         log_sigma = -math.inf if sigma == 0 else math.nan
     state = types.SimpleNamespace(m=m, log_sigma=log_sigma)
     return {
-        "success_prob": lambda: eq.estimate_success_prob(
+        "success_prob": lambda: montecarlo.estimate_success_prob(
             p, m, sigma, 1000, eq.RandomStream(0)),
-        "log_progress": lambda: eq.estimate_log_progress(
+        "log_progress": lambda: montecarlo.estimate_log_progress(
             p, m, sigma, 1000, eq.RandomStream(0)),
-        "exp_abs": lambda: eq.estimate_exp_abs(p, m, sigma, 1000, eq.RandomStream(0)),
-        "drift_V": lambda: eq.estimate_drift_V(
+        "exp_abs": lambda: montecarlo.estimate_exp_abs(p, m, sigma, 1000, eq.RandomStream(0)),
+        "drift_V": lambda: montecarlo.estimate_drift_V(
             p, state, constants, params, 1000, eq.RandomStream(0)),
     }
 
@@ -247,7 +247,7 @@ class TestInvalidInputs:
     def test_drift_sigma_underflow(self, sphere256, params256, constants256):
         state = eq.EsState(sphere256.optimum + np.ones(256), -1000.0)  # sigma 0.0
         with pytest.raises(eq.DomainError):
-            eq.estimate_drift_V(sphere256, state, constants256, params256, 1000,
+            montecarlo.estimate_drift_V(sphere256, state, constants256, params256, 1000,
                                 eq.RandomStream(0))
 
     @pytest.mark.parametrize("name", ESTIMATORS)
@@ -283,7 +283,7 @@ def _offspring(p, y, rows, seed):
                                return_inverse=True, return_counts=True)
     stream = eq.RandomStream(seed)
     chi_source = stochastic.chi_square_source(stream)
-    xi = eq.normal_matrix(stream, rows, mult.size)
+    xi = stochastic.normal_matrix(stream, rows, mult.size)
     chi = stochastic.chi_square_matrix(chi_source, rows, mult[mult > 1] - 1)
     u = p.eigen_frame(y)
     W = np.zeros((rows, p.d))
@@ -344,12 +344,12 @@ class TestAntitheticPairs:
     @pytest.mark.parametrize("sigma_scale", [0.1, 0.5])
     def test_pair_covariance_nonpositive(self, lam, rotation_seed, sigma_scale):
         p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
-        m = p.optimum + eq.normal_vector(eq.RandomStream(3), 16)
+        m = p.optimum + stochastic.normal_vector(eq.RandomStream(3), 16)
         y = m - p.optimum
         sigma = sigma_scale * float(np.linalg.norm(y))
         # at sigma = 0.5|y| the sphere accepts with probability 2.3e-4
         pairs = 40_000
-        est = eq.estimate_success_prob(p, m, sigma, 2 * pairs, eq.RandomStream(31))
+        est = montecarlo.estimate_success_prob(p, m, sigma, 2 * pairs, eq.RandomStream(31))
         Z = _offspring(p, y, pairs, seed=31)
         core_m = p.core_centered(y)
         a = p.core_centered_batch(y + sigma * Z) <= core_m
@@ -375,12 +375,12 @@ class TestDistribution:
 
         d = 256
         p = eq.make_problem(eq.sphere(d), 0)
-        m = eq.normal_vector(eq.RandomStream(41), d)
+        m = stochastic.normal_vector(eq.RandomStream(41), d)
         # the offspring is accepted iff |y/sigma + z|^2 <= |y/sigma|^2
         sigma = sigma_norm * float(np.linalg.norm(m)) / d
         nc = float(m @ m) / sigma**2
         exact = stats.ncx2.cdf(nc, d, nc)
-        est = eq.estimate_success_prob(p, m, sigma, 4_000_000,
+        est = montecarlo.estimate_success_prob(p, m, sigma, 4_000_000,
                                        eq.RandomStream(42, (int(4 * sigma_norm),)))
         assert abs(est.mean - exact) <= 3 * est.std_error
 
@@ -404,9 +404,9 @@ class TestDistribution:
             "log_progress": np.where(accept, np.log(core_x / core_m), 0.0),
         }
         reduced = {
-            "success_prob": eq.estimate_success_prob(
+            "success_prob": montecarlo.estimate_success_prob(
                 p, m, sigma, 400_000, eq.RandomStream(44, (case,))),
-            "log_progress": eq.estimate_log_progress(
+            "log_progress": montecarlo.estimate_log_progress(
                 p, m, sigma, 400_000, eq.RandomStream(45, (case,))),
         }
         for name, est in reduced.items():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import esquad as eq
+from esquad import montecarlo
 from esquad.experiments import _regime_states
-from esquad.potential import band_edges, potential_from_logs
+from esquad.potential import (RegimeLabel, band_edges, classify, drift_target,
+                              potential_from_logs, potential_step_cap,
+                              potential_step_floor)
 
 
 def synthetic_constants(**overrides):
@@ -35,12 +38,12 @@ class TestClassify:
     def test_tiny_sigma_is_small_step(self, sphere256, constants256):
         state = eq.default_initial_state(sphere256)
         tiny = eq.EsState(state.m, state.log_sigma + math.log(1e-9))
-        assert eq.classify(tiny, sphere256, constants256) is eq.RegimeLabel.SMALL_STEP
+        assert classify(tiny, sphere256, constants256) is RegimeLabel.SMALL_STEP
 
     def test_huge_sigma_is_large_step(self, sphere256, constants256):
         state = eq.default_initial_state(sphere256)
         huge = eq.EsState(state.m, state.log_sigma + math.log(1e9))
-        assert eq.classify(huge, sphere256, constants256) is eq.RegimeLabel.LARGE_STEP
+        assert classify(huge, sphere256, constants256) is RegimeLabel.LARGE_STEP
 
     def test_geometric_mean_is_reasonable(self, sphere256, constants256):
         stats = eq.spectrum_stats(sphere256)
@@ -55,7 +58,7 @@ class TestClassify:
         thr_large = constants256.b_low_at_qlow * grad / stats.trace
         assert thr_small < thr_large
         mid = eq.EsState(state.m, 0.5 * (math.log(thr_small) + math.log(thr_large)))
-        assert eq.classify(mid, sphere256, constants256) is eq.RegimeLabel.REASONABLE
+        assert classify(mid, sphere256, constants256) is RegimeLabel.REASONABLE
 
     def test_boundaries_classify_reasonable(self):
         c = synthetic_constants()
@@ -75,7 +78,7 @@ class TestClassify:
         assert edges == pytest.approx((thr_small, thr_large), rel=1e-14)
         for edge in edges:
             state = eq.EsState(y, edge)
-            assert eq.classify(state, problem, c) is eq.RegimeLabel.REASONABLE
+            assert classify(state, problem, c) is RegimeLabel.REASONABLE
 
     def test_regime_states_deep_in_a_run(self, sphere256, constants256):
         # the core 1.28e-398 underflows to 0, but the log band edges do not
@@ -84,12 +87,12 @@ class TestClassify:
         states = _regime_states(sphere256, constants256, m)
         for regime, state in states.items():
             assert math.isfinite(state.log_sigma)
-            assert eq.classify(state, sphere256, constants256) is regime
+            assert classify(state, sphere256, constants256) is regime
 
     def test_degenerate_state(self, sphere256, constants256):
         at_opt = eq.EsState(np.zeros(256), 0.0)
         with pytest.raises(eq.DegenerateState):
-            eq.classify(at_opt, sphere256, constants256)
+            classify(at_opt, sphere256, constants256)
 
 
 class TestPotentialValue:
@@ -153,14 +156,14 @@ class TestPotentialValue:
 
 class TestDriftTarget:
     def test_reasonable_target(self, params256, constants256):
-        assert eq.drift_target(
-            eq.RegimeLabel.REASONABLE, constants256, params256
+        assert drift_target(
+            RegimeLabel.REASONABLE, constants256, params256
         ) == -constants256.band_gain / 4.0
 
     def test_small_and_large_targets(self, params256, constants256):
         min_term = min(constants256.band_gain / 4.0, params256.log_ratio)
-        small = eq.drift_target(eq.RegimeLabel.SMALL_STEP, constants256, params256)
-        large = eq.drift_target(eq.RegimeLabel.LARGE_STEP, constants256, params256)
+        small = drift_target(RegimeLabel.SMALL_STEP, constants256, params256)
+        large = drift_target(RegimeLabel.LARGE_STEP, constants256, params256)
         assert small == -min_term * (constants256.q_high - constants256.p_target)
         assert large == -min_term * (constants256.p_target - constants256.q_low)
         assert small < 0 and large < 0
@@ -188,9 +191,9 @@ class TestPathwiseBounds:
         )
         v_seq = potential_from_logs(tr.log_f, tr.log_sigma, stats, constants256)
         dv = np.diff(v_seq)
-        cap = eq.potential_step_cap(constants256, params256)
+        cap = potential_step_cap(constants256, params256)
         assert np.max(dv) <= cap
-        floor = eq.potential_step_floor(np.diff(tr.log_f), constants256, params256)
+        floor = potential_step_floor(np.diff(tr.log_f), constants256, params256)
         assert np.all(dv >= floor - 1e-12)
 
     def test_on_mis_scaled_trace(self, sphere256, params256, constants256):
@@ -200,16 +203,16 @@ class TestPathwiseBounds:
         tr = eq.run(sphere256, big, params256, 3000, eq.RandomStream(37))
         v_seq = potential_from_logs(tr.log_f, tr.log_sigma, stats, constants256)
         dv = np.diff(v_seq)
-        cap = eq.potential_step_cap(constants256, params256)
+        cap = potential_step_cap(constants256, params256)
         assert np.max(dv) <= cap
-        floor = eq.potential_step_floor(np.diff(tr.log_f), constants256, params256)
+        floor = potential_step_floor(np.diff(tr.log_f), constants256, params256)
         assert np.all(dv >= floor - 1e-12)
 
 
 class TestDriftMonteCarlo:
     @pytest.mark.parametrize(
         "regime",
-        [eq.RegimeLabel.SMALL_STEP, eq.RegimeLabel.REASONABLE, eq.RegimeLabel.LARGE_STEP],
+        [RegimeLabel.SMALL_STEP, RegimeLabel.REASONABLE, RegimeLabel.LARGE_STEP],
     )
     def test_conditional_drift_below_target(
         self, regime, sphere256, params256, constants256
@@ -217,11 +220,11 @@ class TestDriftMonteCarlo:
         state = _regime_states(
             sphere256, constants256, eq.default_initial_state(sphere256).m
         )[regime]
-        assert eq.classify(state, sphere256, constants256) is regime
-        est, samples = eq.estimate_drift_V(
+        assert classify(state, sphere256, constants256) is regime
+        est, samples = montecarlo.estimate_drift_V(
             sphere256, state, constants256, params256, 20000,
             eq.RandomStream(41),
         )
-        target = eq.drift_target(regime, constants256, params256)
+        target = drift_target(regime, constants256, params256)
         assert est.mean <= target + 3 * est.std_error
-        assert np.max(samples) <= eq.potential_step_cap(constants256, params256)
+        assert np.max(samples) <= potential_step_cap(constants256, params256)

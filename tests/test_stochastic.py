@@ -8,42 +8,43 @@ import pytest
 from scipy.special import ndtri
 
 import esquad as eq
+from esquad import stochastic
 from conftest import run_python
 
 
 class TestDeterminism:
     def test_same_seed_path_bit_exact(self):
-        a = eq.normal_vector(eq.RandomStream(7, (1, 2)), 5)
-        b = eq.normal_vector(eq.RandomStream(7, (1, 2)), 5)
+        a = stochastic.normal_vector(eq.RandomStream(7, (1, 2)), 5)
+        b = stochastic.normal_vector(eq.RandomStream(7, (1, 2)), 5)
         assert np.array_equal(a, b)
 
     def test_sequential_draws_advance(self):
         s = eq.RandomStream(7)
-        a = eq.normal_vector(s, 5)
-        b = eq.normal_vector(s, 5)
+        a = stochastic.normal_vector(s, 5)
+        b = stochastic.normal_vector(s, 5)
         assert not np.array_equal(a, b)
 
     def test_matrix_equals_stacked_vectors(self):
         s1, s2 = eq.RandomStream(3), eq.RandomStream(3)
-        stacked = np.concatenate([eq.normal_vector(s1, 5) for _ in range(4)])
-        block = eq.normal_matrix(s2, 4, 5).ravel()
+        stacked = np.concatenate([stochastic.normal_vector(s1, 5) for _ in range(4)])
+        block = stochastic.normal_matrix(s2, 4, 5).ravel()
         assert np.array_equal(stacked, block)
 
     def test_64bit_labels(self):
         s = eq.substream(eq.RandomStream(1), 2**63 + 11)
-        assert eq.normal_vector(s, 3).shape == (3,)
+        assert stochastic.normal_vector(s, 3).shape == (3,)
 
 
 class TestMoments:
     def test_mean_and_variance(self):
         n = 1_000_000
-        x = eq.normal_vector(eq.RandomStream(123), n)
+        x = stochastic.normal_vector(eq.RandomStream(123), n)
         assert abs(float(np.mean(x))) < 4.0 / math.sqrt(n)
         assert abs(float(np.var(x)) - 1.0) < 0.01
 
     def test_symmetry(self):
         n = 1_000_000
-        x = eq.normal_vector(eq.RandomStream(99), n)
+        x = stochastic.normal_vector(eq.RandomStream(99), n)
         frac = float(np.mean(x <= 0.0))
         assert abs(frac - 0.5) < 3.0 * 0.5 / math.sqrt(n)
 
@@ -51,48 +52,48 @@ class TestMoments:
 class TestSubstreams:
     def test_distinct_labels_distinct_streams(self):
         s = eq.RandomStream(5)
-        a = eq.normal_vector(eq.substream(s, 1), 100)
-        b = eq.normal_vector(eq.substream(s, 2), 100)
+        a = stochastic.normal_vector(eq.substream(s, 1), 100)
+        b = stochastic.normal_vector(eq.substream(s, 2), 100)
         assert not np.array_equal(a, b)
 
     def test_substream_reproducible(self):
         s = eq.RandomStream(5)
-        a = eq.normal_vector(eq.substream(s, 1), 100)
-        b = eq.normal_vector(eq.substream(s, 1), 100)
+        a = stochastic.normal_vector(eq.substream(s, 1), 100)
+        b = stochastic.normal_vector(eq.substream(s, 1), 100)
         assert np.array_equal(a, b)
 
     def test_parent_unaffected_by_substream_draws(self):
         s1, s2 = eq.RandomStream(8), eq.RandomStream(8)
-        eq.normal_vector(eq.substream(s1, 3), 1000)
-        assert np.array_equal(eq.normal_vector(s1, 10), eq.normal_vector(s2, 10))
+        stochastic.normal_vector(eq.substream(s1, 3), 1000)
+        assert np.array_equal(stochastic.normal_vector(s1, 10), stochastic.normal_vector(s2, 10))
 
     def test_cross_correlation_small(self):
         n = 100_000
         s = eq.RandomStream(2024)
-        a = eq.normal_vector(eq.substream(s, 1), n)
-        b = eq.normal_vector(eq.substream(s, 2), n)
+        a = stochastic.normal_vector(eq.substream(s, 1), n)
+        b = stochastic.normal_vector(eq.substream(s, 2), n)
         corr = float(np.mean(a * b))
         assert abs(corr) < 3.0 / math.sqrt(n)
 
 
 class TestRandomRotation:
     def test_d1_sign(self):
-        q = eq.random_rotation(eq.RandomStream(1), 1)
+        q = stochastic.random_rotation(eq.RandomStream(1), 1)
         assert q.shape == (1, 1)
         assert abs(abs(q[0, 0]) - 1.0) < 1e-12
 
     def test_orthogonality(self):
-        q = eq.random_rotation(eq.RandomStream(4), 8)
+        q = stochastic.random_rotation(eq.RandomStream(4), 8)
         assert np.max(np.abs(q.T @ q - np.eye(8))) < 1e-10
 
     def test_column_norms(self):
-        q = eq.random_rotation(eq.RandomStream(9), 6)
+        q = stochastic.random_rotation(eq.RandomStream(9), 6)
         norms = np.linalg.norm(q, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_deterministic(self):
-        a = eq.random_rotation(eq.RandomStream(11), 5)
-        b = eq.random_rotation(eq.RandomStream(11), 5)
+        a = stochastic.random_rotation(eq.RandomStream(11), 5)
+        b = stochastic.random_rotation(eq.RandomStream(11), 5)
         assert np.array_equal(a, b)
 
 
@@ -115,21 +116,21 @@ class TestSplitDraw:
     def test_matrix_equals_stacked_vectors(self, rows, d, drawn):
         s1, s2 = eq.RandomStream(21, (4,)), eq.RandomStream(21, (4,))
         if drawn:
-            eq.normal_vector(s1, drawn)
-            eq.normal_vector(s2, drawn)
-        block = eq.normal_matrix(s1, rows, d)
-        stacked = np.stack([eq.normal_vector(s2, d) for _ in range(rows)])
+            stochastic.normal_vector(s1, drawn)
+            stochastic.normal_vector(s2, drawn)
+        block = stochastic.normal_matrix(s1, rows, d)
+        stacked = np.stack([stochastic.normal_vector(s2, d) for _ in range(rows)])
         assert np.array_equal(block, stacked)
-        assert np.array_equal(eq.normal_vector(s1, 5), eq.normal_vector(s2, 5))
+        assert np.array_equal(stochastic.normal_vector(s1, 5), stochastic.normal_vector(s2, 5))
 
     @pytest.mark.parametrize("drawn", [0, 3])
     def test_bytes_follow_raw_words(self, drawn):
         s = eq.RandomStream(17)
         if drawn:
-            eq.normal_vector(s, drawn)
+            stochastic.normal_vector(s, drawn)
         n = 1000 * 256
-        got = np.concatenate([eq.normal_matrix(s, 1000, 256).ravel(),
-                              eq.normal_vector(s, 9)])
+        got = np.concatenate([stochastic.normal_matrix(s, 1000, 256).ravel(),
+                              stochastic.normal_vector(s, 9)])
         assert np.array_equal(got, _raw_word_normals(17, n + 9, drawn))
 
 
@@ -146,7 +147,7 @@ class TestUniformEnds:
     def test_top_word_gives_finite_normal(self):
         top = 2**64 - 1
         s = self._stream_with_words([top, 2**64 - 2**11, (2**53 - 2) << 11, 0])
-        z = eq.normal_vector(s, 4)
+        z = stochastic.normal_vector(s, 4)
         assert np.all(np.isfinite(z))
         assert z[0] == z[1] == ndtri(1.0 - 2.0**-53)
         assert z[2] == ndtri(1.0 - 2.0**-52)  # the next word down is unchanged
@@ -155,12 +156,12 @@ class TestUniformEnds:
 
 def test_concurrent_callers_share_the_pool():
     seeds = range(6)
-    expected = [eq.normal_matrix(eq.RandomStream(s), 256, 256) for s in seeds]
+    expected = [stochastic.normal_matrix(eq.RandomStream(s), 256, 256) for s in seeds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as callers:
-            futures = [callers.submit(eq.normal_matrix, eq.RandomStream(s), 256, 256)
+            futures = [callers.submit(stochastic.normal_matrix, eq.RandomStream(s), 256, 256)
                        for s in seeds]
             got = [f.result(timeout=60) for f in futures]
     finally:
@@ -169,11 +170,11 @@ def test_concurrent_callers_share_the_pool():
 
 
 def _fork_child_draw(seed):
-    return eq.normal_matrix(eq.RandomStream(seed), 1000, 256)
+    return stochastic.normal_matrix(eq.RandomStream(seed), 1000, 256)
 
 
 def test_forked_child_draws_like_parent():
-    parent = eq.normal_matrix(eq.RandomStream(44), 1000, 256)
+    parent = stochastic.normal_matrix(eq.RandomStream(44), 1000, 256)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         child = pool.apply_async(_fork_child_draw, (44,)).get(timeout=60)
     assert np.array_equal(child, parent)
@@ -181,8 +182,8 @@ def test_forked_child_draws_like_parent():
 
 def test_large_draw_starts_no_thread():
     # A forked run_many worker must not inherit threads of this package.
-    code = ("import threading; import esquad as eq; "
-            "eq.normal_matrix(eq.RandomStream(1), 1024, 256); "
+    code = ("import threading; import esquad as eq; from esquad import stochastic; "
+            "stochastic.normal_matrix(eq.RandomStream(1), 1024, 256); "
             "print(threading.active_count())")
     assert run_python(code) == "1"
 
@@ -193,4 +194,17 @@ def test_generator_id_is_stable():
 
 def test_invalid_dimension():
     with pytest.raises(ValueError):
-        eq.normal_vector(eq.RandomStream(0), 0)
+        stochastic.normal_vector(eq.RandomStream(0), 0)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7, 62, 255])
+def test_one_column_chi_square_draws_as_array_shape(dof):
+    # one column passes standard_gamma a scalar shape; the array shape, which
+    # several columns need, must give the same draws
+    def source():
+        return stochastic.chi_square_source(eq.RandomStream(dof))
+
+    chi = stochastic.chi_square_matrix(source(), 300, np.array([dof]))
+    assert chi.shape == (300, 1)
+    assert np.array_equal(
+        chi, 2.0 * source().standard_gamma(0.5 * np.array([dof]), size=(300, 1)))
