@@ -381,7 +381,13 @@ class CheckResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # JSON writes a non-finite float as null, as it writes a skipped row's
+        # missing value; the note keeps the value, so a divergence stays visible
+        row = asdict(self)
+        lost = [f"{key}={row[key]}" for key in ("observed", "bound")
+                if row[key] is not None and not math.isfinite(row[key])]
+        row["note"] = "; ".join(filter(None, [row["note"], *lost]))
+        return row
 
 
 def stat_retry(check: Callable[[int, int], tuple], n: int) -> tuple:

@@ -37,5 +37,7 @@ def _finite(obj):
 
 def dump_json(obj) -> str:
     """Deterministic, strictly valid JSON text: sorted keys, LF endings,
-    trailing newline, and null for a NaN or infinite float."""
+    trailing newline, and null for a NaN or infinite float (so NaN, +inf and
+    -inf read alike, and alike with None; callers that must tell them apart
+    keep the value elsewhere, as ``CheckResult.to_json`` does in its note)."""
     return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -62,10 +62,8 @@ class McEstimate:
 
 
 def _chunk_rows(width: int) -> int:
-    # the row cap keeps a chunk's per-row temporaries small when rows are
-    # narrow: at n = 50 000, 2**13 rows took 16-27% less time than 2**16 at
-    # widths 2 and 4 (sphere and two-block d = 256) and no more at width 64
-    return min(2**13, max(1, 4_000_000 // width))
+    # the row cap bounds the per-row temporaries when rows are narrow
+    return min(2**16, max(1, 4_000_000 // width))
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:

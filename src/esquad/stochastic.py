@@ -85,10 +85,7 @@ def chi_square_source(stream: RandomStream) -> np.random.Generator:
 def chi_square_matrix(source: np.random.Generator, rows: int, dof) -> np.ndarray:
     """(rows, len(dof)) chi-square variates, column j with dof[j] > 0 degrees
     of freedom, bit-identical to ``rows`` stacked one-row calls."""
-    shape = 0.5 * np.asarray(dof)
-    if shape.size == 1:
-        shape = shape[0]  # the same draws as the array shape, without its broadcast
-    return 2.0 * source.standard_gamma(shape, size=(rows, len(dof)))
+    return 2.0 * source.standard_gamma(0.5 * np.asarray(dof), size=(rows, len(dof)))
 
 
 def substream(stream: RandomStream, label: int) -> RandomStream:

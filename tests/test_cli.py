@@ -561,6 +561,15 @@ class TestStrictJson:
         text = dump_json({"x": [math.nan, math.inf, -math.inf, 0.5], "y": (math.nan,)})
         assert _strict_json(text) == {"x": [None, None, None, 0.5], "y": [None]}
 
+    def test_report_row_keeps_non_finite_value_in_note(self):
+        from esquad.experiments import CheckResult
+        diverged = CheckResult("c", "fail", observed=math.inf, bound=-math.inf, note="n")
+        skipped = CheckResult("c", "skip", note="n")
+        rows = _strict_json(dump_json([diverged.to_json(), skipped.to_json()]))
+        assert [row["observed"] for row in rows] == [None, None]
+        assert [row["note"] for row in rows] == ["n; observed=inf; bound=-inf", "n"]
+        assert CheckResult("c", "fail", observed=math.nan).to_json()["note"] == "observed=nan"
+
     def test_every_command_output(self, tmp_path, capsys):
         inputs, out = tmp_path / "in", tmp_path / "out"
         inputs.mkdir()

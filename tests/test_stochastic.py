@@ -195,16 +195,3 @@ def test_generator_id_is_stable():
 def test_invalid_dimension():
     with pytest.raises(ValueError):
         stochastic.normal_vector(eq.RandomStream(0), 0)
-
-
-@pytest.mark.parametrize("dof", [1, 2, 7, 62, 255])
-def test_one_column_chi_square_draws_as_array_shape(dof):
-    # one column passes standard_gamma a scalar shape; the array shape, which
-    # several columns need, must give the same draws
-    def source():
-        return stochastic.chi_square_source(eq.RandomStream(dof))
-
-    chi = stochastic.chi_square_matrix(source(), 300, np.array([dof]))
-    assert chi.shape == (300, 1)
-    assert np.array_equal(
-        chi, 2.0 * source().standard_gamma(0.5 * np.array([dof]), size=(300, 1)))
