@@ -426,19 +426,18 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
 
 
 def quality_gain_bound(
-    stats: SpectrumStats, grad_norm: float, f_val: float, sigma: float, p_succ: float
+    stats: SpectrumStats, grad_norm: float, f_val: float, sigma: float
 ) -> float:
-    """Upper bound on E[log(f(m + sigma z)/f(m)) * 1{accept}].
+    """The coefficient c of the bound E[log(f(m + sigma z)/f(m)) * 1{accept}]
+    <= c * p_succ, with p_succ the success probability at (m, sigma).
 
-    (sigma ||grad|| / f) * (sigma Tr(H) / (4 ||grad||) - 1/sqrt(2 pi)) * p_succ.
+    c = (sigma ||grad|| / f) * (sigma Tr(H) / (4 ||grad||) - 1/sqrt(2 pi)).
     """
     if not (grad_norm > 0 and f_val > 0 and sigma > 0):
         raise DomainError("grad_norm, f_val and sigma must be positive")
-    if not 0.0 <= p_succ <= 1.0:
-        raise DomainError("p_succ must lie in [0, 1]")
     lead = sigma * grad_norm / f_val
     bracket = sigma * stats.trace / (4.0 * grad_norm) - 1.0 / SQRT_2PI
-    return lead * bracket * p_succ
+    return lead * bracket
 
 
 def exp_moment_bound(stats: SpectrumStats) -> float:

@@ -5,10 +5,10 @@ Subcommands: run, bounds, drift, rate, sweep, verify.  Each accepts
 underscores.  A key's value is parsed exactly as the inline flag
 ``--key-name=value`` is, inline flags win over the file, and a null value
 leaves the flag at its default.  ``verify`` instead takes the nested
-verification-suite config.  Outputs are written atomically and embed version,
-seed and generator id.  Exit codes: 0 success, 1 check failure, 2
-configuration or usage error; a malformed value of any flag, inline or from
-the file, exits 2 before any run.
+verification-suite config, whose ``out_dir`` an inline ``--out`` replaces.
+Outputs are written atomically and embed version, seed and generator id.
+Exit codes: 0 success, 1 check failure, 2 configuration or usage error; a
+malformed value of any flag, inline or from the file, exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -53,18 +53,21 @@ from .version import VERSION
 def parse_spectrum(text: str, d: Optional[int]) -> List[float]:
     """Expand a spectrum shorthand into an eigenvalue list.
 
-    ``sphere`` needs --d; ``cigar:XI``, ``discus:XI`` and ``ellipsoid:XI``
-    need --d and a positive XI; a comma-separated list of numbers is taken
-    verbatim, and must have d entries when --d is given.
+    ``sphere`` needs --d and takes no condition; ``cigar:XI``, ``discus:XI``
+    and ``ellipsoid:XI`` need --d and an XI >= 1; a comma-separated list of
+    numbers, with no empty entry, is taken verbatim, and must have d entries
+    when --d is given.
     """
     text = text.strip()
     if "," in text:
-        lam = [float(tok) for tok in text.split(",") if tok]
+        lam = [float(tok) for tok in text.split(",")]
         if d is not None and len(lam) != d:
             raise ConfigError(f"spectrum lists {len(lam)} eigenvalues, but --d is {d}")
         return lam
-    name, _, arg = text.partition(":")
+    name, sep, arg = text.partition(":")
     if name == "sphere":
+        if sep:
+            raise ConfigError(f"spectrum 'sphere' takes no condition, got {text!r}")
         if d is None:
             raise ConfigError("spectrum 'sphere' requires --d")
         return sphere(d)
@@ -371,26 +374,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
+    if args.out and isinstance(config, dict):
+        config = {**config, "out_dir": args.out}
     report = verify_suite(config)
-    out_dir = args.out or config.get("out_dir")
-    artifacts = report.pop("_artifacts")
     for check in report["checks"]:
         print(f"[{check['status'].upper():4s}] {check['check_id']}: {check['note']}")
-    if out_dir is not None:
-        import os
-
-        atomic_write_text(os.path.join(out_dir, "report.json"), dump_json(report))
-        artifacts["first_trace"].write_csv(os.path.join(out_dir, "rate_trace.csv"))
-        est = artifacts["rate"]
-        slope_lines = ["trial,a_hat,norm_a_hat"] + [
-            f"{i},{repr(float(a))},{repr(float(b))}"
-            for i, (a, b) in enumerate(
-                zip(est.trial_slopes, est.trial_norm_slopes)
-            )
-        ]
-        atomic_write_text(
-            os.path.join(out_dir, "rate_trials.csv"), "\n".join(slope_lines) + "\n"
-        )
     print(
         f"verify: {report['n_pass']} pass, {report['n_fail']} fail, "
         f"{report['n_skip']} skip"

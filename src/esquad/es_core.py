@@ -271,8 +271,8 @@ def run(
     threshold.  The run halts early only if the core reaches an exact zero,
     which is flagged on the trace.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError("budget must be an integer >= 0")
     trace = _walk(problem, state0, params, budget, stream, record_m)
     trace.metadata = {
         "version": VERSION,

@@ -21,6 +21,7 @@ evaluated while forked workers do the runs; substreams are pure functions of
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -32,6 +33,7 @@ from .bounds import TheoryConstants, constants as theory_constants
 from .errors import (ConfigError, DegenerateState, DomainError, InfeasibleBound,
                      NumericalFailure, config_errors)
 from .es_core import EsParams, EsState, RunTrace, run_many
+from .ioutil import atomic_write_text, dump_json
 from .montecarlo import (
     McEstimate,
     estimate_drift_V,
@@ -138,7 +140,13 @@ def measure_rate(
     return _rate_estimate(spectrum_stats(problem), traces, budget, burn_in), traces[0]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_protocol(budget: int, burn_in: int, trials: int) -> None:
+    if not all(map(_is_int, (budget, burn_in, trials))):
+        raise ConfigError("budget, burn_in and trials must be integers")
     if not (budget > burn_in >= 0):
         raise ConfigError("need budget > burn_in >= 0")
     if trials < 1:
@@ -238,18 +246,8 @@ def sweep(
     stream = RandomStream(protocol.seed, path=(0x5357,))
     for idx, problem in enumerate(problems):
         stats = spectrum_stats(problem)
-        row = {
-            "d": stats.d,
-            "cond": stats.cond,
-            "trace": stats.trace,
-            "L": stats.L,
-            "a_hat": None,
-            "ci_low": None,
-            "ci_high": None,
-            "B_half": None,
-            "lower_const": None,
-            "error": None,
-        }
+        row = dict.fromkeys((*SWEEP_COLUMNS, "error"))
+        row.update(d=stats.d, cond=stats.cond, trace=stats.trace, L=stats.L)
         rows.append(row)
         try:
             p = params(problem)
@@ -326,10 +324,6 @@ _LBL_DRIFT = {
     RegimeLabel.LARGE_STEP: 403,
 }
 _LBL_RATE = 500
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def validate_config(config: dict) -> dict:
@@ -541,8 +535,7 @@ def _quality_gain(s: _Suite, n: int, attempt: int) -> tuple:
         sigma = gnorm / s.stats.trace * math.exp(2.0 * (k / 7.0 - 0.5))
         lhs = estimate_log_progress(s.problem, point, sigma, n, substream(base, 2 * k + 1))
         psucc = estimate_success_prob(s.problem, point, sigma, n, substream(base, 100 + k))
-        rhs_coeff = bounds_mod.quality_gain_bound(s.stats, gnorm, s.problem.core(point),
-                                                  sigma, 1.0)
+        rhs_coeff = bounds_mod.quality_gain_bound(s.stats, gnorm, s.problem.core(point), sigma)
         se = math.hypot(lhs.std_error, rhs_coeff * psucc.std_error)
         worst_gap = max(worst_gap, lhs.mean - rhs_coeff * psucc.mean - 3 * se)
     return worst_gap <= 0.0, worst_gap, 0.0, "8 random (m, sigma) instances"
@@ -656,12 +649,12 @@ def _evaluate(s: _Suite, row: _Check) -> CheckResult:
 def verify_suite(config: dict) -> dict:
     """Run every verification check the configuration supports.
 
-    Returns a machine-readable report; each check echoes its seed and
-    tolerance.  Statistical checks that fail at 3 standard errors rerun once
-    at 4x the sample count before being reported as failures.  Checks whose
-    preconditions the configured problem cannot meet (dimension too small,
-    infeasible theory constants) are reported as skips with the diagnosis,
-    not as failures.
+    Returns the report, ready for ``json.dumps``; each check echoes its seed
+    and tolerance.  Statistical checks that fail at 3 standard errors rerun
+    once at 4x the sample count before being reported as failures.  Checks
+    whose preconditions the configured problem cannot meet (dimension too
+    small, infeasible theory constants) are reported as skips with the
+    diagnosis, not as failures.
 
     The rows that read no trace (the Monte Carlo rows, the theory constants
     and the bound limits) are evaluated while forked workers run the suite's
@@ -669,8 +662,9 @@ def verify_suite(config: dict) -> dict:
     report lists the rows in table order.  Every row draws from its own
     substream, so neither the split nor the CPU count moves a byte.
 
-    The returned dict carries non-JSON artifacts (first trace, rate estimate)
-    under the "_artifacts" key; strip it before serializing.
+    When the config's ``out_dir`` is a string, the suite writes there
+    ``report.json``, ``rate_trace.csv`` with its ``.meta.json`` sidecar (the
+    first rate trial) and ``rate_trials.csv`` (each trial's two slopes).
     """
     cfg = validate_config(config)
     untraced = {}
@@ -679,7 +673,7 @@ def verify_suite(config: dict) -> dict:
     checks = [_evaluate(s, row) if row.traced else untraced[row.check_id] for row in _CHECKS]
     count = {status: sum(c.status == status for c in checks)
              for status in ("pass", "fail", "skip")}
-    return {
+    report = {
         "version": VERSION,
         "generator_id": GENERATOR_ID,
         "seed": s.seed,
@@ -693,8 +687,15 @@ def verify_suite(config: dict) -> dict:
         "n_fail": count["fail"],
         "n_skip": count["skip"],
         "ok": count["fail"] == 0,
-        "_artifacts": {"first_trace": s.first_trace, "rate": s.rate},
     }
+    out_dir = cfg["out_dir"]
+    if out_dir is not None:
+        atomic_write_text(os.path.join(out_dir, "report.json"), dump_json(report))
+        s.first_trace.write_csv(os.path.join(out_dir, "rate_trace.csv"))
+        slopes = zip(s.rate.trial_slopes.tolist(), s.rate.trial_norm_slopes.tolist())
+        atomic_write_text(os.path.join(out_dir, "rate_trials.csv"), "trial,a_hat,norm_a_hat\n"
+                          + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(slopes)))
+    return report
 
 
 def _regime_states(problem, consts, m0):

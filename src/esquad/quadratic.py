@@ -237,8 +237,7 @@ class QuadraticProblem:
 
     def core(self, x) -> float:
         """Untransformed core 0.5 (x - x*)^T H (x - x*)."""
-        u = self.eigen_frame(self._check_dim(x) - self.optimum)
-        return 0.5 * einsum_dot(self.spectrum.eigenvalues * u, u)
+        return self.core_centered(self._check_dim(x) - self.optimum)
 
     def core_centered(self, y: np.ndarray) -> float:
         """Core of an already-centered vector, no dimension check."""

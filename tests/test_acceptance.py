@@ -176,7 +176,7 @@ def test_criterion_04_quality_gain():
         grad_norm = problem.grad_norm_centered(problem.centered(m))
         f_val = problem.core(m)
         sigma = float(grad_norm / stats.trace * math.exp(rng.uniform(-2, 2)))
-        coeff = bounds.quality_gain_bound(stats, grad_norm, f_val, sigma, 1.0)
+        coeff = bounds.quality_gain_bound(stats, grad_norm, f_val, sigma)
 
         def check(n, attempt, problem=problem, m=m, sigma=sigma, coeff=coeff,
                   trial=trial):

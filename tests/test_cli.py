@@ -302,6 +302,13 @@ class TestVerify:
         assert main(["verify", "--config", str(cpath)]) == 2
         assert "config error: out_dir must be a string or null" in capsys.readouterr().err
 
+    def test_config_not_an_object_exits_two_with_out(self, tmp_path, capsys):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps([small_verify_config()]))
+        assert main(["verify", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_small_verify_writes_report(self, tmp_path, capsys):
         cpath = tmp_path / "cfg.json"
         cpath.write_text(json.dumps(small_verify_config()))
@@ -475,6 +482,8 @@ class TestMalformedValues:
           "--alpha-up", "0.5", "--alpha-down", "0.97"], None),
         (["bounds", "--d", "8", "--spectrum", "cigar:abc", *ALPHAS], None),
         (["bounds", "--spectrum", "1,2,abc", *ALPHAS], None),
+        (["bounds", "--d", "8", "--spectrum", "sphere:5", *ALPHAS], None),
+        (["bounds", "--spectrum", "1,2,,3", *ALPHAS], None),
         (["bounds", "--d", "8", "--spectrum", "cigar:nan", *ALPHAS], None),
         (["bounds", "--d", "0", "--spectrum", "sphere", *ALPHAS], None),
         (["sweep", "--dims", "8,x"], None),
@@ -502,7 +511,8 @@ class TestMalformedValues:
         (["run", "--problem", "<affine-extra-key.json>", *ALPHAS], None),
         (["bounds", "--problem", "<affine-a-string.json>", *ALPHAS], None),
         (["run", "--problem", "<optimum-inf.json>", *ALPHAS], None),
-    ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "cigar-nan", "d-zero",
+    ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "sphere-with-condition",
+            "list-empty-entry", "cigar-nan", "d-zero",
             "dims-x", "target-two", "trials-zero", "budget-negative",
             "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
             "config-d-true", "list-shorter-than-d", "list-longer-than-d",

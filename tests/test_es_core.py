@@ -96,6 +96,13 @@ class TestRun:
         assert len(tr) == 1
         assert tr.accepted[0] == 0
 
+    @pytest.mark.parametrize("budget", [True, 2.0, -1])
+    def test_budget_must_be_a_nonnegative_int(self, budget):
+        # True once ran one step and wrote "budget": true into the metadata
+        p = eq.make_problem(eq.sphere(4), 0)
+        with pytest.raises(ValueError, match="budget must be an integer >= 0"):
+            eq.run(p, eq.EsState(np.ones(4), 0.0), PARAMS, budget, eq.RandomStream(0))
+
     def test_degenerate_start(self):
         p = eq.make_problem(eq.sphere(3), 0)
         with pytest.raises(eq.DegenerateState):

@@ -102,6 +102,18 @@ class TestMeasureRate:
                 100, 100, 2, eq.RandomStream(0),
             )
 
+    @pytest.mark.parametrize("budget, burn_in, trials", [
+        (100.0, 10, 2), (100, 10.0, 2), (100, 10, 2.0), (100, False, 2), (100, 10, True),
+    ])
+    def test_run_lengths_must_be_ints(self, budget, burn_in, trials):
+        # a float budget once died inside numpy with a TypeError
+        p = eq.make_problem(eq.sphere(4), 0)
+        with pytest.raises(eq.ConfigError, match="must be integers"):
+            eq.measure_rate(p, eq.alpha_schedule(4), eq.default_initial_state(p),
+                            budget, burn_in, trials, eq.RandomStream(0))
+        with pytest.raises(eq.ConfigError, match="must be integers"):
+            SweepProtocol(budget, burn_in, trials, 0)
+
 
 class TestSweep:
     def test_rows_and_csv(self):
@@ -240,9 +252,24 @@ class TestVerifySuite:
         report = eq.verify_suite(
             small_config(run={"budget": 300, "burn_in": 30, "trials": 2, "n_mc": 5000})
         )
-        report.pop("_artifacts")
         text = json.dumps(report, sort_keys=True)
         assert "checks" in json.loads(text)
+
+    def test_out_dir_gets_the_files_of_verify_out(self, tmp_path, capsys):
+        run = {"budget": 300, "burn_in": 30, "trials": 3, "n_mc": 2000}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config(run=run)))
+        assert cli.main(["verify", "--config", str(config),
+                         "--out", str(tmp_path / "cli")]) == 0
+        report = eq.verify_suite(small_config(run=run, out_dir=str(tmp_path / "api")))
+        names = ["rate_trace.csv", "rate_trace.csv.meta.json", "rate_trials.csv",
+                 "report.json"]
+        for side in ("api", "cli"):
+            assert sorted(p.name for p in (tmp_path / side).iterdir()) == names
+        for name in names:
+            assert (tmp_path / "api" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+        assert json.loads((tmp_path / "api" / "report.json").read_text()) == report
+        assert (tmp_path / "api" / "rate_trials.csv").read_text().count("\n") == 1 + run["trials"]
 
 
     @pytest.mark.parametrize("problem", [
@@ -310,7 +337,6 @@ p = eq.make_problem(eq.ellipsoid(100, 10.0), 0)
 report = eq.verify_suite({
     "seed": 3, "problem": p.to_json(), "params": eq.alpha_schedule(100, 0.4).to_json(),
     "run": {"budget": 200, "burn_in": 20, "trials": 2, "n_mc": 4000}})
-del report["_artifacts"]
 print(dump_json(report))
 """
 
