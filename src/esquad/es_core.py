@@ -68,20 +68,24 @@ from a companion stream that every run keys with one word of its stream, so
 ``record_m`` changes no other column.
 
 ``run_many`` runs independent runs on every CPU the process may run on.  With
-n = min(CPUs, jobs) a pool of n - 1 worker processes, forked for that call,
-runs part of the jobs, and the call joins the pool before it returns or
-raises, so no process outlives it.  The calling process runs jobs 0, n, 2n,
-... itself; or, given other work to do meanwhile (``verify``'s Monte Carlo
-checks), it does that work and then runs job 0 while the pool runs all the
-others.  With one CPU or one job it is a plain loop in the caller.  A trace
-is a function of its inputs alone, which reach a worker as pickled copies,
-bit for bit, so where a run executes cannot change its bytes.
+n = min(CPUs, jobs) it splits the jobs first: the calling process keeps jobs
+0, n, 2n, ..., or, given other work to do meanwhile (``verify``'s Monte Carlo
+checks), job 0 alone, and n - 1 worker processes, forked for that call, share
+the rest.  A forked worker inherits its jobs, so nothing is pickled on the
+way in; it runs the kernel of each job of its share and, after its last job,
+sends back the kept rows of all of them in one message, which the caller
+expands to traces with ``run``'s own code.  The call starts no thread, and it
+kills and reaps every worker before it returns or raises, so no process
+outlives it.  With one CPU or one job it is a plain loop in the caller.  A
+trace is a function of its inputs alone, which a worker holds as the
+caller's own bits, so where a run executes cannot change its bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -271,21 +275,8 @@ def run(
     threshold.  The run halts early only if the core reaches an exact zero,
     which is flagged on the trace.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError("budget must be an integer >= 0")
-    trace = _walk(problem, state0, params, budget, stream, record_m)
-    trace.metadata = {
-        "version": VERSION,
-        "generator_id": GENERATOR_ID,
-        "seed": stream.seed,
-        "path": list(stream.path),
-        "params": params.to_json(),
-        "problem": problem.to_json(),
-        "budget": budget,
-        "log_sigma0": state0.log_sigma,
-        "hit_zero": trace.hit_zero,
-    }
-    return trace
+    job = (problem, state0, params, budget, stream, record_m)
+    return _expand(_walk(*job), *job)
 
 
 def _cpu_count() -> int:
@@ -295,67 +286,142 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+class BrokenProcessPool(RuntimeError):
+    """A ``run_many`` worker process died before it sent its results."""
+
+
 def run_many(jobs: Sequence[tuple],
              meanwhile: Optional[Callable[[], None]] = None) -> List[RunTrace]:
     """The traces of ``run(*job)`` for each job, in job order.
 
     Each job is a tuple of ``run``'s positional arguments and owns its stream.
-    With n = min(CPUs, jobs), a pool of n - 1 workers, forked for this call
-    and joined before it returns or raises, runs some jobs and the caller the
-    rest.  Without ``meanwhile`` the caller runs every job i with i % n == 0.
-    With it the pool takes every job but job 0, the caller calls
-    ``meanwhile()`` while they run and then runs job 0; on one CPU it calls
-    ``meanwhile()`` and then runs every job in order.  An exception from
-    ``meanwhile`` propagates unchanged, once the pool is joined.  Otherwise
-    the first failing job in job order raises, with its own exception type
-    and its index in ``jobs`` as ``job_index``; a worker that dies raises
-    BrokenProcessPool.  Fork, not spawn: a spawned worker would import
-    numpy, scipy and esquad again, about 0.2 s, where a fork takes
-    milliseconds; this package starts no thread that a fork could copy.
+    With n = min(CPUs, jobs) the jobs are split before any of them runs:
+    without ``meanwhile`` the caller keeps every job i with i % n == 0, with
+    it only job 0, and n - 1 workers, forked for this call, take the rest in
+    turn.  The caller calls ``meanwhile()``, runs its share with ``run`` and
+    then reads each worker's results; with one CPU or one job it calls
+    ``meanwhile()`` and runs every job in order.  A worker runs its share in
+    job order and stops at its first failure; it marks each job it finishes
+    in a page it shares with the caller and, after its last job, sends the
+    kept rows of each (``_walk``) and its failure as one message.
+
+    An exception from ``meanwhile`` propagates unchanged.  Otherwise the
+    first failing job in job order raises, with its own exception type and
+    its index in ``jobs`` as ``job_index``; a worker that dies raises
+    BrokenProcessPool at the first job of its share it did not finish.  Any
+    other exception, such as an OSError from starting a worker, carries no
+    ``job_index``.  The call starts no thread, and kills and reaps every
+    worker it started before it returns or raises.  Fork, not spawn: a
+    spawned worker would import numpy, scipy and esquad again, about 0.2 s,
+    where a fork takes milliseconds; this package starts no thread that a
+    fork could copy.
     """
     jobs = list(jobs)
     n = min(_cpu_count(), len(jobs))
-    pooled = [] if n < 2 else [i for i in range(1, len(jobs))
-                               if meanwhile is not None or i % n]
-    pool, futures = None, {}
+    if n < 2:
+        mine = range(len(jobs))
+    else:
+        mine = range(0, 1 if meanwhile is not None else len(jobs), n)
+    pooled = [i for i in range(len(jobs)) if i not in mine]
+    workers = []
     try:
         if pooled:
             import multiprocessing
-            from concurrent.futures.process import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
-            futures = {i: pool.submit(_run_job, jobs[i]) for i in pooled}
+            context = multiprocessing.get_context("fork")
+            for k in range(n - 1):
+                workers.append(_Worker(context, jobs, pooled[k::n - 1]))
         if meanwhile is not None:
             meanwhile()
-        traces, i = [], 0
-        try:
-            for i, job in enumerate(jobs):
-                traces.append(futures[i].result() if i in futures else run(*job))
-        except Exception as exc:
+        # the first failure in job order: its index and exception
+        traces, failure = [None] * len(jobs), (len(jobs), None)
+        for i in mine:
+            try:
+                traces[i] = run(*jobs[i])
+            except Exception as exc:
+                failure = (i, exc)
+                break
+        for worker in workers:
+            if worker.share[0] < failure[0]:  # else no result of it can be returned
+                failure = min(failure, worker.collect(jobs, traces), key=lambda f: f[0])
+        i, exc = failure
+        if exc is not None:
             exc.job_index = i
-            raise
+            raise exc
         return traces
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.stop()
 
 
-def _run_job(job):
-    # submitted by name, as ``run`` may be patched to a closure that does not
-    # pickle; a forked worker looks ``run`` up here and runs what the caller would
-    return run(*job)
+class _Worker:
+    """A forked process that runs one share of ``run_many``'s jobs (``_work``),
+    the page where it marks the jobs it finished and the pipe of its results."""
+
+    def __init__(self, context, jobs, share):
+        self.share = share
+        self.notes = mmap.mmap(-1, len(share))  # byte j: job share[j] finished
+        self.results, writer = context.Pipe(duplex=False)
+        self.process = context.Process(target=_work, args=(jobs, share, self.notes, writer))
+        try:
+            self.process.start()
+        except BaseException:
+            self.results.close()
+            self.notes.close()
+            raise
+        finally:
+            writer.close()  # so that the results pipe ends when the worker does
+
+    def collect(self, jobs, traces):
+        """Fill in the traces of the share's finished jobs; return the index
+        and exception of its failing job, or (len(jobs), None)."""
+        try:
+            kept, error = self.results.recv()
+        except EOFError:
+            j = self.notes.find(b"\0")
+            i = self.share[j] if j >= 0 else self.share[-1]
+            return i, BrokenProcessPool(f"the worker process running job {i} died")
+        for i, rows in zip(self.share, kept):
+            traces[i] = _expand(rows, *jobs[i])
+        return (len(jobs), None) if error is None else (self.share[len(kept)], error)
+
+    def stop(self):
+        """Kill the process if it still runs, reap it and release the rest."""
+        self.process.kill()
+        self.process.join()
+        self.process.close()
+        self.results.close()
+        self.notes.close()
+
+
+def _work(jobs, share, notes, results):
+    """A worker's target: ``_walk`` each job of ``share`` in order up to the
+    first failure, then send the kept rows and the failure in one message.
+    Jobs are looked up in the forked copy of the caller, never pickled."""
+    kept, error = [], None
+    for j, i in enumerate(share):
+        try:
+            kept.append(_walk(*jobs[i]))
+        except Exception as exc:
+            error = exc
+            break
+        notes[j] = 1
+    results.send((kept, error))
 
 
 def _walk(problem, state0, params, budget, stream, record_m=False):
     """The run kernel: the chain of group norms r and sigma (module docstring).
 
-    Takes up to ``budget`` steps from ``state0`` and returns the trace without
-    metadata.  The stream keys the chi-square source and the lift stream with
-    one word each, then gives the xi_k in blocks.  A problem with at most two
-    distinct eigenvalues runs the float chain, any other the group chain;
-    both return the rows they kept, which are row 0 and the accepted rows, and
-    every other row carries the last kept one forward.
+    Takes up to ``budget`` steps from ``state0`` and returns the rows it kept,
+    which are row 0 and the accepted rows: their indices, log f, log-norm and
+    (with ``record_m``) lifted points as arrays, and whether the core hit an
+    exact zero.  The stream keys the chi-square source and the lift stream
+    with one word each, then gives the xi_k in blocks.  A problem with at
+    most two distinct eigenvalues runs the float chain, any other the group
+    chain.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError("budget must be an integer >= 0")
     groups = problem.eigen_groups()
     y = problem.centered(state0.m)
     u = problem.eigen_frame(y)
@@ -369,22 +435,40 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
         params, budget, stream, chi_square_source(stream),
         companion_stream(stream),  # the lift stream, keyed even when unused
         record_m)
+    return (np.array(kept), np.array(log_f), np.array(log_norm),
+            np.array(points) if record_m else None, hit_zero)
 
-    n_kept = kept[-1] + 1 if hit_zero else budget + 1
+
+def _expand(rows, problem, state0, params, budget, stream, record_m=False):
+    """The trace of a run from the rows that ``_walk`` kept: every other row
+    carries the last kept one forward."""
+    kept, log_f, log_norm, points, hit_zero = rows
+    n_kept = int(kept[-1]) + 1 if hit_zero else budget + 1
     acc = np.zeros(n_kept, dtype=np.int8)
     acc[kept[1:]] = 1
-    row = np.cumsum(acc)  # the kept row in force at each row, as a list index
+    row = np.cumsum(acc)  # the kept row in force at each row, as an index
     # cumsum adds in sequence, so these are the loop's own sums, bit for bit
     log_sig = np.cumsum(np.r_[state0.log_sigma,
                               np.where(acc[1:], params.log_up, params.log_down)])
     m_centered = None
     if record_m:
-        m_centered = np.array(points)[row]
+        m_centered = points[row]
         if problem.rotation is not None:
             m_centered = m_centered @ problem.rotation.T
     return RunTrace(
-        t=np.arange(n_kept), log_f=np.array(log_f)[row], log_sigma=log_sig, accepted=acc,
-        log_norm=np.array(log_norm)[row], m_centered=m_centered, hit_zero=hit_zero,
+        t=np.arange(n_kept), log_f=log_f[row], log_sigma=log_sig, accepted=acc,
+        log_norm=log_norm[row], m_centered=m_centered, hit_zero=hit_zero,
+        metadata={
+            "version": VERSION,
+            "generator_id": GENERATOR_ID,
+            "seed": stream.seed,
+            "path": list(stream.path),
+            "params": params.to_json(),
+            "problem": problem.to_json(),
+            "budget": budget,
+            "log_sigma0": state0.log_sigma,
+            "hit_zero": hit_zero,
+        },
     )
 
 

@@ -262,6 +262,8 @@ def sweep(
             # new trial streams on each attempt, since a run advances its stream
             traces = run_many([job for *_, args in pending for job in _rate_jobs(*args)])
         except Exception as exc:
+            if not hasattr(exc, "job_index"):  # not a run's failure, such as a failed fork
+                raise
             # every row has protocol.trials jobs, in row order
             row, *_ = pending.pop(exc.job_index // protocol.trials)
             row["error"] = _error_text(exc)

@@ -10,11 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 import esquad as eq
 from esquad import es_core
 
 
-POOL_DEADLINE_S = 120
+WORKER_DEADLINE_S = 120
 
 
 @pytest.fixture(autouse=True)
@@ -29,16 +34,16 @@ def no_child_process_left():
 def cpus(monkeypatch):
     """Set the CPU count that ``es_core.run_many`` splits its jobs over.
 
-    The test must end within POOL_DEADLINE_S, and so must each join of a
-    pool after that, so that a hung pool fails the test instead of stalling
-    the suite.
+    The test must end within WORKER_DEADLINE_S, and so must the kill and
+    reaping of the workers in run_many's finally after that, so that a hung
+    worker fails the test instead of stalling the suite.
     """
     def expire(signum, frame):
-        signal.alarm(POOL_DEADLINE_S)  # re-armed for the join in run_many's finally
-        raise TimeoutError(f"no result from the run pool in {POOL_DEADLINE_S} s")
+        signal.alarm(WORKER_DEADLINE_S)  # re-armed for the reaping in run_many's finally
+        raise TimeoutError(f"no results from the run_many workers in {WORKER_DEADLINE_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(POOL_DEADLINE_S)
+    signal.alarm(WORKER_DEADLINE_S)
 
     def set_cpus(n):
         monkeypatch.setattr(es_core, "_cpu_count", lambda: n)
@@ -114,30 +119,39 @@ def run_python(code: str) -> str:
 
 def run_under_blas_kernels(code: str) -> dict:
     """The stdout of ``code`` in a fresh interpreter that imports this
-    checkout's esquad, under OpenBLAS's kernel for this CPU (key None) and
-    under each kernel that ``OPENBLAS_CORETYPE`` forces: kernels with and
-    without FMA differ in the last bit of a dot product."""
+    checkout's esquad, under OpenBLAS's kernel for this CPU (key None), under
+    each kernel that ``OPENBLAS_CORETYPE`` forces, and with every SIMD
+    target that numpy dispatches to on this CPU disabled (key
+    "NPY_DISABLE_CPU_FEATURES"): kernels with and without FMA differ in the
+    last bit of a dot product, and numpy's exp and log loops per target in
+    the last bit of a result."""
+    settings = {None: {}}
+    for core in ("Haswell", "Sandybridge", "Prescott"):
+        settings[core] = {"OPENBLAS_CORETYPE": core}
+    settings["NPY_DISABLE_CPU_FEATURES"] = {
+        "NPY_DISABLE_CPU_FEATURES": " ".join(_multiarray_umath.__cpu_dispatch__)}
     outputs = {}
-    for core in (None, "Haswell", "Sandybridge", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    for key, setting in settings.items():
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
         env["PYTHONPATH"] = str(pathlib.Path(eq.__file__).parent.parent)
-        if core is not None:
-            env["OPENBLAS_CORETYPE"] = core
+        env.update(setting)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        outputs[core] = proc.stdout
+        outputs[key] = proc.stdout
     return outputs
 
 
 def kill_worker_on(monkeypatch, path):
     """Make a forked worker SIGKILL itself when it starts the job on stream
-    ``path``; pools fork after the patch, so their workers inherit it."""
-    caller, real_run = os.getpid(), es_core.run
+    ``path``, in ``es_core._walk``, the kernel a worker runs each job through;
+    workers fork after the patch, so they inherit it."""
+    caller, real_walk = os.getpid(), es_core._walk
 
-    def dying_run(*job):
+    def dying_walk(*job):
         if os.getpid() != caller and job[4].path == path:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_run(*job)
+        return real_walk(*job)
 
-    monkeypatch.setattr(es_core, "run", dying_run)
+    monkeypatch.setattr(es_core, "_walk", dying_walk)

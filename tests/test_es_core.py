@@ -1,8 +1,7 @@
-import concurrent.futures.process
 import math
 import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core, experiments, stochastic
+from esquad.es_core import BrokenProcessPool
 from conftest import kill_worker_on, read_trace_csv, run_under_blas_kernels
 
 
@@ -535,19 +535,26 @@ def _same_trace(a, b):
 
 
 def _tag_pid(monkeypatch):
-    """Make each run record on its trace the pid of the process it ran in."""
-    real_run = es_core.run
+    """Make each run record on its trace the pid of the process it ran in:
+    the kernel (``es_core._walk``) returns its pid beside the kept rows, in
+    a worker too, and the caller's ``_expand`` puts it on the trace."""
+    real_walk, real_expand = es_core._walk, es_core._expand
 
-    def tagged_run(*job):
-        trace = real_run(*job)
-        trace.pid = os.getpid()
+    def tagged_walk(*job):
+        return real_walk(*job), os.getpid()
+
+    def tagged_expand(tagged, *job):
+        rows, pid = tagged
+        trace = real_expand(rows, *job)
+        trace.pid = pid
         return trace
 
-    monkeypatch.setattr(es_core, "run", tagged_run)
+    monkeypatch.setattr(es_core, "_walk", tagged_walk)
+    monkeypatch.setattr(es_core, "_expand", tagged_expand)
 
 
 class TestRunMany:
-    @pytest.mark.parametrize("n_cpus", [2, 3])
+    @pytest.mark.parametrize("n_cpus", [2, 3, 5])  # 5: four workers, often more than the cores
     @pytest.mark.parametrize("record_m", [False, True])
     def test_matches_serial_loop_in_job_order(self, cpus, monkeypatch, n_cpus, record_m):
         serial = [eq.run(*job, record_m) for job in _jobs(7)]
@@ -556,7 +563,7 @@ class TestRunMany:
         traces = es_core.run_many([job + (record_m,) for job in _jobs(7)])
         assert len(traces) == 7
         assert all(_same_trace(a, b) for a, b in zip(serial, traces))
-        # the jobs i with i % n != 0 ran in the pool, and the pool is gone
+        # the jobs i with i % n != 0 ran in a worker, and the workers are gone
         assert [t.pid != os.getpid() for t in traces] == [i % n_cpus != 0 for i in range(7)]
         assert multiprocessing.active_children() == []
 
@@ -575,16 +582,44 @@ class TestRunMany:
         assert ran == [job[4].path for job in _jobs(7)[::3]]
 
     def test_one_cpu_or_one_job_starts_no_process(self, cpus, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("built a pool")
+        def no_fork():
+            raise AssertionError("forked a worker")
 
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         cpus(1)
         assert len(es_core.run_many(_jobs(3))) == 3
         cpus(2)
         assert len(es_core.run_many(_jobs(1))) == 1
-        with pytest.raises(AssertionError, match="built a pool"):  # the patch holds
+        with pytest.raises(AssertionError, match="forked a worker"):  # the patch holds
             es_core.run_many(_jobs(2))
+
+    def test_failed_worker_start_stops_the_started_workers(self, cpus, monkeypatch):
+        # three CPUs fork two workers; the second fork fails, and the call
+        # raises its OSError, no job's failure, with the first worker gone
+        real_fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise OSError("fork refused")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        cpus(3)
+        with pytest.raises(OSError, match="fork refused") as failure:
+            es_core.run_many(_jobs(5))
+        assert not hasattr(failure.value, "job_index")
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_caller_starts_no_thread(self, cpus):
+        cpus(2)
+        before, during = threading.active_count(), []
+        traces = es_core.run_many(_jobs(4), meanwhile=lambda: during.append(
+            threading.active_count()))
+        assert during == [before]
+        assert threading.active_count() == before
+        assert all(_same_trace(a, b) for a, b in zip(traces, [eq.run(*job) for job in _jobs(4)]))
 
     def test_error_in_worker_raises_its_own_type(self, cpus):
         cpus(2)
@@ -664,12 +699,12 @@ class TestRunMany:
 
     def test_killed_worker_does_not_poison_later_calls(self, cpus, monkeypatch):
         cpus(2)
-        jobs = _jobs(4)
+        jobs, real_walk = _jobs(4), es_core._walk
         kill_worker_on(monkeypatch, jobs[1][4].path)  # job 1 runs in the worker
         with pytest.raises(BrokenProcessPool) as failure:
             es_core.run_many(jobs)
         assert failure.value.job_index == 1
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(es_core, "run", eq.run)
+        monkeypatch.setattr(es_core, "_walk", real_walk)
         traces = es_core.run_many(_jobs(2))
         assert all(_same_trace(a, b) for a, b in zip(traces, [eq.run(*job) for job in _jobs(2)]))

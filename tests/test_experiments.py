@@ -2,6 +2,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import re
 from contextlib import redirect_stdout
 
@@ -456,3 +457,28 @@ class TestCpuCount:
         rows = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
         assert rows[0]["error"].startswith("BrokenProcessPool")
         assert rows[1:] == serial[1:]
+
+    def test_worker_killed_at_its_second_job_fails_that_row_only(self, cpus, monkeypatch):
+        problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
+        protocol = SweepProtocol(budget=400, burn_in=40, trials=2, seed=3)
+        serial = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
+        cpus(2)
+        # the worker runs jobs 1, 3 and 5 and dies at job 3, row 1's trial 1,
+        # after finishing job 1 of row 0
+        row1 = substream(eq.RandomStream(3, path=(0x5357,)), 1)
+        kill_worker_on(monkeypatch, substream(row1, 1).path)
+        rows = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
+        assert rows[1]["error"].startswith("BrokenProcessPool")
+        assert [rows[0], rows[2]] == [serial[0], serial[2]]
+
+    def test_failed_worker_start_raises_from_sweep(self, cpus, monkeypatch):
+        # an exception without a job_index is no row's failure
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8)]
+        protocol = SweepProtocol(budget=100, burn_in=10, trials=2, seed=3)
+        cpus(2)
+        with pytest.raises(OSError, match="fork refused"):
+            eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
