@@ -339,9 +339,9 @@ def _cmd_sweep(args) -> int:
     if "," in args.spectrum:
         raise ConfigError("sweep needs a named spectrum, not a comma list")
     with config_errors(f"--dims {args.dims!r}"):
-        dims = [int(tok) for tok in args.dims.split(",") if tok]
-    if not dims:
-        raise ConfigError("--dims must list at least one dimension")
+        dims = [int(tok) for tok in args.dims.split(",")]
+    if len(set(dims)) < len(dims):
+        raise ConfigError(f"--dims {args.dims!r} lists a dimension twice")
     problems = [_spectrum_problem(args.spectrum, d) for d in dims]
     with config_errors(f"--target {args.target!r}"):
         schedule = {d: alpha_schedule(d, args.target) for d in dims}

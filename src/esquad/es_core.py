@@ -71,22 +71,24 @@ from a companion stream that every run keys with one word of its stream, so
 n = min(CPUs, jobs) it splits the jobs first: the calling process keeps jobs
 0, n, 2n, ..., or, given other work to do meanwhile (``verify``'s Monte Carlo
 checks), job 0 alone, and n - 1 worker processes, forked for that call, share
-the rest.  A forked worker inherits its jobs, so nothing is pickled on the
-way in; it runs the kernel of each job of its share and, after its last job,
-sends back the kept rows of all of them in one message, which the caller
-expands to traces with ``run``'s own code.  The call starts no thread, and it
-kills and reaps every worker before it returns or raises, so no process
-outlives it.  With one CPU or one job it is a plain loop in the caller.  A
-trace is a function of its inputs alone, which a worker holds as the
-caller's own bits, so where a run executes cannot change its bytes.
+the rest.  A worker, one ``os.fork`` with one pipe, inherits its jobs, so
+nothing is pickled on the way in; it runs the kernel of each job of its
+share, writes a byte per finished job and then the kept rows of all of them
+as one pickle, which the caller expands to traces with ``run``'s own code.
+The call starts no thread, and it kills and reaps every worker before it
+returns or raises, so no process outlives it.  With one CPU or one job it is
+a plain loop in the caller.  A trace is a function of its inputs alone, which
+a worker holds as the caller's own bits, so where a run executes cannot
+change its bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import mmap
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -300,21 +302,22 @@ def run_many(jobs: Sequence[tuple],
     it only job 0, and n - 1 workers, forked for this call, take the rest in
     turn.  The caller calls ``meanwhile()``, runs its share with ``run`` and
     then reads each worker's results; with one CPU or one job it calls
-    ``meanwhile()`` and runs every job in order.  A worker runs its share in
-    job order and stops at its first failure; it marks each job it finishes
-    in a page it shares with the caller and, after its last job, sends the
-    kept rows of each (``_walk``) and its failure as one message.
+    ``meanwhile()`` and runs every job in order.  A worker, one ``os.fork``
+    with one pipe, runs its share in job order and stops at its first
+    failure; it writes one byte to its pipe per job it finishes and then the
+    kept rows of each (``_walk``) and its failure as one pickle, which the
+    caller reads to the pipe's end.
 
     An exception from ``meanwhile`` propagates unchanged.  Otherwise the
     first failing job in job order raises, with its own exception type and
     its index in ``jobs`` as ``job_index``; a worker that dies raises
-    BrokenProcessPool at the first job of its share it did not finish.  Any
-    other exception, such as an OSError from starting a worker, carries no
-    ``job_index``.  The call starts no thread, and kills and reaps every
-    worker it started before it returns or raises.  Fork, not spawn: a
-    spawned worker would import numpy, scipy and esquad again, about 0.2 s,
-    where a fork takes milliseconds; this package starts no thread that a
-    fork could copy.
+    BrokenProcessPool at the first job of its share it did not finish, or at
+    its last job if it died sending its message.  Any other exception, such
+    as an OSError from fork, carries no ``job_index``.  The call starts no
+    thread, and kills and reaps every worker it started before it returns or
+    raises.  Fork, not spawn: a spawned worker would import numpy, scipy and
+    esquad again, about 0.2 s, where a fork takes milliseconds; this package
+    starts no thread that a fork could copy.
     """
     jobs = list(jobs)
     n = min(_cpu_count(), len(jobs))
@@ -325,12 +328,8 @@ def run_many(jobs: Sequence[tuple],
     pooled = [i for i in range(len(jobs)) if i not in mine]
     workers = []
     try:
-        if pooled:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            for k in range(n - 1):
-                workers.append(_Worker(context, jobs, pooled[k::n - 1]))
+        for k in range(n - 1):
+            workers.append(_Worker(jobs, pooled[k::n - 1]))
         if meanwhile is not None:
             meanwhile()
         # the first failure in job order: its index and exception
@@ -355,58 +354,58 @@ def run_many(jobs: Sequence[tuple],
 
 
 class _Worker:
-    """A forked process that runs one share of ``run_many``'s jobs (``_work``),
-    the page where it marks the jobs it finished and the pipe of its results."""
+    """A process forked to run one share of ``run_many``'s jobs, and the read
+    end of its one pipe.  The worker runs the jobs of its forked copy of the
+    caller, none pickled, in job order through ``_walk`` up to the first
+    failure.  It writes one byte to the pipe per job it finishes and then the
+    pickled kept rows and failure, and leaves through ``os._exit`` whatever
+    happened, so it never returns into the caller's code."""
 
-    def __init__(self, context, jobs, share):
+    def __init__(self, jobs, share):
         self.share = share
-        self.notes = mmap.mmap(-1, len(share))  # byte j: job share[j] finished
-        self.results, writer = context.Pipe(duplex=False)
-        self.process = context.Process(target=_work, args=(jobs, share, self.notes, writer))
+        self.results, writer = os.pipe()
         try:
-            self.process.start()
+            self.pid = os.fork()
         except BaseException:
-            self.results.close()
-            self.notes.close()
+            os.close(self.results)
+            os.close(writer)
             raise
-        finally:
-            writer.close()  # so that the results pipe ends when the worker does
+        if self.pid == 0:
+            try:
+                kept, error = [], None
+                for i in share:
+                    try:
+                        kept.append(_walk(*jobs[i]))
+                    except Exception as exc:
+                        error = exc
+                        break
+                    os.write(writer, b"\1")
+                with open(writer, "wb") as pipe:
+                    pickle.dump((kept, error), pipe)
+            finally:
+                os._exit(0)
+        os.close(writer)  # so that the pipe ends when the worker does
 
     def collect(self, jobs, traces):
         """Fill in the traces of the share's finished jobs; return the index
         and exception of its failing job, or (len(jobs), None)."""
+        with open(self.results, "rb", closefd=False) as pipe:
+            message = pipe.read()
+        done = len(message) - len(message.lstrip(b"\1"))  # a pickle starts with 0x80
         try:
-            kept, error = self.results.recv()
-        except EOFError:
-            j = self.notes.find(b"\0")
-            i = self.share[j] if j >= 0 else self.share[-1]
+            kept, error = pickle.loads(message[done:])
+        except (EOFError, pickle.UnpicklingError):  # no message, or part of one: the worker died
+            i = self.share[min(done, len(self.share) - 1)]
             return i, BrokenProcessPool(f"the worker process running job {i} died")
         for i, rows in zip(self.share, kept):
             traces[i] = _expand(rows, *jobs[i])
         return (len(jobs), None) if error is None else (self.share[len(kept)], error)
 
     def stop(self):
-        """Kill the process if it still runs, reap it and release the rest."""
-        self.process.kill()
-        self.process.join()
-        self.process.close()
-        self.results.close()
-        self.notes.close()
-
-
-def _work(jobs, share, notes, results):
-    """A worker's target: ``_walk`` each job of ``share`` in order up to the
-    first failure, then send the kept rows and the failure in one message.
-    Jobs are looked up in the forked copy of the caller, never pickled."""
-    kept, error = [], None
-    for j, i in enumerate(share):
-        try:
-            kept.append(_walk(*jobs[i]))
-        except Exception as exc:
-            error = exc
-            break
-        notes[j] = 1
-    results.send((kept, error))
+        """Kill the worker if it still runs, reap it and close the pipe."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.results)
 
 
 def _walk(problem, state0, params, budget, stream, record_m=False):

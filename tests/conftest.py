@@ -1,11 +1,11 @@
 import csv
 import math
-import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -22,21 +22,33 @@ from esquad import es_core
 WORKER_DEADLINE_S = 120
 
 
+def no_child_process() -> bool:
+    """Whether this process has no child at all, running or unreaped, however
+    it was started (a child that has exited is reaped by the check)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test after which a child process is still alive: ``run_many``
-    joins the workers it forks before it returns or raises."""
+    """Fail a test after which a child process is still alive or unreaped:
+    ``run_many`` kills and reaps the workers it forks before it returns or
+    raises."""
     yield
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count that ``es_core.run_many`` splits its jobs over.
+    """Set the CPU count that ``es_core.run_many`` splits its jobs over: on n
+    CPUs it forks n - 1 workers, each with one pipe back to the caller.
 
     The test must end within WORKER_DEADLINE_S, and so must the kill and
-    reaping of the workers in run_many's finally after that, so that a hung
-    worker fails the test instead of stalling the suite.
+    reaping of the workers in run_many's finally after that, so that a worker
+    whose pipe never ends fails the test instead of stalling the suite.
     """
     def expire(signum, frame):
         signal.alarm(WORKER_DEADLINE_S)  # re-armed for the reaping in run_many's finally
@@ -155,3 +167,35 @@ def kill_worker_on(monkeypatch, path):
         return real_walk(*job)
 
     monkeypatch.setattr(es_core, "_walk", dying_walk)
+
+
+def kill_worker_after(monkeypatch, path):
+    """Make a forked worker report its pid once ``es_core._walk`` has run the
+    job on stream ``path``, and return a function that, on its first call,
+    waits for that report and for the worker to sleep or exit, and SIGKILLs
+    it.  After the worker's last job, with kept rows that fill more than a
+    pipe's buffer, that kills it while it writes its message.  Workers fork
+    after the patch, so they inherit it."""
+    caller, real_walk = os.getpid(), es_core._walk
+    report = list(os.pipe())
+
+    def reporting_walk(*job):
+        rows = real_walk(*job)
+        if os.getpid() != caller and job[4].path == path:
+            os.write(report[1], str(os.getpid()).encode())
+        return rows
+
+    def kill():
+        if report:
+            pid = int(os.read(report[0], 32))
+            stat = pathlib.Path(f"/proc/{pid}/stat")  # state: S sleeping, Z exited
+            while stat.read_text().rpartition(")")[2].split()[0] not in "SZ":
+                time.sleep(0.001)
+            for fd in report:
+                os.close(fd)
+            report.clear()
+            os.kill(pid, signal.SIGKILL)
+
+    monkeypatch.setattr(es_core, "_walk", reporting_walk)
+    return kill
+

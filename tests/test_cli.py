@@ -487,6 +487,8 @@ class TestMalformedValues:
         (["bounds", "--d", "8", "--spectrum", "cigar:nan", *ALPHAS], None),
         (["bounds", "--d", "0", "--spectrum", "sphere", *ALPHAS], None),
         (["sweep", "--dims", "8,x"], None),
+        (["sweep", "--dims", "8,,16"], None),
+        (["sweep", "--dims", "8,8"], None),
         (["sweep", "--dims", "8", "--target", "2"], None),
         (["sweep", "--dims", "8", "--trials", "0"], None),
         ([*RUN_D8, "--budget", "-5"], None),
@@ -513,7 +515,8 @@ class TestMalformedValues:
         (["run", "--problem", "<optimum-inf.json>", *ALPHAS], None),
     ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "sphere-with-condition",
             "list-empty-entry", "cigar-nan", "d-zero",
-            "dims-x", "target-two", "trials-zero", "budget-negative",
+            "dims-x", "dims-empty-entry", "dims-repeated", "target-two", "trials-zero",
+            "budget-negative",
             "sigma0-negative", "sigma0-inf", "drift-n-five", "config-budget-float",
             "config-d-true", "list-shorter-than-d", "list-longer-than-d",
             "problem-and-spectrum", "problem-and-d", "problem-and-rotation-seed",

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import threading
 from fractions import Fraction
@@ -12,7 +11,8 @@ from hypothesis import strategies as st
 import esquad as eq
 from esquad import es_core, experiments, stochastic
 from esquad.es_core import BrokenProcessPool
-from conftest import kill_worker_on, read_trace_csv, run_under_blas_kernels
+from conftest import (kill_worker_after, kill_worker_on, no_child_process, read_trace_csv,
+                      run_python, run_under_blas_kernels)
 
 
 class TestParams:
@@ -565,7 +565,7 @@ class TestRunMany:
         assert all(_same_trace(a, b) for a, b in zip(serial, traces))
         # the jobs i with i % n != 0 ran in a worker, and the workers are gone
         assert [t.pid != os.getpid() for t in traces] == [i % n_cpus != 0 for i in range(7)]
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
 
     def test_caller_runs_every_nth_job(self, cpus, monkeypatch):
         # in-process spans (the benchmark's tracing) see the caller's share
@@ -610,7 +610,7 @@ class TestRunMany:
             es_core.run_many(_jobs(5))
         assert not hasattr(failure.value, "job_index")
         assert len(forks) == 2
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
 
     def test_caller_starts_no_thread(self, cpus):
         cpus(2)
@@ -628,7 +628,7 @@ class TestRunMany:
         jobs[1] = (p, eq.EsState(np.zeros(p.d), 0.0), *rest)
         with pytest.raises(eq.DegenerateState):
             es_core.run_many(jobs)
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         # the first failing job in job order raises: job 1 before job 2
         p, state, params, _, stream = jobs[2]  # job 2 runs in the caller
         jobs[2] = (p, state, params, -1, stream)
@@ -637,7 +637,7 @@ class TestRunMany:
         jobs[0], jobs[2] = jobs[2], jobs[0]
         with pytest.raises(ValueError, match="budget"):
             es_core.run_many(jobs)
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         # a failed call leaves nothing behind that the next call meets
         assert all(_same_trace(a, b) for a, b in
                    zip(es_core.run_many(_jobs(4)), [eq.run(*job) for job in _jobs(4)]))
@@ -674,7 +674,7 @@ class TestRunMany:
         mine = _jobs(5) if n_cpus == 1 else _jobs(1)
         assert events == [caller] + [job[4].path for job in mine]
         assert [t.pid != caller for t in traces] == [n_cpus > 1 and i > 0 for i in range(5)]
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     def test_meanwhile_error_carries_no_job_index(self, cpus, n_cpus):
@@ -686,7 +686,7 @@ class TestRunMany:
         with pytest.raises(KeyError, match="meanwhile") as failure:
             es_core.run_many(_jobs(4), meanwhile=fail)
         assert not hasattr(failure.value, "job_index")
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         # a failing job still names itself, in the caller (job 0) or a worker
         for bad in (0, 2):
             jobs = _jobs(4)
@@ -695,7 +695,7 @@ class TestRunMany:
             with pytest.raises(eq.DegenerateState) as failure:
                 es_core.run_many(jobs, meanwhile=lambda: None)
             assert failure.value.job_index == bad
-            assert multiprocessing.active_children() == []
+            assert no_child_process()
 
     def test_killed_worker_does_not_poison_later_calls(self, cpus, monkeypatch):
         cpus(2)
@@ -704,7 +704,56 @@ class TestRunMany:
         with pytest.raises(BrokenProcessPool) as failure:
             es_core.run_many(jobs)
         assert failure.value.job_index == 1
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         monkeypatch.setattr(es_core, "_walk", real_walk)
         traces = es_core.run_many(_jobs(2))
         assert all(_same_trace(a, b) for a, b in zip(traces, [eq.run(*job) for job in _jobs(2)]))
+
+    def test_worker_killed_while_sending_raises_at_its_last_job(self, cpus, monkeypatch):
+        # the worker runs jobs 1, 2 and 3 with record_m on d = 256; their
+        # kept rows fill more than a pipe's buffer, so the worker blocks in
+        # its message until the caller reads, which it does after meanwhile
+        p = eq.make_problem(eq.sphere(256), 0)
+        root = eq.RandomStream(23)
+        jobs = [(p, eq.default_initial_state(p), eq.alpha_schedule(256), 400,
+                 stochastic.substream(root, i), True) for i in range(4)]
+        cpus(2)
+        kill = kill_worker_after(monkeypatch, jobs[3][4].path)
+        with pytest.raises(BrokenProcessPool) as failure:
+            es_core.run_many(jobs, meanwhile=kill)
+        assert failure.value.job_index == 3
+        assert no_child_process()
+
+    def test_imports_no_multiprocessing(self):
+        # a fresh process pays no import for its workers' transport
+        loaded = run_python("""
+import sys
+import esquad as eq
+from esquad import es_core
+es_core._cpu_count = lambda: 2
+p = eq.make_problem(eq.sphere(4), 0)
+jobs = [(p, eq.default_initial_state(p), eq.alpha_schedule(4), 50, eq.RandomStream(s))
+        for s in range(2)]
+assert len(es_core.run_many(jobs)) == 2
+print(sorted(name for name in ("multiprocessing", "mmap", "socket") if name in sys.modules))
+""")
+        assert loaded == "[]"
+
+
+def test_no_child_process_sees_a_forked_child():
+    assert no_child_process()
+    gate, release = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child waits until the test lets it go
+        try:
+            os.close(release)
+            os.read(gate, 1)
+        finally:
+            os._exit(0)
+    try:
+        assert not no_child_process()
+    finally:
+        os.close(release)
+        os.close(gate)
+        os.waitpid(pid, 0)
+    assert no_child_process()

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 from contextlib import redirect_stdout
@@ -10,10 +9,10 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import cli
+from esquad import cli, es_core
 from esquad.experiments import SweepProtocol, stat_retry, sweep_csv, validate_config
 from esquad.stochastic import substream
-from conftest import kill_worker_on, run_under_blas_kernels
+from conftest import kill_worker_after, kill_worker_on, no_child_process, run_under_blas_kernels
 
 
 def small_config(**overrides):
@@ -367,7 +366,7 @@ class TestCpuCount:
             results.append(eq.measure_rate(
                 problem, params, eq.default_initial_state(problem), 2000, 200, 5,
                 eq.RandomStream(29)))
-            assert multiprocessing.active_children() == []
+            assert no_child_process()
         (one, trace_one), (two, trace_two) = results
         assert np.array_equal(one.trial_slopes, two.trial_slopes)
         assert np.array_equal(one.trial_norm_slopes, two.trial_norm_slopes)
@@ -388,7 +387,7 @@ class TestCpuCount:
             with redirect_stdout(stdouts[-1]):
                 code = cli.main(["verify", "--config", str(config), "--out", str(outs[-1])])
             assert code == 0
-            assert multiprocessing.active_children() == []
+            assert no_child_process()
         assert len({out.getvalue() for out in stdouts}) == 1
         files = sorted(p.name for p in outs[0].iterdir())
         assert len(files) == 4
@@ -470,6 +469,27 @@ class TestCpuCount:
         rows = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
         assert rows[1]["error"].startswith("BrokenProcessPool")
         assert [rows[0], rows[2]] == [serial[0], serial[2]]
+
+    def test_worker_killed_while_sending_fails_its_last_row_only(self, cpus, monkeypatch):
+        problems = [eq.make_problem(eq.sphere(d), 0) for d in (4, 8, 16)]
+        protocol = SweepProtocol(budget=20000, burn_in=2000, trials=2, seed=3)
+        serial = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
+        cpus(2)
+        # the worker runs jobs 1, 3 and 5, whose kept rows fill more than a
+        # pipe's buffer; it is killed after job 5, row 2's trial 1, before or
+        # while it writes them, with the caller at its first run
+        row2 = substream(eq.RandomStream(3, path=(0x5357,)), 2)
+        kill = kill_worker_after(monkeypatch, substream(row2, 1).path)
+        real_run = es_core.run
+
+        def run_after_kill(*job):
+            kill()
+            return real_run(*job)
+
+        monkeypatch.setattr(es_core, "run", run_after_kill)
+        rows = eq.sweep(problems, lambda p: eq.alpha_schedule(8), protocol)
+        assert rows[2]["error"].startswith("BrokenProcessPool")
+        assert rows[:2] == serial[:2]
 
     def test_failed_worker_start_raises_from_sweep(self, cpus, monkeypatch):
         # an exception without a job_index is no row's failure
