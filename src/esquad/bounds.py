@@ -305,6 +305,12 @@ def _band_gain(stats: SpectrumStats, bh: float, bl: float, floor: float) -> floa
     return (stats.L * bh / (2.0 * stats.trace)) * (FOUR_OVER_SQRT_2PI - bl) * floor
 
 
+def drift_rate(band_gain, log_ratio: float, gap):
+    """min(band_gain/4, log(alpha_up/alpha_down)) * gap, elementwise: the sure
+    decrease of E[V] per step outside the band, gap away from p_target."""
+    return np.minimum(band_gain / 4.0, log_ratio) * gap
+
+
 def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     """Search the admissible (q_low, q_high) rectangle for the best rate bound.
 
@@ -357,9 +363,8 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         )
         bhs = np.array([b_high(stats, q) for q in q_highs])
         w = _band_gain(stats, bhs[None, :], bls[:, None], floors[:, None])
-        obj = np.minimum(w / 4.0, log_ratio) * np.minimum(
-            pt - q_lows[:, None], q_highs[None, :] - pt
-        )
+        margin = np.minimum(pt - q_lows[:, None], q_highs[None, :] - pt)
+        obj = drift_rate(w, log_ratio, margin)
         bad = (
             ~feasible_l[:, None]
             | (bls[:, None] <= ratio_alpha * bhs[None, :])
@@ -417,8 +422,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         penalty_weight=v,
         b_small=math.sqrt(2.0) * bh * params.alpha_up,
         b_large=math.sqrt(2.0) * bl * params.alpha_down,
-        drift_bound=min(w / 4.0, log_ratio)
-        * min(pt - q_low_star, q_high_star - pt),
+        drift_bound=float(drift_rate(w, log_ratio, min(pt - q_low_star, q_high_star - pt))),
         rate_cap=cap,
     )
     result.validate(params)

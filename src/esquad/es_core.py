@@ -31,15 +31,16 @@ depends on y only through the group norms r_k = |u_k|, and an accepted step
 sets r_k' = sqrt((r_k + sigma xi_k)^2 + sigma^2 chi_k), a sum of nonnegative
 terms.  By symmetry inside each eigenspace (r, sigma) is a Markov chain, and
 it gives the log f and log-norm columns exactly in law.  On the sphere a
-step costs one normal and one chi-square variate for any d.
+step costs one normal and one chi-square variate for any d.  ``draw_block``
+is the one draw of this law, for the run's chains and ``montecarlo``'s
+estimators alike.
 
 With at most two distinct eigenvalues (G <= 2: the sphere, cigar, discus
 and two-block spectra, rotated or not) the chain is at most a few floats,
 and ``run`` steps it on Python floats instead of arrays of one or two
-entries, whose per-call overhead would dominate the step.  With G = 1 the
-second group is absent: it has lambda = r = 0 and zero variates, and the
-zero terms change no sum and no max.  The float chain's traces equal those
-of the group chain bit for bit: a reduction of one or two terms in the group
+entries, whose per-call overhead would dominate the step (with G = 1 the
+second group is absent: ``_float_chain``).  The float chain's traces equal
+those of the group chain bit for bit: a reduction of one or two terms in the group
 chain is the plain sum ``a + b`` that the float chain writes out, max is
 exact, sqrt is correctly rounded in numpy and in ``math`` alike, and the two
 chains evaluate the same expressions in the same order.  The group chain
@@ -67,19 +68,11 @@ r_k', where e_k is a uniform unit vector of the eigenspace orthogonal to u_k
 from a companion stream that every run keys with one word of its stream, so
 ``record_m`` changes no other column.
 
-``run_many`` runs independent runs on every CPU the process may run on.  With
-n = min(CPUs, jobs) it splits the jobs first: the calling process keeps jobs
-0, n, 2n, ..., or, given other work to do meanwhile (``verify``'s Monte Carlo
-checks), job 0 alone, and n - 1 worker processes, forked for that call, share
-the rest.  A worker, one ``os.fork`` with one pipe, inherits its jobs, so
-nothing is pickled on the way in; it runs the kernel of each job of its
-share, writes a byte per finished job and then the kept rows of all of them
-as one pickle, which the caller expands to traces with ``run``'s own code.
-The call starts no thread, and it kills and reaps every worker before it
-returns or raises, so no process outlives it.  With one CPU or one job it is
-a plain loop in the caller.  A trace is a function of its inputs alone, which
-a worker holds as the caller's own bits, so where a run executes cannot
-change its bytes.
+``run_many`` runs independent runs on every CPU the process may run on, the
+caller's share in the caller and the rest in worker processes forked for the
+call, which it kills and reaps before it returns or raises.  A trace is a
+function of its inputs alone, which a worker holds as the caller's own bits,
+so where a run executes cannot change its bytes.
 """
 
 from __future__ import annotations
@@ -94,7 +87,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DomainError, NumericalFailure
 from .ioutil import atomic_write_text, dump_json
 from .quadratic import QuadraticProblem, log_norms
 from .stochastic import (GENERATOR_ID, RandomStream, chi_square_matrix,
@@ -107,6 +100,11 @@ _LN2 = math.log(2.0)
 # pure powers of two keep the renormalization exact in floating point.
 _RESCALE_LIMIT = 100
 _SCALE_LOW, _SCALE_HIGH = 2.0 ** -(_RESCALE_LIMIT + 1), 2.0**_RESCALE_LIMIT
+# The log sigma_hat, log sigma in the start's renormalised frame, at which a
+# run may start: above 350 the first renormalization, which divides r by about
+# sigma_hat, leaves r_max^2 below 2**-1012 and the core can underflow to 0;
+# below -700 sigma_hat is subnormal, and 0 from about -745 on, so every step ties.
+_LOG_SIGMA_HAT_RANGE = (-700.0, 350.0)
 _BLOCK = 256  # variate rows per draw of the group chain
 _WINDOW = 16  # rows per einsum of the group chain's dot products
 _FLOAT_BLOCK = 2048  # variate rows per draw of the float chain, at most
@@ -114,7 +112,7 @@ _FLOAT_BLOCK = 2048  # variate rows per draw of the float chain, at most
 
 @dataclass(frozen=True)
 class EsParams:
-    """Step-size multipliers. Requires alpha_up > 1 > alpha_down > 0."""
+    """Step-size multipliers: alpha_up > 1 > alpha_down > 0 with a finite ratio."""
 
     alpha_up: float
     alpha_down: float
@@ -124,6 +122,8 @@ class EsParams:
             raise ValueError("alpha_up must be > 1")
         if not (0.0 < self.alpha_down < 1.0):
             raise ValueError("alpha_down must be in (0, 1)")
+        if not math.isfinite(self.alpha_up / self.alpha_down):
+            raise ValueError("alpha_up / alpha_down must be finite")
 
     @property
     def log_up(self) -> float:
@@ -275,7 +275,8 @@ def run(
     scale-equivariant under that renormalization, so decisions are
     unaffected while log f is tracked far below the double underflow
     threshold.  The run halts early only if the core reaches an exact zero,
-    which is flagged on the trace.
+    which is flagged on the trace.  A start outside ``_LOG_SIGMA_HAT_RANGE``
+    raises DomainError.
     """
     job = (problem, state0, params, budget, stream, record_m)
     return _expand(_walk(*job), *job)
@@ -354,12 +355,10 @@ def run_many(jobs: Sequence[tuple],
 
 
 class _Worker:
-    """A process forked to run one share of ``run_many``'s jobs, and the read
-    end of its one pipe.  The worker runs the jobs of its forked copy of the
-    caller, none pickled, in job order through ``_walk`` up to the first
-    failure.  It writes one byte to the pipe per job it finishes and then the
-    pickled kept rows and failure, and leaves through ``os._exit`` whatever
-    happened, so it never returns into the caller's code."""
+    """A process forked to run one share of ``run_many``'s jobs, none pickled,
+    as that docstring says, and the read end of its one pipe.  It leaves
+    through ``os._exit`` whatever happened, so it never returns into the
+    caller's code."""
 
     def __init__(self, jobs, share):
         self.share = share
@@ -428,6 +427,11 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow
     scale_exp = math.frexp(float(abs(u).max()))[1]
     u = u * 2.0 ** float(-scale_exp)
+    low, high = _LOG_SIGMA_HAT_RANGE
+    log_sigma_hat = float(state0.log_sigma) - scale_exp * _LN2
+    if not low <= log_sigma_hat <= high:
+        raise DomainError(f"log sigma is {log_sigma_hat!r} in the start's frame, "
+                          f"outside [{low}, {high}]")
     chain = _float_chain if groups.eigenvalues.size <= 2 else _group_chain
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),
@@ -471,16 +475,17 @@ def _expand(rows, problem, state0, params, budget, stream, record_m=False):
     )
 
 
-def _draw_block(stream, chi_source, rows, groups):
-    """The next ``rows`` variates of a run: xi (rows x G normals), chi (the
+def draw_block(stream, chi_source, rows, groups):
+    """The next ``rows`` offspring of the grouped law (module docstring), drawn
+    here for runs and Monte Carlo alike: xi (rows x G normals), chi (the
     chi-square parts, 0 in groups of one) and q = 1/2 sum_k lambda_k (xi_k^2 +
-    chi_k) per row as a list."""
+    chi_k) per row, so that a decrement is sigma sum_k lambda_k r_k xi_k + sigma^2 q."""
     has_chi = groups.counts > 1
     xi = normal_matrix(stream, rows, groups.eigenvalues.size)
     chi = np.zeros_like(xi)
     chi[:, has_chi] = chi_square_matrix(chi_source, rows, groups.counts[has_chi] - 1)
     q = 0.5 * np.einsum("ij,j->i", xi * xi + chi, groups.eigenvalues)
-    return xi, chi, q.tolist()
+    return xi, chi, q
 
 
 def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
@@ -551,8 +556,9 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
             end = i  # the window's dots are of the old scale
             sigma_hat = exp(log_sigma - shift)
         if i > _BLOCK:
-            xi_block, chi_block, q = _draw_block(stream, chi_source, _BLOCK, groups)
+            xi_block, chi_block, q = draw_block(stream, chi_source, _BLOCK, groups)
             rows[1:] = xi_block
+            q = q.tolist()
             i = end = 1
         if i == end:
             dots, first, end = window(i)
@@ -614,10 +620,10 @@ def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
     exp, isfinite, low, high = math.exp, math.isfinite, _SCALE_LOW, _SCALE_HIGH  # hot loop
     t = 0
     while t < budget:
-        xi, chi, q = _draw_block(stream, chi_source, min(_FLOAT_BLOCK, budget - t), groups)
+        xi, chi, q = draw_block(stream, chi_source, min(_FLOAT_BLOCK, budget - t), groups)
         zero = itertools.repeat(0.0)
         for t, x1, x2, c1, c2, qt in zip(itertools.count(t + 1), *_pair(xi.T.tolist(), zero),
-                                         *_pair(chi.T.tolist(), zero), q):
+                                         *_pair(chi.T.tolist(), zero), q.tolist()):
             sigma_hat = exp(log_sigma - shift)
             scale = r_max if r_max > sigma_hat else sigma_hat
             if not low <= scale < high:

@@ -5,23 +5,21 @@ An offspring m + sigma z of the parent m changes the core by
     delta = sigma (Hy)^T z + 0.5 sigma^2 z^T H z,    y = m - x*,
 
 a Gaussian linear term plus a quadratic term that concentrates near
-sigma^2 Tr(H) / 2.  The estimators never form the offspring.  With u = R^T y,
-the part of R^T z in the eigenspace of a distinct eigenvalue lambda_k of
-multiplicity n_k enters delta only through its component xi_k ~ N(0, 1) along
-u_k and the squared norm chi_k ~ chi^2(n_k - 1) of the rest (none if n_k = 1).
-One private sampler draws those chunk by chunk, exactly in law for any
-rotation, and computes per row ``lin = sigma sum_k lambda_k |u_k| xi_k`` and
-``quad = 0.5 sigma^2 sum_k lambda_k (xi_k^2 + chi_k)``; every estimator works
-from those two vectors:
+sigma^2 Tr(H) / 2.  The estimators never form the offspring; they take it
+from the run kernel's draw, ``es_core.draw_block``: per distinct eigenvalue
+lambda_k a normal xi_k along the part u_k of u = R^T y in its eigenspace and
+a chi-square rest chi_k, with q = 1/2 sum_k lambda_k (xi_k^2 + chi_k),
+exactly in law for any rotation.  One private sampler computes per row
+``lin = sigma sum_k lambda_k |u_k| xi_k`` and ``quad = sigma^2 q``; every
+estimator works from those two vectors:
 
 * an offspring is accepted iff ``lin + quad <= 0``, so ties are accepted, as
   in ``es_core``;
 * its antithetic partner -z flips every xi_k and has the decrement
   ``quad - lin``;
 * its log core ratio is ``log1p(delta / core(y))``, except on rows with
-  ``delta <= -core(y) / 2``, where the core of y + sigma z is evaluated
-  directly (the ``es_core`` rule) as a sum of nonnegative terms,
-  ``0.5 sum_k lambda_k ((|u_k| + sigma xi_k)^2 + sigma^2 chi_k)``.
+  ``delta <= -core(y) / 2``, where it is log f of y + sigma z by the
+  ``es_core`` new-point rule (``log_norms`` of its group norms) less log f at m.
 
 Each estimator is a deterministic function of its inputs and the stream, so
 reruns reproduce results bit-exactly.  Sampling is chunked to bound memory;
@@ -46,11 +44,10 @@ import numpy as np
 
 from .bounds import TheoryConstants
 from .errors import DomainError, NumericalFailure
-from .es_core import EsParams
+from .es_core import EsParams, draw_block
 from .potential import potential_from_logs
-from .quadratic import QuadraticProblem, spectrum_stats
-from .stochastic import (RandomStream, chi_square_matrix, chi_square_source,
-                         normal_matrix)
+from .quadratic import QuadraticProblem, log_norms, spectrum_stats
+from .stochastic import RandomStream, chi_square_source
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,9 @@ def _chunk_rows(width: int) -> int:
     return min(2**16, max(1, 4_000_000 // width))
 
 
-def _mean_se(values: np.ndarray) -> Tuple[float, float]:
-    n = values.size
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+def _estimate(values: np.ndarray, n: int, estimator_id: str) -> McEstimate:
+    se = float(np.std(values, ddof=1) / math.sqrt(values.size))
+    return McEstimate(float(np.mean(values)), se, n, estimator_id)
 
 
 def _sample(
@@ -80,7 +77,7 @@ def _sample(
     ``values(lin, quad, gain)`` maps a chunk's decrement terms to its sample
     values; ``gain()`` returns the chunk's log core ratios on accepted rows
     and 0 on rejected ones.  The stream keys the chi-square source with one
-    word, then gives the xi_k.
+    word, then gives the xi_k; each chunk is one ``draw_block``.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
@@ -89,8 +86,7 @@ def _sample(
     if not (math.isfinite(core_m) and core_m > 0.0):
         raise NumericalFailure(f"the core at m is {core_m!r}, not finite and > 0")
     groups = problem.eigen_groups()
-    lam, mult = groups.eigenvalues, groups.counts
-    lam_chi, dof = lam[mult > 1], mult[mult > 1] - 1
+    lam = groups.eigenvalues
     norm_u = groups.norms(problem.eigen_frame(y))
 
     def log_gain(xi, chi, delta) -> np.ndarray:
@@ -98,25 +94,23 @@ def _sample(
         r = np.where(delta <= 0.0, delta, 0.0) / core_m
         gain = np.log1p(np.maximum(r, -0.5))
         # here 1 + r cancels to a small difference and log1p would amplify the
-        # rounding error of r, or raise at r = -1; take the offspring's core
+        # rounding error of r, or raise at r = -1; take log f at the offspring
+        # from its group norms, as es_core does, less log f at m
         far = np.flatnonzero(r <= -0.5)
         if far.size:
-            v = norm_u + sigma * xi[far]
-            core_x = 0.5 * (np.einsum("ij,j,ij->i", v, lam, v)
-                            + sigma * sigma * np.einsum("ij,j->i", chi[far], lam_chi))
-            with np.errstate(divide="ignore"):
-                gain[far] = np.log(core_x / core_m)
+            along = norm_u + sigma * xi[far]
+            r_new = np.sqrt(along * along + sigma * sigma * chi[far])
+            log_f = math.log(0.5) + 2.0 * np.array(log_norms(np.sqrt(lam) * r_new))
+            gain[far] = log_f - problem.log_core_centered(y)
         return gain
 
     chi_source = chi_square_source(stream)
     out = np.empty(rows)
-    chunk = _chunk_rows(lam.size + dof.size)
+    chunk = _chunk_rows(2 * lam.size)  # xi and chi are rows x G each
     for start in range(0, rows, chunk):
-        xi = normal_matrix(stream, min(chunk, rows - start), lam.size)
-        chi = chi_square_matrix(chi_source, len(xi), dof)
+        xi, chi, q = draw_block(stream, chi_source, min(chunk, rows - start), groups)
         lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
-        quad = 0.5 * sigma * sigma * (np.einsum("ij,j,ij->i", xi, lam, xi)
-                                      + np.einsum("ij,j->i", chi, lam_chi))
+        quad = sigma * sigma * q
         gain = functools.partial(log_gain, xi, chi, lin + quad)
         out[start : start + len(xi)] = values(lin, quad, gain)
     return out
@@ -138,8 +132,7 @@ def estimate_success_prob(
         lambda lin, quad, gain: 0.5 * np.add(
             lin + quad <= 0.0, quad - lin <= 0.0, dtype=float),
     )
-    mean, se = _mean_se(pair_means)
-    return McEstimate(mean, se, 2 * pairs, "success_prob/antithetic-v3")
+    return _estimate(pair_means, 2 * pairs, "success_prob/antithetic-v3")
 
 
 def estimate_log_progress(
@@ -149,8 +142,7 @@ def estimate_log_progress(
     if n < 100:
         raise DomainError("estimate_log_progress requires n >= 100")
     vals = _sample(problem, m, sigma, n, stream, lambda lin, quad, gain: gain())
-    mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "log_progress/plain-v3")
+    return _estimate(vals, n, "log_progress/plain-v3")
 
 
 def estimate_exp_abs(
@@ -162,8 +154,7 @@ def estimate_exp_abs(
     vals = _sample(
         problem, m, sigma, n, stream, lambda lin, quad, gain: np.exp(-gain())
     )
-    mean, se = _mean_se(vals)
-    return McEstimate(mean, se, n, "exp_abs/plain-v3")
+    return _estimate(vals, n, "exp_abs/plain-v3")
 
 
 def estimate_drift_V(
@@ -178,6 +169,10 @@ def estimate_drift_V(
     raw samples, which the pathwise-bound checks need."""
     if n < 1000:
         raise DomainError("estimate_drift_V requires n >= 1000")
+    try:  # _sample checks that sigma is finite and > 0
+        sigma = math.exp(state.log_sigma)
+    except OverflowError:
+        raise DomainError(f"sigma = exp({state.log_sigma!r}) overflows") from None
     stats = spectrum_stats(problem)
     log_f = problem.log_core_centered(problem.centered(state.m))
     v_now = float(potential_from_logs(log_f, state.log_sigma, stats, constants))
@@ -189,6 +184,5 @@ def estimate_drift_V(
         v_next = potential_from_logs(log_f + gain(), log_sigma_next, stats, constants)
         return v_next - v_now
 
-    samples = _sample(problem, state.m, math.exp(state.log_sigma), n, stream, drift)
-    mean, se = _mean_se(samples)
-    return McEstimate(mean, se, n, "drift_V/plain-v3"), samples
+    samples = _sample(problem, state.m, sigma, n, stream, drift)
+    return _estimate(samples, n, "drift_V/plain-v3"), samples

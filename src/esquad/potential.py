@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .bounds import TheoryConstants
+from .bounds import TheoryConstants, drift_rate
 from .quadratic import QuadraticProblem, SpectrumStats, spectrum_stats
 
 if TYPE_CHECKING:
@@ -95,12 +95,11 @@ def drift_target(
     regime: RegimeLabel, constants: TheoryConstants, params: "EsParams"
 ) -> float:
     """Guaranteed upper bound on E[V(next) - V(current)] in the given regime."""
-    min_term = min(constants.band_gain / 4.0, params.log_ratio)
-    if regime is RegimeLabel.SMALL_STEP:
-        return -min_term * (constants.q_high - constants.p_target)
-    if regime is RegimeLabel.LARGE_STEP:
-        return -min_term * (constants.p_target - constants.q_low)
-    return -constants.band_gain / 4.0
+    if regime is RegimeLabel.REASONABLE:
+        return -constants.band_gain / 4.0
+    gap = (constants.q_high - constants.p_target if regime is RegimeLabel.SMALL_STEP
+           else constants.p_target - constants.q_low)
+    return -float(drift_rate(constants.band_gain, params.log_ratio, gap))
 
 
 def potential_step_cap(constants: TheoryConstants, params: "EsParams") -> float:

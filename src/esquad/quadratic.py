@@ -7,6 +7,9 @@ fast path.  A rotation is drawn from its seed when the problem is built: the
 seed is what a problem stores and serialises, and the matrix follows from it.
 The factor 1/2 belongs to the core everywhere in this package; a
 plain quadratic form without it is just another monotone transform of the core.
+Every log core and log norm (``log_core_centered``, ``log_grad_norm_centered``,
+``es_core``'s new points and log-norms, ``montecarlo``'s far rows) comes from
+``log_norms``, and so stays finite where the core would under- or overflow.
 """
 
 from __future__ import annotations
@@ -250,19 +253,10 @@ class QuadraticProblem:
         return 0.5 * np.einsum("ij,j,ij->i", U, self.spectrum.eigenvalues, U)
 
     def log_core_centered(self, y: np.ndarray) -> float:
-        """log of the core, stable when the core would under- or overflow.
-
-        Factors out the largest component of sqrt(lambda) * u before squaring,
-        so the result is finite whenever y itself is representable.
-        Returns -inf for y = 0.  A run's first log f is this value.
-        """
-        u = self.eigen_frame(y)
-        w = np.sqrt(self.spectrum.eigenvalues) * u
-        mx = float(np.max(np.abs(w)))
-        if mx == 0.0:
-            return -math.inf
-        s = w / mx
-        return math.log(0.5) + 2.0 * math.log(mx) + math.log(einsum_dot(s, s))
+        """log of the core, log 1/2 + 2 log |sqrt(lambda) u| by ``log_norms``:
+        finite for any nonzero y, -inf for y = 0.  A run's first log f is this."""
+        w = np.sqrt(self.spectrum.eigenvalues) * self.eigen_frame(y)
+        return math.log(0.5) + 2.0 * log_norms(np.abs(w)[None])[0]
 
     def evaluate(self, x) -> float:
         """Objective value g(core(x)) with the problem's transform."""

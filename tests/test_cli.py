@@ -172,9 +172,11 @@ class TestDrift:
 
     @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0],
                                        {"m": [1, 2], "log_sigma": -2},
-                                       {"m": [0.0] * 8, "log_sigma": -2}],
+                                       {"m": [0.0] * 8, "log_sigma": -2},
+                                       {"m": [1.0] * 8, "log_sigma": 800},
+                                       {"m": [1.0] * 8, "log_sigma": -800}],
                              ids=["no-log-sigma", "json-list", "wrong-length-m",
-                                  "m-at-optimum"])
+                                  "m-at-optimum", "sigma-overflows", "sigma-underflows"])
     def test_malformed_state_file_exits_two(self, tmp_path, capsys, state):
         spath = tmp_path / "state.json"
         spath.write_text(json.dumps(state))
@@ -513,6 +515,10 @@ class TestMalformedValues:
         (["run", "--problem", "<affine-extra-key.json>", *ALPHAS], None),
         (["bounds", "--problem", "<affine-a-string.json>", *ALPHAS], None),
         (["run", "--problem", "<optimum-inf.json>", *ALPHAS], None),
+        (["run", "--d", "8", "--spectrum", "sphere", "--alpha-up", "inf",
+          "--alpha-down", "0.5", "--budget", "20"], None),
+        (["bounds", "--d", "8", "--spectrum", "sphere", "--alpha-up", "1.5",
+          "--alpha-down", "5e-324"], None),
     ], ids=["alpha-up-below-one", "cigar-abc", "list-abc", "sphere-with-condition",
             "list-empty-entry", "cigar-nan", "d-zero",
             "dims-x", "dims-empty-entry", "dims-repeated", "target-two", "trials-zero",
@@ -522,7 +528,7 @@ class TestMalformedValues:
             "problem-and-spectrum", "problem-and-d", "problem-and-rotation-seed",
             "problem-and-config-d", "problem-and-all-three", "problem-and-config-spectrum",
             "transform-a-true", "transform-b-nan", "transform-extra-key",
-            "transform-a-string", "optimum-inf"])
+            "transform-a-string", "optimum-inf", "alpha-up-inf", "alpha-ratio-overflows"])
     def test_exits_two(self, tmp_path, capsys, monkeypatch, argv, config):
         def no_runs(*args, **kwargs):
             raise AssertionError("ran before rejecting a malformed value")

@@ -38,6 +38,13 @@ class TestParams:
         with pytest.raises(ValueError):
             eq.EsParams(1.5, 1.0)
 
+    @pytest.mark.parametrize("alpha_up, alpha_down", [(math.inf, 0.5), (1.5, 5e-324)],
+                             ids=["alpha-up-inf", "ratio-overflows"])
+    def test_ratio_must_be_finite(self, alpha_up, alpha_down):
+        """Else log_up or log_ratio is infinite and p_target 0 or NaN."""
+        with pytest.raises(ValueError, match="alpha_up / alpha_down must be finite"):
+            eq.EsParams(alpha_up, alpha_down)
+
 
 PARAMS = eq.EsParams(1.5, 0.8)
 
@@ -95,6 +102,24 @@ class TestRun:
         tr = eq.run(p, eq.EsState(np.ones(4), 0.0), PARAMS, 0, eq.RandomStream(0))
         assert len(tr) == 1
         assert tr.accepted[0] == 0
+
+    @pytest.mark.parametrize("log_sigma", [800.0, 699.0, 351.0, -700.0, -800.0])
+    def test_extreme_log_sigma_raises(self, log_sigma):
+        """From m = (1, ..., 1) the start's frame halves every length, so log
+        sigma there is log sigma - ln 2, and these leave [-700, 350].  Else
+        exp overflows at 800, the run ends after one row with a core of 0 at
+        699, and at -800 sigma is 0 and every step a tie that is accepted."""
+        p = eq.make_problem(eq.sphere(8), 0)
+        with pytest.raises(eq.DomainError, match="in the start's frame"):
+            eq.run(p, eq.EsState(np.ones(8), log_sigma), PARAMS, 1000, eq.RandomStream(0))
+
+    def test_log_sigma_inside_the_range_runs(self):
+        p = eq.make_problem(eq.sphere(8), 0)
+        for log_sigma in (350.0, -699.0):
+            tr = eq.run(p, eq.EsState(np.ones(8), log_sigma), PARAMS, 1000,
+                        eq.RandomStream(0))
+            assert not tr.hit_zero
+            assert len(tr) == 1001 and np.all(np.isfinite(tr.log_f))
 
     @pytest.mark.parametrize("budget", [True, 2.0, -1])
     def test_budget_must_be_a_nonnegative_int(self, budget):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import esquad as eq
-from esquad import bounds, montecarlo, potential, stochastic
+from esquad import bounds, es_core, montecarlo, potential, stochastic
 from conftest import random_problem
 
 
@@ -162,12 +162,23 @@ class TestEstimatorContracts:
             chis.append(stochastic.chi_square_matrix(*args))
             return chis[-1]
 
-        monkeypatch.setattr(montecarlo, "chi_square_matrix", recording)
+        monkeypatch.setattr(es_core, "chi_square_matrix", recording)
         stream = eq.RandomStream(81)
         quads = [_sampled(p, m, 0.4, 1000, stream)[1] for _ in range(2)]
         assert np.intersect1d(quads[0], quads[1]).size == 0
         assert len(chis) == 2 and chis[0].shape == (1000, 1)
         assert np.intersect1d(chis[0], chis[1]).size == 0
+
+    def test_offspring_are_the_kernels_draw(self):
+        """The sampler's rows are es_core.draw_block's: the stream keys the
+        chi-square source, then gives one block per chunk."""
+        p = eq.make_problem(eq.cigar(16, 100.0), 0)
+        m = p.optimum + np.ones(p.d)
+        quad = _sampled(p, m, 0.4, 1000, eq.RandomStream(82))[1]
+        stream = eq.RandomStream(82)
+        source = stochastic.chi_square_source(stream)
+        q = es_core.draw_block(stream, source, 1000, p.eigen_groups())[2]
+        assert np.array_equal(quad, 0.4 * 0.4 * q)
 
     def test_se_shrinks_like_sqrt_n(self):
         p = eq.make_problem(eq.sphere(8), 0)
@@ -247,6 +258,12 @@ class TestInvalidInputs:
     def test_drift_sigma_underflow(self, sphere256, params256, constants256):
         state = eq.EsState(sphere256.optimum + np.ones(256), -1000.0)  # sigma 0.0
         with pytest.raises(eq.DomainError):
+            montecarlo.estimate_drift_V(sphere256, state, constants256, params256, 1000,
+                                eq.RandomStream(0))
+
+    def test_drift_sigma_overflow(self, sphere256, params256, constants256):
+        state = eq.EsState(sphere256.optimum + np.ones(256), 800.0)  # sigma overflows
+        with pytest.raises(eq.DomainError, match="overflows"):
             montecarlo.estimate_drift_V(sphere256, state, constants256, params256, 1000,
                                 eq.RandomStream(0))
 

@@ -294,6 +294,13 @@ class TestStableLogs:
                 math.log(p.core_centered(y)), rel=1e-12
             )
 
+    def test_log_core_at_the_default_start_is_exact(self):
+        """|y| = 1 on the sphere, so the core is 1/2 and its log log(1/2),
+        to the last bit."""
+        p = eq.make_problem(eq.sphere(256), 0)
+        y = p.centered(eq.default_initial_state(p).m)
+        assert p.log_core_centered(y) == math.log(0.5)
+
     def test_log_core_below_underflow(self):
         p = eq.make_problem(eq.sphere(4), 0)
         y = np.full(4, 1e-200)
