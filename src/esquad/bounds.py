@@ -85,64 +85,76 @@ def success_prob_sandwich(
     return lower, upper
 
 
-def _sup_on_grid(f, log_lo: float, log_hi: float) -> Tuple[float, float]:
-    """Supremum of f(eps) over eps in [exp(log_lo), exp(log_hi)].
+def _sup_on_grid(f, log_lo, log_hi) -> Tuple[np.ndarray, np.ndarray]:
+    """Supremum of f(eps) over eps in [exp(log_lo[k]), exp(log_hi[k])], for K
+    intervals at once, each row by the operations of a search of its own.
 
-    f takes an array or a float and gives nan or -inf where it is undefined,
-    which must be to the left of where it is defined.  f need not be
-    unimodal, so a 512-point log-spaced grid finds the best point first; a
-    golden-section search then refines between that point's neighbours,
-    keeping the surviving interior point so that each step costs one
-    evaluation.  Returns (argsup, sup) as floats, (nan, -inf) when f is
-    undefined on the whole grid.
+    f maps a (K, n) array, row k in interval k, to values, nan or -inf where
+    undefined, which must be left of where f is defined.  f need not be
+    unimodal: a 512-point log grid finds each row's best point, and a
+    golden-section search refines between its neighbours, keeping the
+    surviving interior point.  Returns (argsup, sup) as K-vectors, (nan,
+    -inf) where f is undefined on the whole grid.
     """
-    eps = np.exp(np.linspace(log_lo, log_hi, _EPS_GRID))
+    eps = np.exp(np.linspace(log_lo, log_hi, _EPS_GRID, axis=1))
     vals = f(eps)
     vals[np.isnan(vals)] = -np.inf
-    i = int(np.argmax(vals))
-    best = float(eps[i]), float(vals[i])
-    if best[1] == -math.inf:
-        return math.nan, -math.inf
-    a, b = float(eps[max(i - 1, 0)]), float(eps[min(i + 1, _EPS_GRID - 1)])
+    i = np.argmax(vals, axis=1)[:, None]
+    best_x, best_v = np.take_along_axis(eps, i, 1), np.take_along_axis(vals, i, 1)
+    a, b = (np.take_along_axis(eps, np.clip(i + s, 0, _EPS_GRID - 1), 1) for s in (-1, 1))
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(_GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+        left = fc >= fd  # keep [a, d] and c as its d, else [c, b] and d as its c
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _INVPHI * (b - a)
+        new = np.where(left, b - step, a + step)
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     x = 0.5 * (a + b)
-    v = float(f(x))
-    return (x, v) if v > best[1] else best
+    v = f(x)
+    better, undefined = v > best_v, best_v == -np.inf
+    x, v = np.where(better, x, best_x), np.where(better, v, best_v)
+    return np.where(undefined, np.nan, x)[:, 0], np.where(undefined, -np.inf, v)[:, 0]
 
 
-def b_high(stats: SpectrumStats, q: float, with_epsilon: bool = False):
+_logs = np.vectorize(math.log, otypes=[float])  # numpy's log is not correctly rounded
+
+
+def _per_q(q, value, eps, with_epsilon: bool):
+    """A threshold function's result: floats for a float q, else arrays."""
+    if np.ndim(q) == 0:
+        value, eps = float(value[0]), float(eps[0])
+    return (value, eps) if with_epsilon else value
+
+
+def b_high(stats: SpectrumStats, q, with_epsilon: bool = False):
     """Threshold function for guaranteed success: sigma_norm <= b_high(q)
     implies success probability > q.
 
     The sup over eps > sqrt(4 ratio / (1 - 2q)) of
     2 QuantilePhi(1 - (q + 2 ratio / eps^2)) / (1 + eps): the largest
-    sigma_norm whose sandwich lower side reaches q for some eps.
+    sigma_norm whose sandwich lower side reaches q for some eps.  q is a
+    float or an array, and each entry gives the bits of its own call.
     """
-    if not 0.0 < q < 0.5:
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all((0.0 < qs) & (qs < 0.5)):
         raise DomainError("q must lie in (0, 1/2)")
     r = stats.ratio
-    lo = math.sqrt(4.0 * r / (1.0 - 2.0 * q))
+    lo = np.sqrt(4.0 * r / (1.0 - 2.0 * qs))
+    q_col = qs[:, None]
 
     def f(e):
-        return 2.0 * ndtri(1.0 - (q + 2.0 * r / (e * e))) / (1.0 + e)
+        return 2.0 * ndtri(1.0 - (q_col + 2.0 * r / (e * e))) / (1.0 + e)
 
-    x, v = _sup_on_grid(f, math.log(lo) + 1e-12, math.log(max(32.0, 16.0 * lo)))
-    if v == -math.inf:
+    x, v = _sup_on_grid(f, _logs(lo) + 1e-12, _logs(np.maximum(32.0, 16.0 * lo)))
+    if np.any(v == -np.inf):
         raise InfeasibleBound("b_high: no admissible epsilon found numerically")
-    return (v, x) if with_epsilon else v
+    return _per_q(q, v, x, with_epsilon)
 
 
-def b_low(stats: SpectrumStats, q: float, with_epsilon: bool = False):
+def b_low(stats: SpectrumStats, q, with_epsilon: bool = False):
     """Threshold function for guaranteed failure: sigma_norm >= b_low(q)
     implies success probability < q.
 
@@ -152,28 +164,33 @@ def b_low(stats: SpectrumStats, q: float, with_epsilon: bool = False):
     stays strictly inside that interval.  When q is so close to 2 ratio
     that the interval holds no grid, the result is +inf, the infimum over an
     empty set, with eps nan.  Requires ratio < 1/4 and q in (2 ratio, 1/2).
+    q is a float or an array, and each entry gives the bits of its own call.
     """
-    if not 0.0 < q < 0.5:
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all((0.0 < qs) & (qs < 0.5)):
         raise DomainError("q must lie in (0, 1/2)")
     r = stats.ratio
     if r >= 0.25:
         raise InfeasibleBound(f"b_low undefined: ratio {r:.4g} >= 1/4")
-    if q <= 2.0 * r:
+    if np.any(qs <= 2.0 * r):
         raise DomainError(f"q must exceed 2*ratio = {2 * r:.4g}")
-    log_lo = math.log(math.sqrt(2.0 * r / q))
-    inset = min(1e-12, -0.25 * log_lo)
-    if not 1.0 - inset < 1.0:
-        return (math.inf, math.nan) if with_epsilon else math.inf
+    log_lo = _logs(np.sqrt(2.0 * r / qs))
+    inset = np.minimum(1e-12, -0.25 * log_lo)
+    inside = 1.0 - inset < 1.0
+    value, eps = np.full(qs.size, math.inf), np.full(qs.size, math.nan)
+    q_col = qs[inside, None]
 
     def f(e):
-        return -2.0 * ndtri(1.0 - (q - 2.0 * r / (e * e))) / (1.0 - e)
+        return -2.0 * ndtri(1.0 - (q_col - 2.0 * r / (e * e))) / (1.0 - e)
 
-    x, v = _sup_on_grid(f, log_lo + inset, math.log(1.0 - inset))
-    return (-v, x) if with_epsilon else -v
+    eps[inside], v = _sup_on_grid(f, log_lo[inside] + inset[inside], _logs(1.0 - inset[inside]))
+    value[inside] = -v
+    return _per_q(q, value, eps, with_epsilon)
 
 
-def _success_floor(stats: SpectrumStats, threshold: float) -> float:
-    """Q_H, the largest Q with b_high(Q) >= threshold, in closed form.
+def _success_floor(stats: SpectrumStats, threshold):
+    """Q_H, the largest Q with b_high(Q) >= threshold, in closed form, for a
+    float threshold or elementwise for an array.
 
     b_high(Q) >= T holds exactly when Q <= Phi(-T (1+eps)/2) - 2 ratio / eps^2
     for some eps > 0, so Q_H is the sup over eps of that sandwich lower
@@ -182,14 +199,16 @@ def _success_floor(stats: SpectrumStats, threshold: float) -> float:
     valid floor.
     """
     r = stats.ratio
+    t_col = np.atleast_1d(threshold)[:, None]
 
     def lower_side(e):
-        return ndtr(-0.5 * threshold * (1.0 + e)) - 2.0 * r / (e * e)
+        return ndtr(-0.5 * t_col * (1.0 + e)) - 2.0 * r / (e * e)
 
-    _, floor = _sup_on_grid(lower_side, math.log(2.0 * math.sqrt(r)), math.log(32.0))
-    if not floor > 0.0:
+    lo, hi = (np.full(len(t_col), math.log(e)) for e in (2.0 * math.sqrt(r), 32.0))
+    _, floor = _sup_on_grid(lower_side, lo, hi)
+    if not np.all(floor > 0.0):
         raise InfeasibleBound("no Q > 0 with b_high(Q) >= b_low(q_low)")
-    return floor
+    return float(floor[0]) if np.ndim(threshold) == 0 else floor
 
 
 def _q_low_edge(stats: SpectrumStats) -> float:
@@ -205,7 +224,7 @@ def _q_low_edge(stats: SpectrumStats) -> float:
         return -(ndtr(-0.5 * FOUR_OVER_SQRT_2PI * (1.0 - e)) + 2.0 * r / (e * e))
 
     log_lo = math.log(2.0 * math.sqrt(r))
-    return -_sup_on_grid(negated_upper_side, log_lo, math.log(1.0 - 1e-12))[1]
+    return -float(_sup_on_grid(negated_upper_side, [log_lo], [math.log(1.0 - 1e-12)])[1][0])
 
 
 def q_h(stats: SpectrumStats, q_low: float) -> float:
@@ -356,12 +375,11 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     def search(ql_lo, ql_hi, qh_lo, qh_hi, n):
         q_lows = np.linspace(ql_lo, ql_hi, n + 2)[1:-1]
         q_highs = np.linspace(qh_lo, qh_hi, n + 2)[1:-1]
-        bls = np.array([b_low(stats, q) for q in q_lows])
+        bls, eps_ls = b_low(stats, q_lows, with_epsilon=True)
         feasible_l = bls < FOUR_OVER_SQRT_2PI
-        floors = np.array(
-            [_success_floor(stats, bl) if ok else np.nan for bl, ok in zip(bls, feasible_l)]
-        )
-        bhs = np.array([b_high(stats, q) for q in q_highs])
+        floors = np.full(n, np.nan)
+        floors[feasible_l] = _success_floor(stats, bls[feasible_l])
+        bhs, eps_hs = b_high(stats, q_highs, with_epsilon=True)
         w = _band_gain(stats, bhs[None, :], bls[:, None], floors[:, None])
         margin = np.minimum(pt - q_lows[:, None], q_highs[None, :] - pt)
         obj = drift_rate(w, log_ratio, margin)
@@ -377,7 +395,8 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         ties = np.argwhere(obj == best)
         gaps = q_highs[ties[:, 1]] - q_lows[ties[:, 0]]
         i, j = ties[int(np.argmax(gaps))]
-        return float(q_lows[i]), float(q_highs[j]), best
+        return (float(q_lows[i]), float(q_highs[j]), best,
+                float(bls[i]), float(eps_ls[i]), float(bhs[j]), float(eps_hs[j]))
 
     found = search(edge, pt, pt, 0.5, _PAIR_GRID)
     if found is None:
@@ -389,7 +408,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     step_l = (pt - edge) / (_PAIR_GRID + 1)
     step_h = (0.5 - pt) / (_PAIR_GRID + 1)
     for _ in range(_REFINE_ROUNDS):
-        ql, qh, _ = found
+        ql, qh = found[:2]
         cand = search(
             max(ql - step_l, edge),
             min(ql + step_l, pt),
@@ -402,9 +421,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         step_l /= _REFINE_GRID / 2.0
         step_h /= _REFINE_GRID / 2.0
 
-    q_low_star, q_high_star, bound = found
-    bl, eps_low = b_low(stats, q_low_star, with_epsilon=True)
-    bh, eps_high = b_high(stats, q_high_star, with_epsilon=True)
+    q_low_star, q_high_star, _, bl, eps_low, bh, eps_high = found
     floor = q_h(stats, q_low_star)
     w = _band_gain(stats, bh, bl, floor)
     v = min(w / (4.0 * log_ratio), 1.0)

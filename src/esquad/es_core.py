@@ -66,7 +66,8 @@ u_k' = (r_k + sigma xi_k) u_k/r_k + sigma sqrt(chi_k) e_k, rescaled to norm
 r_k', where e_k is a uniform unit vector of the eigenspace orthogonal to u_k
 (a group with r_k = 0 takes (1, ..., 1)/sqrt(n_k) for u_k/r_k).  The e_k come
 from a companion stream that every run keys with one word of its stream, so
-``record_m`` changes no other column.
+``record_m`` changes no other column; drawing them in blocks, like the
+chains' variates, changes no variate.
 
 ``run_many`` runs independent runs on every CPU the process may run on, the
 caller's share in the caller and the rest in worker processes forked for the
@@ -108,6 +109,7 @@ _LOG_SIGMA_HAT_RANGE = (-700.0, 350.0)
 _BLOCK = 256  # variate rows per draw of the group chain
 _WINDOW = 16  # rows per einsum of the group chain's dot products
 _FLOAT_BLOCK = 2048  # variate rows per draw of the float chain, at most
+_LIFT_BLOCK = 32  # lift normals per draw of ``record_m``, in rows of d
 
 
 @dataclass(frozen=True)
@@ -436,7 +438,7 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),
         params, budget, stream, chi_square_source(stream),
-        companion_stream(stream),  # the lift stream, keyed even when unused
+        _Lift(groups, companion_stream(stream)),  # the lift stream, keyed even when unused
         record_m)
     return (np.array(kept), np.array(log_f), np.array(log_norm),
             np.array(points) if record_m else None, hit_zero)
@@ -482,14 +484,16 @@ def draw_block(stream, chi_source, rows, groups):
     chi_k) per row, so that a decrement is sigma sum_k lambda_k r_k xi_k + sigma^2 q."""
     has_chi = groups.counts > 1
     xi = normal_matrix(stream, rows, groups.eigenvalues.size)
-    chi = np.zeros_like(xi)
-    chi[:, has_chi] = chi_square_matrix(chi_source, rows, groups.counts[has_chi] - 1)
+    chi = chi_square_matrix(chi_source, rows, groups.counts[has_chi] - 1)
+    if not has_chi.all():  # else, as on the sphere, every group has a chi part
+        chi, parts = np.zeros_like(xi), chi
+        chi[:, has_chi] = parts
     q = 0.5 * np.einsum("ij,j->i", xi * xi + chi, groups.eigenvalues)
     return xi, chi, q
 
 
 def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
-                 chi_source, lift_stream, record_m):
+                 chi_source, lift, record_m):
     """The chain on arrays of G group norms, with the variates in blocks of
     _BLOCK rows; the reference for ``_float_chain``.
 
@@ -574,7 +578,7 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
                             else along * along)
             if record_m:
                 across = sigma_hat * np.sqrt(chi)
-                u = _lift(u, r, along, across, r_new, groups, lift_stream)
+                u = lift(u, r, along, across, r_new)
             r = r_new
             core_old = core
             g, r_max = lam * r, float(r.max())
@@ -591,12 +595,13 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
         else:
             log_sigma += log_down
         i += 1
-    take_log_norms()
+    if norms:  # empty when the kept rows filled whole batches
+        take_log_norms()
     return kept, log_f, log_norm, points, core == 0.0
 
 
 def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
-                 chi_source, lift_stream, record_m):
+                 chi_source, lift, record_m):
     """``_group_chain`` for G <= 2 on Python floats, bit for bit, with the
     variates in blocks of up to _FLOAT_BLOCK rows (module docstring).
 
@@ -645,11 +650,11 @@ def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
                 along1, along2 = r1 + sigma_hat * x1, r2 + sigma_hat * x2
                 n1 = math.sqrt(along1 * along1 + sigma_hat * sigma_hat * c1)
                 n2 = math.sqrt(along2 * along2 + sigma_hat * sigma_hat * c2)
-                if record_m:
-                    u = _lift(u, np.array([r1, r2][:n_groups]),
-                              np.array([along1, along2][:n_groups]),
-                              sigma_hat * np.sqrt([c1, c2][:n_groups]),
-                              np.array([n1, n2][:n_groups]), groups, lift_stream)
+                if record_m and n_groups == 1:
+                    u = lift.one(u, r1, along1, sigma_hat * math.sqrt(c1), n1)
+                elif record_m:
+                    u = lift(u, np.array([r1, r2]), np.array([along1, along2]),
+                             sigma_hat * np.sqrt([c1, c2]), np.array([n1, n2]))
                 r1, r2 = n1, n2
                 core_old = core
                 g1, g2 = lam1 * r1, lam2 * r2
@@ -678,23 +683,38 @@ def _pair(values, absent):
     return (*values, absent)[:2]
 
 
-def _lift(u, r, along, across, r_new, groups, stream):
-    """Eigenframe point with group norms r_new after an accepted step from u.
+class _Lift:
+    """The lift of ``record_m`` (module docstring) for one run, which draws the
+    lift stream's normals _LIFT_BLOCK rows of d at a time, moving none of them."""
 
-    Group k moves to ``along_k`` times the unit vector of u_k plus ``across_k``
-    times a uniform unit vector of its eigenspace orthogonal to u_k, drawn from
-    ``stream``, and is rescaled to norm ``r_new_k``.
-    """
-    k = groups.index
-    # a group with r_k = 0 takes (1, ..., 1) / sqrt(n_k) as its unit vector
-    unit = (u / np.where(r > 0.0, r, 1.0)[k]
-            + np.where(r > 0.0, 0.0, 1.0 / np.sqrt(groups.counts))[k])
-    gauss = normal_vector(stream, u.size)
-    perp = gauss - unit * np.bincount(k, weights=gauss * unit)[k]
-    perp_norm = groups.norms(perp)  # 0 where n_k = 1, and so is across_k
-    out = along[k] * unit + (across / np.where(perp_norm > 0.0, perp_norm, 1.0))[k] * perp
-    out_norm = groups.norms(out)
-    return out * (r_new / np.where(out_norm > 0.0, out_norm, 1.0))[k]
+    def __init__(self, groups, stream):
+        d, self.groups, self.inv_sqrt_n = groups.index.size, groups, 1.0 / np.sqrt(groups.counts)
+        self.normals = itertools.chain.from_iterable(
+            normal_vector(stream, _LIFT_BLOCK * d).reshape(-1, d) for _ in itertools.count())
+
+    def __call__(self, u, r, along, across, r_new):
+        """Eigenframe point with group norms r_new after an accepted step from
+        u: group k goes to along_k u_k/r_k plus across_k times a uniform unit
+        vector orthogonal to u_k in its eigenspace, rescaled to norm r_new_k."""
+        k, gauss, positive = self.groups.index, next(self.normals), r > 0.0
+        # a group with r_k = 0 takes (1, ..., 1)/sqrt(n_k); + 0.0 turns -0.0 into +0.0
+        unit = u / np.where(positive, r, 1.0)[k] + np.where(positive, 0.0, self.inv_sqrt_n)[k]
+        perp = gauss - unit * np.bincount(k, weights=gauss * unit)[k]
+        perp_norm = self.groups.norms(perp)  # 0 where n_k = 1, and so is across_k
+        out = along[k] * unit + (across / np.where(perp_norm > 0.0, perp_norm, 1.0))[k] * perp
+        out_norm = self.groups.norms(out)
+        return out * (r_new / np.where(out_norm > 0.0, out_norm, 1.0))[k]
+
+    def one(self, u, r, along, across, r_new):
+        """``__call__`` for one group on floats, for ``_float_chain``: the same
+        operations in the same order, bit for bit, without arrays of one entry."""
+        gauss, k = next(self.normals), self.groups.index
+        unit = u / r + 0.0 if r > 0.0 else u / 1.0 + self.inv_sqrt_n[0]
+        perp = gauss - unit * np.bincount(k, weights=gauss * unit)[0]
+        perp_norm = math.sqrt(np.bincount(k, weights=perp * perp)[0])
+        out = along * unit + across / (perp_norm if perp_norm > 0.0 else 1.0) * perp
+        out_norm = math.sqrt(np.bincount(k, weights=out * out)[0])
+        return out * (r_new / (out_norm if out_norm > 0.0 else 1.0))
 
 
 def _log_norm2(a: float, b: float) -> float:

@@ -84,8 +84,11 @@ def chi_square_source(stream: RandomStream) -> np.random.Generator:
 
 def chi_square_matrix(source: np.random.Generator, rows: int, dof) -> np.ndarray:
     """(rows, len(dof)) chi-square variates, column j with dof[j] > 0 degrees
-    of freedom, bit-identical to ``rows`` stacked one-row calls."""
-    return 2.0 * source.standard_gamma(0.5 * np.asarray(dof), size=(rows, len(dof)))
+    of freedom, bit-identical to ``rows`` stacked one-row calls.  One column
+    passes its shape as a float: numpy's scalar-shape path draws the same
+    variates as the array path, in less time."""
+    shape = float(0.5 * dof[0]) if len(dof) == 1 else 0.5 * np.asarray(dof)
+    return 2.0 * source.standard_gamma(shape, size=(rows, len(dof)))
 
 
 def substream(stream: RandomStream, label: int) -> RandomStream:

@@ -117,12 +117,13 @@ def read_trace_csv(path) -> dict:
     }
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, **env_vars: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    esquad; fail on a non-zero exit, else return its stripped stdout."""
+    esquad, with ``env_vars`` added to its environment; fail on a non-zero
+    exit, else return its stripped stdout."""
     src = str(pathlib.Path(eq.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from scipy.special import ndtr
 import esquad as eq
 from esquad import bounds, montecarlo
 from esquad.bounds import FOUR_OVER_SQRT_2PI, _q_low_edge, rate_cap
-from conftest import random_problem
+from conftest import random_problem, run_python
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- independent oracle: Maclaurin erf series + bisection quantile -----------
@@ -498,3 +502,92 @@ class TestExpMomentBound:
                 )
                 bound = bounds.exp_moment_bound(stats)
                 assert est.mean <= bound + 3 * est.std_error
+
+
+# constants(...).to_json() in TheoryConstants' field order, as float.hex,
+# taken before the (q_low, q_high) search was batched.  Only bundles whose
+# bits do not depend on numpy's SIMD dispatch are pinned: the eps grid is a
+# numpy exp (ROADMAP, Standing constraints).
+_PINNED_CONSTANTS = {
+    ("sphere", 256, 0.4): (
+        "0x1.0000000000000p-8 0x1.999999999990dp-2 0x1.8bd4b5f4fbc22p-2 0x1.a75ea475ea3fcp-2 "
+        "0x1.ad04b73c3db0bp-3 0x1.6533a87fbfb99p+0 0x1.72e05667fbd84p-1 0x1.93ee43e00fd9ap-2 "
+        "0x1.e06f056443c64p-4 0x1.42c74f49e5819p-17 0x1.83559258ad0d4p-12 0x1.308c95b528e52p-2 "
+        "0x1.f7d886d3aeea0p+0 0x1.15c5ea5bf3173p-25 0x1.03091b51f5e1ap-9"),
+    ("sphere", 256, 0.45): (
+        "0x1.0000000000000p-8 0x1.ccccccccccde9p-2 0x1.bc58fb8055a9ap-2 0x1.dd40a57eb50eap-2 "
+        "0x1.0d2519206c0a6p-4 0x1.edb5d03b4a10cp-1 0x1.0fa6694e5389bp+0 0x1.c0eff53dd84d8p-2 "
+        "0x1.a18968be6e462p-3 0x1.1535ab9e65237p-16 0x1.30ee3cc7d5a73p-11 0x1.7e1e3d805b127p-4 "
+        "0x1.5bfdeb04b7972p+0 0x1.1d0c4799c9a2fp-24 0x1.03091b51f5e1ap-9"),
+    ("cigar", 256, 0.45): (
+        "0x1.00fbdeaa78093p-8 0x1.ccccccccccde9p-2 0x1.bc78265f49e99p-2 0x1.dd2178ca27790p-2 "
+        "0x1.0e10ef6530293p-4 0x1.ede2e8ff9f22fp-1 0x1.0fb07f208f332p+0 0x1.c173cd38a3f66p-2 "
+        "0x1.a1195e8c15892p-3 0x1.64db1d6e5e883p-23 0x1.888aa05fce62ep-18 0x1.7f6d11c979d0cp-4 "
+        "0x1.5c1db45a4a437p+0 0x1.6c3b1bb4b0d6cp-31 0x1.94be3ab010309p-3"),
+    ("ellipsoid", 512, 0.45): (
+        "0x1.689a736035404p-9 0x1.ccccccccccb56p-2 0x1.bb5c900934796p-2 0x1.de3d1f5ae3c28p-2 "
+        "0x1.1b4f13694a4fcp-4 0x1.b693bd653662dp-1 0x1.db2e1db2b6548p-1 0x1.9eed6262a7eb6p-2 "
+        "0x1.ec42bb4c7f7b5p-3 0x1.9bc3b15639bc8p-19 0x1.c4f0dcaba5f3bp-13 0x1.91714cb735c63p-4 "
+        "0x1.35a02bb2343e8p+0 0x1.c0c8620c80bc4p-27 0x1.41e2d43e5d8c5p-7"),
+    ("discus", 512, 0.4): (
+        "0x1.270955816f96ap-9 0x1.9999999999704p-2 0x1.846cad4eea97ep-2 0x1.aec685931ad34p-2 "
+        "0x1.aec7798cd2355p-3 0x1.3f2c50a61c3c8p+0 0x1.33fc5215d4a15p-1 0x1.5c70d70f5b134p-2 "
+        "0x1.4f30bb9e5326cp-3 0x1.82e5132afb4cfp-17 0x1.d046170060b76p-11 0x1.3133d115b1109p-2 "
+        "0x1.c2caa542aeb72p+0 0x1.00057499779d4p-24 0x1.41e2d43e5d8c5p-7"),
+}
+
+
+_PINNED_SPECTRA = {"sphere": eq.sphere, "cigar": lambda d: eq.cigar(d, 100.0),
+                   "ellipsoid": lambda d: eq.ellipsoid(d, 10.0),
+                   "discus": lambda d: eq.discus(d, 10.0)}
+
+
+class TestBatchedSearch:
+    """The threshold functions search all their q at once; every entry has
+    the bits of a search of its own."""
+
+    @pytest.mark.parametrize("family, d, target", list(_PINNED_CONSTANTS),
+                             ids=[f"{f}{d}-{t}" for f, d, t in _PINNED_CONSTANTS])
+    def test_constants_bits_are_pinned(self, family, d, target):
+        stats = eq.spectrum_stats(eq.make_problem(_PINNED_SPECTRA[family](d), 0))
+        c = eq.constants(stats, eq.alpha_schedule(d, target))
+        pinned = _PINNED_CONSTANTS[family, d, target].split()
+        assert [v.hex() for v in c.to_json().values()] == pinned
+
+    def test_infeasible_message_is_pinned(self):
+        stats = eq.spectrum_stats(eq.make_problem(eq.sphere(74), 0))
+        with pytest.raises(eq.InfeasibleBound) as info:
+            eq.constants(stats, eq.alpha_schedule(74, 0.4))
+        assert str(info.value) == (
+            "p_target condition failed: b_low(p_target=0.4) = 2.18437 >= 4/sqrt(2 pi) = "
+            "1.59577; no q_low below p_target can satisfy q_condition2")
+
+    @pytest.mark.parametrize("d", [74, 256, 1024])
+    def test_array_of_q_gives_each_scalar_result(self, d):
+        stats = eq.spectrum_stats(eq.make_problem(eq.sphere(d), 0))
+        # q from just above 2 ratio, where b_low is inf over an empty grid,
+        # to just below 1/2
+        qs = np.r_[np.nextafter(2 * stats.ratio, 1.0),
+                   np.linspace(2 * stats.ratio, 0.5, 23)[1:-1]]
+        for fn, q in ((bounds.b_low, qs), (bounds.b_high, qs[1:])):
+            value, eps = fn(stats, q, with_epsilon=True)
+            each = [fn(stats, float(x), with_epsilon=True) for x in q]
+            assert value.tobytes() == np.array([v for v, _ in each]).tobytes()
+            assert eps.tobytes() == np.array([e for _, e in each]).tobytes()
+        assert value.dtype == float and type(each[0][0]) is float
+        assert bounds.b_low(stats, qs[0]) == math.inf
+
+    def test_constants_do_not_depend_on_avx512(self):
+        # numpy dispatches exp per CPU; the default config's constants have
+        # the same bits in a process with numpy's AVX-512 loops off
+        path = REPO_ROOT / "configs" / "default.json"
+        config = json.loads(path.read_text())
+        c = eq.constants(eq.spectrum_stats(eq.problem_from_json(config["problem"])),
+                         eq.EsParams(**config["params"]))
+        code = ("import json, esquad as eq\n"
+                f"config = json.load(open({str(path)!r}))\n"
+                "c = eq.constants(eq.spectrum_stats(eq.problem_from_json(config['problem'])),\n"
+                "                 eq.EsParams(**config['params']))\n"
+                "print(' '.join(v.hex() for v in c.to_json().values()))\n")
+        off = run_python(code, NPY_DISABLE_CPU_FEATURES="X86_V4")
+        assert off == " ".join(v.hex() for v in c.to_json().values())

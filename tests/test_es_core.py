@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import esquad as eq
-from esquad import es_core, experiments, stochastic
+from esquad import es_core, experiments, montecarlo, stochastic
 from esquad.es_core import BrokenProcessPool
 from conftest import (kill_worker_after, kill_worker_on, no_child_process, read_trace_csv,
                       run_python, run_under_blas_kernels)
@@ -134,6 +134,16 @@ class TestRun:
             eq.run(p, eq.EsState(np.zeros(3), 0.0), PARAMS, 10, eq.RandomStream(0))
         with pytest.raises(eq.DegenerateState):
             es_core.step(eq.EsState(np.zeros(3), 0.0), np.ones(3), p, PARAMS)
+
+    @pytest.mark.parametrize("seed", [109, 193])
+    def test_kept_rows_filling_whole_batches(self, seed):
+        # row 0 and 255 accepted rows fill one batch of 256 log-norms
+        # exactly, which left the group chain a last batch of none
+        p = eq.make_problem(eq.ellipsoid(8, 100.0), 0)
+        tr = eq.run(p, eq.default_initial_state(p), eq.alpha_schedule(8, 0.2), 1500,
+                    eq.RandomStream(seed))
+        assert len(tr) == 1501 and tr.accept_count() + 1 == es_core._BLOCK
+        assert np.all(np.isfinite(tr.log_norm))
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_start_of_wrong_length(self, length):
@@ -462,6 +472,51 @@ class TestTwoGroupChain:
             assert two.log_norm[-1] < -400.0 * math.log(2.0)
 
 
+def _block_size_outputs():
+    """The bytes of traces, with and without ``record_m``, on a G = 1, a
+    rotated G = 2 and a G = 8 problem, and one value of each Monte Carlo
+    estimator."""
+    problems = [eq.make_problem(eq.sphere(16), 0),
+                eq.make_problem(eq.cigar(16, 100.0), 0, rotation_seed=3),
+                eq.make_problem(eq.ellipsoid(8, 100.0), 0)]
+    out = []
+    for p in problems:
+        for record_m in (False, True):
+            tr = eq.run(p, eq.default_initial_state(p), eq.alpha_schedule(p.d, 0.2), 600,
+                        eq.RandomStream(109), record_m=record_m)
+            out += [getattr(tr, c).tobytes() for c in ("log_f", "log_sigma", "accepted",
+                                                       "log_norm", "m_centered")
+                    if getattr(tr, c) is not None]
+    p = problems[1]
+    m, sigma = eq.default_initial_state(p).m, 0.05
+    for estimate in (montecarlo.estimate_success_prob, montecarlo.estimate_log_progress,
+                     montecarlo.estimate_exp_abs):
+        out.append(estimate(p, m, sigma, 1000, eq.RandomStream(5)).mean.hex())
+    p = eq.make_problem(eq.sphere(256), 0)
+    params = eq.alpha_schedule(256, 0.4)
+    consts = eq.constants(eq.spectrum_stats(p), params)
+    est, _ = montecarlo.estimate_drift_V(p, eq.default_initial_state(p), consts, params,
+                                         1000, eq.RandomStream(6))
+    out.append(est.mean.hex())
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_block_outputs():
+    return _block_size_outputs()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_block_sizes_move_no_byte(monkeypatch, default_block_outputs, size):
+    """Variate blocks, dot-product windows, lift blocks and Monte Carlo
+    chunks of a few rows, crossing a boundary at nearly every step, give
+    the bytes of the default sizes."""
+    for name in ("_BLOCK", "_WINDOW", "_FLOAT_BLOCK", "_LIFT_BLOCK"):
+        monkeypatch.setattr(es_core, name, size)
+    monkeypatch.setattr(montecarlo, "_chunk_rows", lambda width: size)
+    assert _block_size_outputs() == default_block_outputs
+
+
 _KERNEL_TRACES = """
 import hashlib
 import numpy as np
@@ -510,6 +565,25 @@ class TestDecrementForm:
         exact = _exact_core(lam, cand) - core
         if abs(exact) > Fraction(1e-9) * core:
             assert out.accepted == (exact <= 0)
+
+
+@pytest.mark.parametrize("lam", [eq.sphere(8), [1.0, 2.0, 3.0, 4.0], eq.cigar(8, 100.0)],
+                         ids=["all-chi", "no-chi", "some-chi"])
+def test_draw_block_equals_its_scattered_form(lam):
+    """The chi matrix is the chi-square columns scattered into zeros, each
+    drawn with an array of shapes, whether every group, none or some have
+    a chi part."""
+    groups = eq.make_problem(lam, 0).eigen_groups()
+    xi, chi, q = es_core.draw_block(eq.RandomStream(4), stochastic.chi_square_source(
+        eq.RandomStream(5)), 300, groups)
+    has_chi = groups.counts > 1
+    xi_ref = stochastic.normal_matrix(eq.RandomStream(4), 300, groups.counts.size)
+    chi_ref = np.zeros_like(xi_ref)
+    chi_ref[:, has_chi] = 2.0 * stochastic.chi_square_source(eq.RandomStream(5)).standard_gamma(
+        0.5 * (groups.counts[has_chi] - 1), size=(300, int(has_chi.sum())))
+    q_ref = 0.5 * np.einsum("ij,j->i", xi_ref * xi_ref + chi_ref, groups.eigenvalues)
+    for got, want in ((xi, xi_ref), (chi, chi_ref), (q, q_ref)):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraceCsv:

@@ -188,6 +188,25 @@ def test_large_draw_starts_no_thread():
     assert run_python(code) == "1"
 
 
+class TestChiSquare:
+    @pytest.mark.parametrize("dof", [1, 2, 15, 255])
+    def test_one_column_equals_the_array_shape_draws(self, dof):
+        # one column takes numpy's scalar-shape path
+        got = stochastic.chi_square_matrix(stochastic.chi_square_source(eq.RandomStream(8)),
+                                           400, np.array([dof]))
+        source = stochastic.chi_square_source(eq.RandomStream(8))
+        want = 2.0 * source.standard_gamma(0.5 * np.array([dof]), size=(400, 1))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dof", [[127], [1, 127], [3, 4, 5]])
+    def test_matrix_equals_stacked_rows(self, dof):
+        source = stochastic.chi_square_source(eq.RandomStream(9))
+        rows = [stochastic.chi_square_matrix(source, 1, np.array(dof)) for _ in range(50)]
+        whole = stochastic.chi_square_matrix(stochastic.chi_square_source(eq.RandomStream(9)),
+                                             50, np.array(dof))
+        assert np.concatenate(rows).tobytes() == whole.tobytes()
+
+
 def test_generator_id_is_stable():
     assert eq.GENERATOR_ID == "philox-seedseq+invcdf+chi2-gamma-rejection/v3"
 
