@@ -320,10 +320,6 @@ def rate_cap(stats: SpectrumStats) -> float:
     return stats.cond / (2.0 * (stats.d - 3))
 
 
-def _band_gain(stats: SpectrumStats, bh: float, bl: float, floor: float) -> float:
-    return (stats.L * bh / (2.0 * stats.trace)) * (FOUR_OVER_SQRT_2PI - bl) * floor
-
-
 def drift_rate(band_gain, log_ratio: float, gap):
     """min(band_gain/4, log(alpha_up/alpha_down)) * gap, elementwise: the sure
     decrease of E[V] per step outside the band, gap away from p_target."""
@@ -340,7 +336,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     axis spans (edge, p_target), where the edge is the closed-form inf of the
     q with b_low(q) < 4/sqrt(2 pi) (``_q_low_edge``); each grid q_low's
     success floor Q_H comes in closed form from the b_low value the search
-    already holds.
+    already holds, and the bundle takes all of the winner's values from the search.
 
     Raises InfeasibleBound naming the first violated inequality when no
     admissible pair exists.
@@ -380,7 +376,9 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         floors = np.full(n, np.nan)
         floors[feasible_l] = _success_floor(stats, bls[feasible_l])
         bhs, eps_hs = b_high(stats, q_highs, with_epsilon=True)
-        w = _band_gain(stats, bhs[None, :], bls[:, None], floors[:, None])
+        # the band gain w = L b_high / (2 Tr(H)) * (4/sqrt(2 pi) - b_low) * Q_H
+        high = stats.L * bhs / (2.0 * stats.trace)
+        w = high[None, :] * (FOUR_OVER_SQRT_2PI - bls[:, None]) * floors[:, None]
         margin = np.minimum(pt - q_lows[:, None], q_highs[None, :] - pt)
         obj = drift_rate(w, log_ratio, margin)
         bad = (
@@ -395,8 +393,8 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         ties = np.argwhere(obj == best)
         gaps = q_highs[ties[:, 1]] - q_lows[ties[:, 0]]
         i, j = ties[int(np.argmax(gaps))]
-        return (float(q_lows[i]), float(q_highs[j]), best,
-                float(bls[i]), float(eps_ls[i]), float(bhs[j]), float(eps_hs[j]))
+        return tuple(float(x) for x in (q_lows[i], q_highs[j], best, bls[i], eps_ls[i],
+                                        bhs[j], eps_hs[j], floors[i], w[i, j]))
 
     found = search(edge, pt, pt, 0.5, _PAIR_GRID)
     if found is None:
@@ -421,9 +419,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         step_l /= _REFINE_GRID / 2.0
         step_h /= _REFINE_GRID / 2.0
 
-    q_low_star, q_high_star, _, bl, eps_low, bh, eps_high = found
-    floor = q_h(stats, q_low_star)
-    w = _band_gain(stats, bh, bl, floor)
+    q_low_star, q_high_star, drift, bl, eps_low, bh, eps_high, floor, w = found
     v = min(w / (4.0 * log_ratio), 1.0)
     result = TheoryConstants(
         trace_ratio=r,
@@ -439,7 +435,7 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         penalty_weight=v,
         b_small=math.sqrt(2.0) * bh * params.alpha_up,
         b_large=math.sqrt(2.0) * bl * params.alpha_down,
-        drift_bound=float(drift_rate(w, log_ratio, min(pt - q_low_star, q_high_star - pt))),
+        drift_bound=drift,
         rate_cap=cap,
     )
     result.validate(params)

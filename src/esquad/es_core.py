@@ -244,15 +244,13 @@ class RunTrace:
     def write_csv(self, path) -> None:
         """CSV with header t,log_f,log_sigma,accepted,regime plus a JSON sidecar.
 
-        The regime column is kept empty, so the layout stays fixed.  A row
-        whose log_f has the bits of the row before (every rejected step)
-        reuses that row's text instead of formatting the float again."""
-        bits = np.ascontiguousarray(self.log_f, dtype=float).view(np.int64)
-        fresh = np.r_[True, bits[1:] != bits[:-1]].tolist()
+        The regime column is kept empty, so the layout stays fixed.  Every
+        row but row 0 and the accepted ones reuses the log_f text of the row
+        above: on a trace of ``run`` log f changes only on accepted rows."""
         lines, cell = ["t,log_f,log_sigma,accepted,regime\n"], ""
-        for t, f, s, a, new in zip(self.t.tolist(), self.log_f.tolist(),
-                                   self.log_sigma.tolist(), self.accepted.tolist(), fresh):
-            if new:
+        for t, f, s, a in zip(self.t.tolist(), self.log_f.tolist(),
+                              self.log_sigma.tolist(), self.accepted.tolist()):
+            if a or not cell:  # row 0 or an accepted row
                 cell = repr(f)
             lines.append(f"{t},{cell},{s!r},{a},\n")
         text = "".join(lines)
@@ -276,9 +274,9 @@ def run(
     sigma) leaves [2**-100, 2**100]; the quadratic core is exactly
     scale-equivariant under that renormalization, so decisions are
     unaffected while log f is tracked far below the double underflow
-    threshold.  The run halts early only if the core reaches an exact zero,
-    which is flagged on the trace.  A start outside ``_LOG_SIGMA_HAT_RANGE``
-    raises DomainError.
+    threshold.  The run halts early only at x*, where every r_k is 0 (a core
+    that merely underflows goes on), which is flagged on the trace.  A start
+    outside ``_LOG_SIGMA_HAT_RANGE`` raises DomainError.
     """
     job = (problem, state0, params, budget, stream, record_m)
     return _expand(_walk(*job), *job)
@@ -414,8 +412,8 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
 
     Takes up to ``budget`` steps from ``state0`` and returns the rows it kept,
     which are row 0 and the accepted rows: their indices, log f, log-norm and
-    (with ``record_m``) lifted points as arrays, and whether the core hit an
-    exact zero.  The stream keys the chi-square source and the lift stream
+    (with ``record_m``) lifted points as arrays, and whether the run reached
+    x* (every r_k 0).  The stream keys the chi-square source and the lift stream
     with one word each, then gives the xi_k in blocks.  A problem with at
     most two distinct eigenvalues runs the float chain, any other the group
     chain.
@@ -498,8 +496,8 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
     _BLOCK rows; the reference for ``_float_chain``.
 
     Returns the kept rows, their log f, log-norm and (with ``record_m``)
-    lifted points, and whether the core hit an exact zero.  The log-norms
-    are taken in batches of up to _BLOCK kept rows.
+    lifted points, and whether the run reached x* (r_max = 0), where it
+    halts.  The log-norms are taken in batches of up to _BLOCK kept rows.
 
     The parent's lambda_k r_k . xi_k of each row is taken from a window: one
     einsum over the parent's r followed by the next _WINDOW rows of xi gives
@@ -590,14 +588,14 @@ def _group_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
             else:
                 cur_log_f += math.log1p(delta / core_old)
             keep(t)
-            if core == 0.0:
+            if r_max == 0.0:
                 break
         else:
             log_sigma += log_down
         i += 1
     if norms:  # empty when the kept rows filled whole batches
         take_log_norms()
-    return kept, log_f, log_norm, points, core == 0.0
+    return kept, log_f, log_norm, points, r_max == 0.0
 
 
 def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, stream,
@@ -670,11 +668,11 @@ def _float_chain(groups, u, scale_exp, log_sigma, cur_log_f, params, budget, str
                 log_norm.append(_log_norm2(r1, r2) + shift)
                 if record_m:
                     points.append(u * 2.0**scale_exp)
-                if core == 0.0:
+                if r_max == 0.0:
                     return kept, log_f, log_norm, points, True
             else:
                 log_sigma += log_down
-    return kept, log_f, log_norm, points, core == 0.0
+    return kept, log_f, log_norm, points, r_max == 0.0
 
 
 def _pair(values, absent):

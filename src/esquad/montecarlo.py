@@ -74,10 +74,11 @@ def _sample(
 ) -> np.ndarray:
     """Sample values of ``rows`` offspring of m, one chunk of variates at a time.
 
-    ``values(lin, quad, gain)`` maps a chunk's decrement terms to its sample
-    values; ``gain()`` returns the chunk's log core ratios on accepted rows
-    and 0 on rejected ones.  The stream keys the chi-square source with one
-    word, then gives the xi_k; each chunk is one ``draw_block``.
+    ``values(lin, quad, accepted, gain)`` maps a chunk's decrement terms and
+    its one acceptance mask to its sample values; ``gain()`` returns the
+    chunk's log core ratios on accepted rows and 0 on rejected ones.  The
+    stream keys the chi-square source with one word, then gives the xi_k;
+    each chunk is one ``draw_block``.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
@@ -89,9 +90,9 @@ def _sample(
     lam = groups.eigenvalues
     norm_u = groups.norms(problem.eigen_frame(y))
 
-    def log_gain(xi, chi, delta) -> np.ndarray:
-        """log(core(y + sigma z) / core(y)) where delta <= 0, else 0; never positive."""
-        r = np.where(delta <= 0.0, delta, 0.0) / core_m
+    def log_gain(xi, chi, delta, accepted) -> np.ndarray:
+        """log(core(y + sigma z) / core(y)) on accepted rows, else 0; never positive."""
+        r = np.where(accepted, delta, 0.0) / core_m
         gain = np.log1p(np.maximum(r, -0.5))
         # here 1 + r cancels to a small difference and log1p would amplify the
         # rounding error of r, or raise at r = -1; take log f at the offspring
@@ -111,8 +112,10 @@ def _sample(
         xi, chi, q = draw_block(stream, chi_source, min(chunk, rows - start), groups)
         lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
         quad = sigma * sigma * q
-        gain = functools.partial(log_gain, xi, chi, lin + quad)
-        out[start : start + len(xi)] = values(lin, quad, gain)
+        delta = lin + quad
+        accepted = delta <= 0.0
+        gain = functools.partial(log_gain, xi, chi, delta, accepted)
+        out[start : start + len(xi)] = values(lin, quad, accepted, gain)
     return out
 
 
@@ -127,11 +130,8 @@ def estimate_success_prob(
     if n < 100:
         raise DomainError("estimate_success_prob requires n >= 100")
     pairs = (n + 1) // 2
-    pair_means = _sample(
-        problem, m, sigma, pairs, stream,
-        lambda lin, quad, gain: 0.5 * np.add(
-            lin + quad <= 0.0, quad - lin <= 0.0, dtype=float),
-    )
+    pair_means = _sample(problem, m, sigma, pairs, stream, lambda lin, quad, accepted, gain:
+                         0.5 * np.add(accepted, quad - lin <= 0.0, dtype=float))
     return _estimate(pair_means, 2 * pairs, "success_prob/antithetic-v3")
 
 
@@ -141,7 +141,7 @@ def estimate_log_progress(
     """E[log(f(m + sigma z) / f(m)) * 1{accept}]; nonpositive by construction."""
     if n < 100:
         raise DomainError("estimate_log_progress requires n >= 100")
-    vals = _sample(problem, m, sigma, n, stream, lambda lin, quad, gain: gain())
+    vals = _sample(problem, m, sigma, n, stream, lambda lin, quad, accepted, gain: gain())
     return _estimate(vals, n, "log_progress/plain-v3")
 
 
@@ -151,9 +151,8 @@ def estimate_exp_abs(
     """E[exp(|log f-ratio| * 1{accept})]; rejected samples contribute exactly 1."""
     if n < 1000:
         raise DomainError("estimate_exp_abs requires n >= 1000")
-    vals = _sample(
-        problem, m, sigma, n, stream, lambda lin, quad, gain: np.exp(-gain())
-    )
+    vals = _sample(problem, m, sigma, n, stream,
+                   lambda lin, quad, accepted, gain: np.exp(-gain()))
     return _estimate(vals, n, "exp_abs/plain-v3")
 
 
@@ -177,10 +176,8 @@ def estimate_drift_V(
     log_f = problem.log_core_centered(problem.centered(state.m))
     v_now = float(potential_from_logs(log_f, state.log_sigma, stats, constants))
 
-    def drift(lin, quad, gain):
-        log_sigma_next = state.log_sigma + np.where(
-            lin + quad <= 0.0, params.log_up, params.log_down
-        )
+    def drift(lin, quad, accepted, gain):
+        log_sigma_next = state.log_sigma + np.where(accepted, params.log_up, params.log_down)
         v_next = potential_from_logs(log_f + gain(), log_sigma_next, stats, constants)
         return v_next - v_now
 

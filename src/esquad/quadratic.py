@@ -117,9 +117,11 @@ CUBE = MonotoneTransform("cube")
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Positive eigenvalues of the Hessian, sorted descending."""
+    """Positive eigenvalues of the Hessian, sorted descending, and their
+    ``groups``: the three read-only arrays of ``EigenGroups``, made once."""
 
     eigenvalues: np.ndarray
+    groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -128,8 +130,11 @@ class Spectrum:
         if not np.all(np.isfinite(vals)) or not np.all(vals > 0):
             raise InvalidSpectrum("all eigenvalues must be finite and > 0")
         vals = np.sort(vals)[::-1].copy()
-        vals.setflags(write=False)
+        lam, index, counts = np.unique(vals, return_inverse=True, return_counts=True)
+        for a in (vals, lam, index, counts):
+            a.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "groups", (lam, counts, index))
 
     @property
     def d(self) -> int:
@@ -234,9 +239,7 @@ class QuadraticProblem:
 
     def eigen_groups(self) -> EigenGroups:
         """The eigenframe coordinates grouped by distinct eigenvalue."""
-        lam, index, counts = np.unique(self.spectrum.eigenvalues,
-                                       return_inverse=True, return_counts=True)
-        return EigenGroups(lam, counts, index)
+        return EigenGroups(*self.spectrum.groups)
 
     def core(self, x) -> float:
         """Untransformed core 0.5 (x - x*)^T H (x - x*)."""

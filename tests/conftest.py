@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 try:
     from numpy._core import _multiarray_umath
@@ -20,6 +21,11 @@ from esquad import es_core
 
 
 WORKER_DEADLINE_S = 120
+
+# Tier-1 is deterministic: each hypothesis test draws the same examples on
+# every run and keeps no example database; tests keep their own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def no_child_process() -> bool:
@@ -95,6 +101,40 @@ def random_problem(rng: np.random.Generator, d: int, cond: float = None):
     lam[-1] = 1.0
     opt = rng.normal(size=d)
     return eq.make_problem(lam, opt)
+
+
+# one, two and three distinct eigenvalues, small integers, each group with
+# a chi part or without one
+TIE_SPECTRA = [[1.0] * 3, [2.0, 1.0, 1.0], [4.0, 2.0, 2.0, 1.0]]
+
+
+def tie_start(lam):
+    """A centred point with 1/2 at the first coordinate of each eigenspace of
+    the descending ``lam``, so that every group norm is 1/2."""
+    lam = np.asarray(lam)
+    return np.where(np.r_[True, lam[1:] != lam[:-1]], 0.5, 0.0)
+
+
+def tie_variates(monkeypatch, sign):
+    """Make row 0 of every draw of ``es_core.draw_block`` xi_k = sign and
+    chi_k = 0, and later rows xi_k = 2 and chi_k = 1 (0 in groups of one).
+    From ``tie_start`` at sigma = 1 with small integer eigenvalues every term
+    is exact, so row 0's decrement is sum_k lambda_k (sign + 1)/2: exactly 0
+    for sign = -1, and that of its antithetic partner exactly 0 for sign =
+    +1.  Later rows and their partners have decrements of at least sum_k
+    lambda_k > 0."""
+    def normals(stream, rows, groups):
+        xi = np.full((rows, groups), 2.0)
+        xi[0] = sign
+        return xi
+
+    def chi_squares(source, rows, dof):
+        chi = np.full((rows, len(dof)), 1.0)
+        chi[0] = 0.0
+        return chi
+
+    monkeypatch.setattr(es_core, "normal_matrix", normals)
+    monkeypatch.setattr(es_core, "chi_square_matrix", chi_squares)
 
 
 def read_trace_csv(path) -> dict:

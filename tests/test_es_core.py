@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import esquad as eq
 from esquad import es_core, experiments, montecarlo, stochastic
 from esquad.es_core import BrokenProcessPool
-from conftest import (kill_worker_after, kill_worker_on, no_child_process, read_trace_csv,
-                      run_python, run_under_blas_kernels)
+from conftest import (TIE_SPECTRA, kill_worker_after, kill_worker_on, no_child_process,
+                      read_trace_csv, run_python, run_under_blas_kernels, tie_start,
+                      tie_variates)
 
 
 class TestParams:
@@ -390,6 +391,51 @@ class TestRun:
         assert np.max(np.abs(tr.log_f - exact)) <= 1e-9
 
 
+def _trace_bytes(tr):
+    """Every column of a trace as bytes, and its hit_zero flag."""
+    columns = ("log_f", "log_sigma", "accepted", "log_norm", "m_centered")
+    return [getattr(tr, c).tobytes() for c in columns if getattr(tr, c) is not None] + [
+        tr.hit_zero]
+
+
+class TestUnderflowedCore:
+    """A huge alpha_up makes the renormalization after an accepted step
+    divide r by about sigma_hat, so that the core underflows to 0 in the
+    renormalised frame while every group norm stays > 0: the run goes on."""
+
+    @pytest.mark.parametrize("alpha_up", [1e200, 1e300])
+    @pytest.mark.parametrize("lam", [eq.sphere(8), eq.cigar(8, 100.0), eq.ellipsoid(8, 100.0)],
+                             ids=["sphere", "cigar100", "ellipsoid100"])
+    def test_runs_its_whole_budget(self, monkeypatch, lam, alpha_up):
+        # these runs once stopped after 1 990-1 997 steps, flagged hit_zero
+        p = eq.make_problem(lam, 0)
+        job = (p, eq.default_initial_state(p), eq.EsParams(alpha_up, 0.5), 2000)
+        traces = [eq.run(*job, eq.RandomStream(0), record_m) for record_m in (False, True)]
+        for trace in traces:
+            assert len(trace) == 2001 and not trace.hit_zero
+            assert np.all(np.diff(trace.log_f) <= 0.0)
+        if p.eigen_groups().eigenvalues.size <= 2:
+            monkeypatch.setattr(es_core, "_float_chain", es_core._group_chain)
+            for record_m, trace in zip((False, True), traces):
+                group = eq.run(*job, eq.RandomStream(0), record_m)
+                assert _trace_bytes(group) == _trace_bytes(trace)
+
+
+class TestTies:
+    """A step whose decrement is exactly 0 is accepted, in both chains."""
+
+    @pytest.mark.parametrize("lam", TIE_SPECTRA, ids=["G1", "G2", "G3"])
+    def test_a_tie_is_accepted(self, monkeypatch, lam):
+        p = eq.make_problem(lam, 0)
+        state0 = eq.EsState(tie_start(lam), 0.0)
+        tie_variates(monkeypatch, -1.0)
+        for chain in both_chains(monkeypatch):
+            tr = eq.run(p, state0, PARAMS, 1, eq.RandomStream(0))
+            assert tr.accepted.tolist() == [0, 1], chain
+            assert tr.log_f[1] == tr.log_f[0], chain  # the step lands at the same core
+            assert tr.log_sigma[1] == PARAMS.log_up, chain
+
+
 def _exact_core(lam, v):
     return sum(Fraction(l) * Fraction(x) ** 2 for l, x in zip(lam, v)) / 2
 
@@ -470,6 +516,79 @@ class TestTwoGroupChain:
         assert _same_trace(two, group)
         if d == 2 and spectrum is _two_values:
             assert two.log_norm[-1] < -400.0 * math.log(2.0)
+
+
+# with three values every group of d >= 6 has a chi part, as no ellipsoid's has
+SPECTRUM_FAMILIES = {"sphere": lambda d, xi: eq.sphere(d), "cigar": eq.cigar,
+                     "discus": eq.discus, "ellipsoid": eq.ellipsoid, "two-values": _two_values,
+                     "three-values": lambda d, xi: [xi ** (i % 3 / 2) for i in range(d)]}
+
+
+@st.composite
+def _drawn_jobs(draw):
+    """A spectrum, a rotation seed or None, a start (None for the default one,
+    else a point and log sigma), multipliers with a finite ratio, a budget,
+    a seed and ``record_m``."""
+    d = draw(st.sampled_from(range(1, 13)))  # uniform, where integers() favours small d
+    lam = SPECTRUM_FAMILIES[draw(st.sampled_from(sorted(SPECTRUM_FAMILIES)))](
+        d, draw(st.floats(1.5, 1e6)))
+    rotation_seed = draw(st.none() | st.integers(0, 2**31))
+    start = draw(st.none() | st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), st.integers(-150, 150),
+        st.floats(-10.0, 5.0) | st.floats(-800.0, 400.0)))
+    alpha_up = draw(st.floats(1.0001, 10.0) | st.sampled_from([1e50, 1e200, 1e300, 1.7e308]))
+    alpha_down = draw(st.floats(1e-6, 0.9999))
+    assume(math.isfinite(alpha_up / alpha_down))
+    return (lam, rotation_seed, start, alpha_up, alpha_down, draw(st.integers(0, 400)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+# the time budget: under 5 s for the whole test (about 2 s on a 2-core host)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((eq.sphere(8), None, None, 1e200, 0.5, 2000, 0, False))  # once a false hit_zero
+@given(_drawn_jobs())
+def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
+    """``run`` returns a trace or raises DomainError, NumericalFailure or
+    ValueError, never a numpy AxisError, OverflowError, ZeroDivisionError or
+    IndexError.  A trace has budget + 1 rows unless it hit x*, which it did
+    exactly when its last log-norm is -inf; log f never rises; each step of
+    log sigma is log_up on an accepted row and log_down on any other; and
+    log f - log 1/2 - 2 log-norm lies in [log L, log U].  With G <= 2 the
+    group chain gives the same bytes, and so does ``run_many`` on two CPUs."""
+    lam, rotation_seed, start, alpha_up, alpha_down, budget, seed, record_m = drawn
+    try:
+        p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
+        if start is None:
+            state0 = eq.default_initial_state(p)
+        else:
+            coordinates, exponent, log_sigma = start
+            m = np.array(coordinates) * 10.0**exponent
+            assume(np.any(m))
+            state0 = eq.EsState(m, exponent * math.log(10.0) + log_sigma)
+        params = eq.EsParams(alpha_up, alpha_down)
+        job = (p, state0, params, budget)
+        trace = eq.run(*job, eq.RandomStream(seed), record_m)
+    except (eq.DomainError, eq.NumericalFailure, ValueError) as exc:
+        assert not isinstance(exc, np.exceptions.AxisError)
+        return
+    assert len(trace) == budget + 1 or (trace.hit_zero and len(trace) < budget + 1)
+    assert trace.hit_zero == (trace.log_norm[-1] == -math.inf)
+    assert np.all(np.diff(trace.log_f) <= 0.0)
+    steps = np.where(trace.accepted[1:] == 1, params.log_up, params.log_down)
+    assert np.array_equal(trace.log_sigma[1:], trace.log_sigma[:-1] + steps)
+    finite = np.isfinite(trace.log_norm)
+    spread = trace.log_f[finite] - math.log(0.5) - 2.0 * trace.log_norm[finite]
+    slack = 1e-9 * (1.0 + np.abs(trace.log_f[finite]))
+    assert np.all(spread >= math.log(p.spectrum.eigenvalues[-1]) - slack)
+    assert np.all(spread <= math.log(p.spectrum.eigenvalues[0]) + slack)
+    want = _trace_bytes(trace)
+    if p.eigen_groups().eigenvalues.size <= 2:
+        with monkeypatch.context() as patch:
+            patch.setattr(es_core, "_float_chain", es_core._group_chain)
+            assert _trace_bytes(eq.run(*job, eq.RandomStream(seed), record_m)) == want
+    cpus(2)
+    pair = es_core.run_many([(*job, eq.RandomStream(seed), record_m) for _ in range(2)])
+    assert [_trace_bytes(t) for t in pair] == [want, want]
 
 
 def _block_size_outputs():

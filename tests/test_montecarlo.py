@@ -6,7 +6,7 @@ import pytest
 
 import esquad as eq
 from esquad import bounds, es_core, montecarlo, potential, stochastic
-from conftest import random_problem
+from conftest import TIE_SPECTRA, random_problem, tie_start, tie_variates
 
 
 class TestSuccessProb:
@@ -280,7 +280,7 @@ def _sampled(p, m, sigma, rows, stream):
     """Decrement terms and log gains of the sampler, concatenated over chunks."""
     chunks = []
 
-    def grab(lin, quad, gain):
+    def grab(lin, quad, accepted, gain):
         chunks.append((lin, quad, gain()))
         return lin
 
@@ -380,6 +380,33 @@ class TestAntitheticPairs:
         assert np.cov(a, b)[0, 1] <= 0.0
         single = 0.5 * (np.var(a, ddof=1) + np.var(b, ddof=1))
         assert est.std_error ** 2 * pairs <= 0.5 * single * (1 + 1e-12)
+
+
+class TestTies:
+    """An offspring or an antithetic partner whose decrement is exactly 0 is
+    accepted: row 0 of the one chunk is such a tie (``tie_variates``), and
+    every later row and its partner are rejected."""
+
+    @pytest.mark.parametrize("lam", TIE_SPECTRA, ids=["G1", "G2", "G3"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["offspring", "partner"])
+    def test_success_counts_a_tie(self, monkeypatch, lam, sign):
+        tie_variates(monkeypatch, sign)
+        p = eq.make_problem(lam, 0)
+        est = montecarlo.estimate_success_prob(p, tie_start(lam), 1.0, 100, eq.RandomStream(0))
+        assert est.mean == 0.5 / 50  # one pair of 50 has one accepted offspring
+
+    def test_drift_steps_sigma_up_on_a_tie(self, monkeypatch, constants256, params256):
+        tie_variates(monkeypatch, -1.0)
+        lam = TIE_SPECTRA[1]
+        p, stats = eq.make_problem(lam, 0), eq.spectrum_stats(eq.make_problem(lam, 0))
+        state = eq.EsState(tie_start(lam), 0.0)
+        _, samples = montecarlo.estimate_drift_V(p, state, constants256, params256, 1000,
+                                                 eq.RandomStream(0))
+        log_f = p.log_core_centered(state.m)  # a tie keeps it, a rejection too
+        steps = np.array([params256.log_up, params256.log_down])
+        v_next = potential.potential_from_logs(log_f, steps, stats, constants256)
+        v_now = potential.potential_from_logs(log_f, 0.0, stats, constants256)
+        assert samples[:2].tolist() == (v_next - v_now).tolist()
 
 
 class TestDistribution:
