@@ -336,7 +336,8 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     axis spans (edge, p_target), where the edge is the closed-form inf of the
     q with b_low(q) < 4/sqrt(2 pi) (``_q_low_edge``); each grid q_low's
     success floor Q_H comes in closed form from the b_low value the search
-    already holds, and the bundle takes all of the winner's values from the search.
+    already holds.  Each search returns its winning pair's bundle, and the
+    bundle returned is the best search's, once it is validated.
 
     Raises InfeasibleBound naming the first violated inequality when no
     admissible pair exists.
@@ -393,8 +394,15 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         ties = np.argwhere(obj == best)
         gaps = q_highs[ties[:, 1]] - q_lows[ties[:, 0]]
         i, j = ties[int(np.argmax(gaps))]
-        return tuple(float(x) for x in (q_lows[i], q_highs[j], best, bls[i], eps_ls[i],
-                                        bhs[j], eps_hs[j], floors[i], w[i, j]))
+        bl, bh, w_ij = float(bls[i]), float(bhs[j]), float(w[i, j])
+        return TheoryConstants(
+            trace_ratio=r, p_target=pt, q_low=float(q_lows[i]), q_high=float(q_highs[j]),
+            b_high_at_qhigh=bh, b_low_at_qlow=bl, eps_high=float(eps_hs[j]),
+            eps_low=float(eps_ls[i]), success_floor=float(floors[i]), band_gain=w_ij,
+            penalty_weight=min(w_ij / (4.0 * log_ratio), 1.0),
+            b_small=math.sqrt(2.0) * bh * params.alpha_up,
+            b_large=math.sqrt(2.0) * bl * params.alpha_down,
+            drift_bound=float(best), rate_cap=cap)
 
     found = search(edge, pt, pt, 0.5, _PAIR_GRID)
     if found is None:
@@ -406,40 +414,15 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     step_l = (pt - edge) / (_PAIR_GRID + 1)
     step_h = (0.5 - pt) / (_PAIR_GRID + 1)
     for _ in range(_REFINE_ROUNDS):
-        ql, qh = found[:2]
-        cand = search(
-            max(ql - step_l, edge),
-            min(ql + step_l, pt),
-            max(qh - step_h, pt),
-            min(qh + step_h, 0.5),
-            _REFINE_GRID,
-        )
-        if cand is not None and cand[2] >= found[2]:
+        ql, qh = found.q_low, found.q_high
+        cand = search(max(ql - step_l, edge), min(ql + step_l, pt),
+                      max(qh - step_h, pt), min(qh + step_h, 0.5), _REFINE_GRID)
+        if cand is not None and cand.drift_bound >= found.drift_bound:
             found = cand
         step_l /= _REFINE_GRID / 2.0
         step_h /= _REFINE_GRID / 2.0
-
-    q_low_star, q_high_star, drift, bl, eps_low, bh, eps_high, floor, w = found
-    v = min(w / (4.0 * log_ratio), 1.0)
-    result = TheoryConstants(
-        trace_ratio=r,
-        p_target=pt,
-        q_low=q_low_star,
-        q_high=q_high_star,
-        b_high_at_qhigh=bh,
-        b_low_at_qlow=bl,
-        eps_high=eps_high,
-        eps_low=eps_low,
-        success_floor=floor,
-        band_gain=w,
-        penalty_weight=v,
-        b_small=math.sqrt(2.0) * bh * params.alpha_up,
-        b_large=math.sqrt(2.0) * bl * params.alpha_down,
-        drift_bound=drift,
-        rate_cap=cap,
-    )
-    result.validate(params)
-    return result
+    found.validate(params)
+    return found
 
 
 def quality_gain_bound(

@@ -299,8 +299,7 @@ def _cmd_drift(args) -> int:
     with config_errors(f"state file {args.state}"):
         state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
         problem.centered(state.m)  # of length d and not the optimum
-        if not -745.0 < state.log_sigma < 709.0:  # so that sigma is a double > 0
-            raise ValueError(f"log_sigma must lie in (-745, 709), not {state.log_sigma!r}")
+        state.sigma  # a finite double > 0
     if args.n < 1000:
         raise ConfigError("--n must be >= 1000")
     try:

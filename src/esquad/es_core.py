@@ -101,11 +101,11 @@ _LN2 = math.log(2.0)
 # pure powers of two keep the renormalization exact in floating point.
 _RESCALE_LIMIT = 100
 _SCALE_LOW, _SCALE_HIGH = 2.0 ** -(_RESCALE_LIMIT + 1), 2.0**_RESCALE_LIMIT
-# The log sigma_hat, log sigma in the start's renormalised frame, at which a
-# run may start: above 350 the first renormalization, which divides r by about
-# sigma_hat, leaves r_max^2 below 2**-1012 and the core can underflow to 0;
-# below -700 sigma_hat is subnormal, and 0 from about -745 on, so every step ties.
-_LOG_SIGMA_HAT_RANGE = (-700.0, 350.0)
+# A run starts where sigma_hat, sigma in the start's renormalised frame, is a
+# normal double below 2**1021: a subnormal one can make a step a false tie, and
+# the first renormalization, which divides r by about sigma_hat, keeps r_max
+# normal and so exact.  exp maps no log of this range outside [2**-1022, 2**1021).
+_LOG_SIGMA_HAT_RANGE = (-1022 * _LN2, 1021 * _LN2)
 _BLOCK = 256  # variate rows per draw of the group chain
 _WINDOW = 16  # rows per einsum of the group chain's dot products
 _FLOAT_BLOCK = 2048  # variate rows per draw of the float chain, at most
@@ -162,6 +162,17 @@ def alpha_schedule(d: int, target: float = 0.2, c: float = 1.0) -> EsParams:
     )
 
 
+def step_size(log_sigma: float) -> float:
+    """exp(log_sigma), the one rule for a step size: DomainError unless a finite double > 0."""
+    try:
+        sigma = math.exp(log_sigma)
+    except OverflowError:
+        raise DomainError(f"sigma = exp({log_sigma!r}) overflows") from None
+    if not 0.0 < sigma < math.inf:  # 0 after an underflow, inf or nan
+        raise DomainError(f"sigma = exp({log_sigma!r}) is {sigma!r}, not a finite double > 0")
+    return sigma
+
+
 @dataclass(frozen=True, eq=False)
 class EsState:
     """Algorithm state: search point m and log step size."""
@@ -178,7 +189,8 @@ class EsState:
 
     @property
     def sigma(self) -> float:
-        return math.exp(self.log_sigma)
+        """exp(log_sigma) by ``step_size``."""
+        return step_size(self.log_sigma)
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,8 @@ def run(
     unaffected while log f is tracked far below the double underflow
     threshold.  The run halts early only at x*, where every r_k is 0 (a core
     that merely underflows goes on), which is flagged on the trace.  A start
-    outside ``_LOG_SIGMA_HAT_RANGE`` raises DomainError.
+    whose sigma is not a normal double below 2**1021 in the start's frame,
+    where its largest eigenframe coordinate is in [1/2, 1), raises DomainError.
     """
     job = (problem, state0, params, budget, stream, record_m)
     return _expand(_walk(*job), *job)
@@ -429,9 +442,9 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     u = u * 2.0 ** float(-scale_exp)
     low, high = _LOG_SIGMA_HAT_RANGE
     log_sigma_hat = float(state0.log_sigma) - scale_exp * _LN2
-    if not low <= log_sigma_hat <= high:
+    if not low <= log_sigma_hat < high:
         raise DomainError(f"log sigma is {log_sigma_hat!r} in the start's frame, "
-                          f"outside [{low}, {high}]")
+                          "outside [log 2**-1022, log 2**1021)")
     chain = _float_chain if groups.eigenvalues.size <= 2 else _group_chain
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),

@@ -44,7 +44,7 @@ import numpy as np
 
 from .bounds import TheoryConstants
 from .errors import DomainError, NumericalFailure
-from .es_core import EsParams, draw_block
+from .es_core import EsParams, draw_block, step_size
 from .potential import potential_from_logs
 from .quadratic import QuadraticProblem, log_norms, spectrum_stats
 from .stochastic import RandomStream, chi_square_source
@@ -165,13 +165,11 @@ def estimate_drift_V(
     stream: RandomStream,
 ) -> Tuple[McEstimate, np.ndarray]:
     """E[V(next) - V(current)] for one step from the given state, and the
-    raw samples, which the pathwise-bound checks need."""
+    raw samples, which the pathwise-bound checks need.  Sigma is
+    ``es_core.step_size`` of the state's log sigma."""
     if n < 1000:
         raise DomainError("estimate_drift_V requires n >= 1000")
-    try:  # _sample checks that sigma is finite and > 0
-        sigma = math.exp(state.log_sigma)
-    except OverflowError:
-        raise DomainError(f"sigma = exp({state.log_sigma!r}) overflows") from None
+    sigma = step_size(state.log_sigma)
     stats = spectrum_stats(problem)
     log_f = problem.log_core_centered(problem.centered(state.m))
     v_now = float(potential_from_logs(log_f, state.log_sigma, stats, constants))

@@ -48,6 +48,7 @@ class TestParams:
 
 
 PARAMS = eq.EsParams(1.5, 0.8)
+LN2 = math.log(2.0)
 
 # one group, two groups (one of multiplicity 15), all distinct and rotated
 REDUCED_CHAIN_CASES = pytest.mark.parametrize("lam, rotation_seed", [
@@ -96,6 +97,32 @@ class TestStep:
             assert out.log_f_ratio <= 0.0
             state = out.next
 
+    @pytest.mark.parametrize("log_sigma", [800.0, -800.0])
+    def test_sigma_must_be_a_double_above_0(self, log_sigma):
+        """exp overflows at 800; at -800 sigma is 0, which would make the
+        step a tie, and accept it."""
+        state = eq.EsState(self.state.m, log_sigma)
+        with pytest.raises(eq.DomainError, match="overflows" if log_sigma > 0 else "not a"):
+            es_core.step(state, np.array([1.0, 0.0]), self.problem, PARAMS)
+
+
+class TestStepSize:
+    """``step_size``, the one rule for a step size: exp of log sigma, a
+    finite double > 0."""
+
+    def test_largest_and_smallest_logs_pass(self):
+        assert es_core.step_size(709.78) == math.exp(709.78) < math.inf
+        assert es_core.step_size(-745.0) == math.exp(-745.0) > 0.0
+
+    def test_overflow_raises(self):
+        with pytest.raises(eq.DomainError, match="overflows"):
+            es_core.step_size(709.79)
+
+    @pytest.mark.parametrize("log_sigma", [-745.2, math.nan, math.inf, -math.inf])
+    def test_no_double_above_0_raises(self, log_sigma):
+        with pytest.raises(eq.DomainError, match="not a finite double > 0"):
+            es_core.step_size(log_sigma)
+
 
 class TestRun:
     def test_budget_zero_initial_row_only(self):
@@ -104,23 +131,36 @@ class TestRun:
         assert len(tr) == 1
         assert tr.accepted[0] == 0
 
-    @pytest.mark.parametrize("log_sigma", [800.0, 699.0, 351.0, -700.0, -800.0])
+    @pytest.mark.parametrize("log_sigma", [
+        800.0, pytest.param(1022 * LN2 + 0.01, id="above-the-range"),
+        pytest.param(-1021 * LN2 - 0.01, id="below-the-range"), -800.0])
     def test_extreme_log_sigma_raises(self, log_sigma):
         """From m = (1, ..., 1) the start's frame halves every length, so log
-        sigma there is log sigma - ln 2, and these leave [-700, 350].  Else
-        exp overflows at 800, the run ends after one row with a core of 0 at
-        699, and at -800 sigma is 0 and every step a tie that is accepted."""
+        sigma there is log sigma - ln 2, and these leave [log 2**-1022, log
+        2**1021) there, two of them by 0.01.  Else exp overflows at 800, just
+        above the range the first renormalization leaves r_max subnormal,
+        just below it sigma is subnormal there, and at -800 sigma is 0 and
+        every step a tie that is accepted."""
         p = eq.make_problem(eq.sphere(8), 0)
         with pytest.raises(eq.DomainError, match="in the start's frame"):
             eq.run(p, eq.EsState(np.ones(8), log_sigma), PARAMS, 1000, eq.RandomStream(0))
 
     def test_log_sigma_inside_the_range_runs(self):
         p = eq.make_problem(eq.sphere(8), 0)
-        for log_sigma in (350.0, -699.0):
+        for log_sigma in (350.0, -699.0, 699.0, -700.0, 1022 * LN2 - 0.01, -1021 * LN2 + 0.01):
             tr = eq.run(p, eq.EsState(np.ones(8), log_sigma), PARAMS, 1000,
                         eq.RandomStream(0))
             assert not tr.hit_zero
             assert len(tr) == 1001 and np.all(np.isfinite(tr.log_f))
+
+    @pytest.mark.parametrize("log_sigma", [500.0, 699.0])
+    def test_huge_start_runs_its_budget(self, log_sigma):
+        """A step size far above the distance to x* shrinks back, and the
+        cores that underflow in the renormalised frame on the way end no run."""
+        p = eq.make_problem(eq.sphere(8), 0)
+        tr = eq.run(p, eq.EsState(np.ones(8), log_sigma), PARAMS, 3000, eq.RandomStream(0))
+        assert len(tr) == 3001 and not tr.hit_zero
+        assert np.all(np.diff(tr.log_f) <= 0.0)
 
     @pytest.mark.parametrize("budget", [True, 2.0, -1])
     def test_budget_must_be_a_nonnegative_int(self, budget):
@@ -535,7 +575,7 @@ def _drawn_jobs(draw):
     rotation_seed = draw(st.none() | st.integers(0, 2**31))
     start = draw(st.none() | st.tuples(
         st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), st.integers(-150, 150),
-        st.floats(-10.0, 5.0) | st.floats(-800.0, 400.0)))
+        st.floats(-10.0, 5.0) | st.floats(-800.0, 800.0)))
     alpha_up = draw(st.floats(1.0001, 10.0) | st.sampled_from([1e50, 1e200, 1e300, 1.7e308]))
     alpha_down = draw(st.floats(1e-6, 0.9999))
     assume(math.isfinite(alpha_up / alpha_down))
