@@ -355,17 +355,15 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
         raise InfeasibleBound("q_condition1: p_target must be < 1/2 to admit q_high")
     if not pt > 2.0 * r:
         raise InfeasibleBound("q_condition1: p_target must exceed 2*ratio to admit q_low")
-    bl_at_pt = b_low(stats, pt)
-    if not bl_at_pt < FOUR_OVER_SQRT_2PI:
+    # b_low is strictly decreasing, so the feasible q_low region is exactly
+    # (edge, p_target), empty unless b_low(p_target) < 4/sqrt(2 pi)
+    edge = _q_low_edge(stats)
+    if not edge < pt:
         raise InfeasibleBound(
-            f"p_target condition failed: b_low(p_target={pt:.6g}) = {bl_at_pt:.6g} "
-            f">= 4/sqrt(2 pi) = {FOUR_OVER_SQRT_2PI:.6g}; "
+            f"p_target condition failed: b_low(p_target={pt:.6g}) = "
+            f"{b_low(stats, pt):.6g} >= 4/sqrt(2 pi) = {FOUR_OVER_SQRT_2PI:.6g}; "
             "no q_low below p_target can satisfy q_condition2"
         )
-
-    # b_low is strictly decreasing, so the feasible q_low region is exactly
-    # (edge, p_target)
-    edge = _q_low_edge(stats)
     ratio_alpha = params.alpha_up / params.alpha_down
     log_ratio = params.log_ratio
 

@@ -16,8 +16,8 @@ accepted) its decrement delta = sigma (Hy)^T z + 1/2 sigma^2 z^T H z <= 0.  On
 acceptance log f advances by log1p(delta/core) <= 0, except for
 delta/core <= -1/2, where 1 + delta/core can round to 0: log f is then taken
 from the new point, still monotone since the core at least halved.  ``step``
-applies these rules in full dimension to a given z; it is the reference that
-``run`` is tested against.
+applies these rules in full dimension to a given z, in ``run``'s start frame;
+it is the reference that ``run`` is tested against.
 
 ``run`` samples the same transition with one normal per distinct eigenvalue
 of H, not d.  Write H = R diag(lambda) R^T and u = R^T y, and let u_k be the
@@ -187,11 +187,6 @@ class EsState:
         if not (np.all(np.isfinite(m)) and math.isfinite(self.log_sigma)):
             raise NumericalFailure("state must be finite")
 
-    @property
-    def sigma(self) -> float:
-        """exp(log_sigma) by ``step_size``."""
-        return step_size(self.log_sigma)
-
 
 @dataclass(frozen=True)
 class StepOutcome:
@@ -200,20 +195,39 @@ class StepOutcome:
     log_f_ratio: float  # log core(m') - log core(m); 0.0 when rejected
 
 
+def start_frame(problem: QuadraticProblem, state: EsState):
+    """y = m - x* of a state, its eigenframe coordinates times 2**-scale_exp,
+    whose largest |u_i| is in [1/2, 1) so that no square over- or underflows,
+    and scale_exp; DomainError unless sigma 2**-scale_exp is a normal double
+    below 2**1021.  The one entry into the start's frame (``run``, ``step``)."""
+    y = problem.centered(state.m)
+    u = problem.eigen_frame(y)
+    scale_exp = math.frexp(float(abs(u).max()))[1]
+    low, high = _LOG_SIGMA_HAT_RANGE
+    log_sigma_hat = float(state.log_sigma) - scale_exp * _LN2
+    if not low <= log_sigma_hat < high:
+        raise DomainError(f"log sigma is {log_sigma_hat!r} in the start's frame, "
+                          "outside [log 2**-1022, log 2**1021)")
+    return y, np.ldexp(u, -scale_exp), scale_exp
+
+
 def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsParams) -> StepOutcome:
     """One transition: sample x = m + sigma z, accept iff core(x) <= core(m).
 
     The full-dimension reference for ``run``, with the same decrement-form
-    decision and log f rule.
+    decision and log f rule, taken in the start's frame (``start_frame``) with
+    the exact scaling sigma 2**-scale_exp, so it admits what ``run`` admits and
+    decides alike at any scale of (m - x*, sigma).  The new point is raw.
     """
-    y = problem.centered(state.m)
+    sigma = step_size(state.log_sigma)
+    y, u, scale_exp = start_frame(problem, state)
+    sigma_hat = math.ldexp(sigma, -scale_exp)
     lam = problem.spectrum.eigenvalues
-    sigma = state.sigma
     z = np.asarray(z, dtype=float)
-    u, w = problem.eigen_frame(y), problem.eigen_frame(z)
+    w = problem.eigen_frame(z)
     g = lam * u
     core = 0.5 * float(g.dot(u))
-    delta = sigma * float(g.dot(w)) + 0.5 * sigma * sigma * float(np.dot(lam * w, w))
+    delta = sigma_hat * float(g.dot(w)) + 0.5 * sigma_hat * sigma_hat * float(np.dot(lam * w, w))
     if not math.isfinite(delta):
         raise NumericalFailure("non-finite core decrement")
     if delta > 0.0:
@@ -288,8 +302,8 @@ def run(
     unaffected while log f is tracked far below the double underflow
     threshold.  The run halts early only at x*, where every r_k is 0 (a core
     that merely underflows goes on), which is flagged on the trace.  A start
-    whose sigma is not a normal double below 2**1021 in the start's frame,
-    where its largest eigenframe coordinate is in [1/2, 1), raises DomainError.
+    that ``start_frame`` refuses, as ``step`` does, raises DomainError: its
+    sigma is not a normal double below 2**1021 in the start's frame.
     """
     job = (problem, state0, params, budget, stream, record_m)
     return _expand(_walk(*job), *job)
@@ -434,17 +448,7 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError("budget must be an integer >= 0")
     groups = problem.eigen_groups()
-    y = problem.centered(state0.m)
-    u = problem.eigen_frame(y)
-    # the centred point is u * 2**scale_exp in the eigenframe; start at
-    # max |u| in [1/2, 1), so that the squares in r neither over- nor underflow
-    scale_exp = math.frexp(float(abs(u).max()))[1]
-    u = u * 2.0 ** float(-scale_exp)
-    low, high = _LOG_SIGMA_HAT_RANGE
-    log_sigma_hat = float(state0.log_sigma) - scale_exp * _LN2
-    if not low <= log_sigma_hat < high:
-        raise DomainError(f"log sigma is {log_sigma_hat!r} in the start's frame, "
-                          "outside [log 2**-1022, log 2**1021)")
+    y, u, scale_exp = start_frame(problem, state0)
     chain = _float_chain if groups.eigenvalues.size <= 2 else _group_chain
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),

@@ -86,17 +86,12 @@ class RateEstimate:
         return {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
 
 
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm, not BLAS's (``quadratic.einsum_dot``): it reaches
-    trace and report bytes through sigma0 and the Monte Carlo rows."""
-    return math.sqrt(einsum_dot(v, v))
-
-
 def default_sigma0(problem: QuadraticProblem, m0) -> float:
     """Step size inside the reasonable band up to constants:
     ||m0 - x*|| sqrt(L) / Tr(H)."""
     stats = spectrum_stats(problem)
-    norm = _norm(problem.centered(m0))
+    y = problem.centered(m0)
+    norm = math.sqrt(einsum_dot(y, y))
     if norm == 0.0:
         raise DegenerateState("||m0 - x*|| underflows to 0")
     return norm * math.sqrt(stats.L) / stats.trace
@@ -510,7 +505,7 @@ def _sigma_bookkeeping(s: _Suite, n: int, attempt: int) -> tuple:
 def _unit_point(problem: QuadraticProblem, stream: RandomStream):
     """A random point at distance 1 from the optimum, and its gradient norm."""
     direction = normal_vector(stream, problem.d)
-    point = problem.optimum + direction / max(_norm(direction), 1e-12)
+    point = problem.optimum + direction / max(math.sqrt(einsum_dot(direction, direction)), 1e-12)
     return point, problem.grad_norm_centered(problem.centered(point))
 
 

@@ -29,8 +29,8 @@ one of a pair is accepted (both only when ``quad = 0``): the two indicators
 are negatively correlated, and a pair mean has at most half the variance of
 one indicator.  The other estimators use plain sampling to stay unbiased and
 simple.  Sigma must be finite and positive and m finite, or the estimators
-raise ``DomainError``; a core at m that under- or overflows raises
-``NumericalFailure``.
+raise ``DomainError``; a core at m that under- or overflows, or a decrement
+that is not finite, as in ``es_core``, raises ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ def _sample(
         lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
         quad = sigma * sigma * q
         delta = lin + quad
+        if not np.isfinite(delta).all():
+            raise NumericalFailure("non-finite core decrement")
         accepted = delta <= 0.0
         gain = functools.partial(log_gain, xi, chi, delta, accepted)
         out[start : start + len(xi)] = values(lin, quad, accepted, gain)

@@ -405,6 +405,25 @@ class TestConstants:
         with pytest.raises(eq.InfeasibleBound, match="q_condition1"):
             eq.constants(stats, eq.EsParams(2.0, 0.5))
 
+    def test_edge_decides_the_p_target_condition(self):
+        """``constants`` refuses a target unless the q_low edge lies below it,
+        which is the condition its message names, b_low(p_target) < 4/sqrt(2 pi),
+        wherever the guards before it hold."""
+        outcomes = set()
+        for spectrum in (eq.sphere, lambda d: eq.cigar(d, 100.0),
+                         lambda d: eq.ellipsoid(d, 100.0)):
+            for d in (74, 128, 256):
+                stats = eq.spectrum_stats(eq.make_problem(spectrum(d), 0))
+                if not bounds.trace_condition(stats)[0]:
+                    continue
+                edge = _q_low_edge(stats)
+                for pt in np.arange(20, 50) / 100.0:
+                    if pt > 2.0 * stats.ratio:
+                        feasible = bounds.b_low(stats, float(pt)) < FOUR_OVER_SQRT_2PI
+                        assert (edge < pt) == feasible, (spectrum(d)[:2], pt)
+                        outcomes.add(feasible)
+        assert outcomes == {False, True}
+
     def test_trace_condition_gate(self):
         stats = eq.spectrum_stats(eq.make_problem(eq.sphere(16), 0))
         with pytest.raises(eq.InfeasibleBound, match="trace condition"):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -170,6 +171,21 @@ class TestDrift:
         assert payload["infeasible"] is True
 
 
+    @pytest.mark.parametrize("log_sigma,code,message", [
+        (705.0, 1, "error: non-finite core decrement"),
+        (709.5, 2, "config error: invalid state file .* in the start's frame")],
+        ids=["decrement-overflows", "outside-the-start-frame"])
+    def test_state_whose_decrements_overflow(self, tmp_path, capsys, log_sigma, code,
+                                             message):
+        """sigma^2 overflows at both states; at 709.5 sigma is also above
+        2**1021 in the start's frame, which ``run`` would refuse as well."""
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps({"m": [0.0625] * 256, "log_sigma": log_sigma}))
+        assert main(["drift", "--d", "256", "--spectrum", "sphere", *ALPHAS_D256,
+                     "--state", str(spath), "--n", "1000"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(message, captured.err)
     @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0],
                                        {"m": [1, 2], "log_sigma": -2},
                                        {"m": [0.0] * 8, "log_sigma": -2},

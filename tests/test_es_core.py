@@ -105,6 +105,49 @@ class TestStep:
         with pytest.raises(eq.DomainError, match="overflows" if log_sigma > 0 else "not a"):
             es_core.step(state, np.array([1.0, 0.0]), self.problem, PARAMS)
 
+    def test_refuses_a_start_that_run_refuses(self):
+        """At m = (1, 0) sigma = e**-744 is subnormal in the start's frame:
+        sigma (Hy)^T z underflows to 0 there, and this uphill step was a tie,
+        accepted."""
+        state = eq.EsState(self.state.m, -744.0)
+        with pytest.raises(eq.DomainError, match="in the start's frame"):
+            es_core.step(state, np.array([0.1, 0.0]), self.problem, PARAMS)
+        with pytest.raises(eq.DomainError, match="in the start's frame"):
+            eq.run(self.problem, state, PARAMS, 1, eq.RandomStream(0))
+
+    def test_rejects_an_uphill_step_from_a_tiny_start(self):
+        """At m = (2**-600, 0) the decrement underflows to 0 in raw
+        coordinates, where this uphill step was a tie, accepted with a log f
+        ratio of +0.098."""
+        state = eq.EsState(np.array([2.0**-600, 0.0]), -601 * LN2)
+        out = es_core.step(state, np.array([0.1, 0.0]), self.problem, PARAMS)
+        assert not out.accepted and out.log_f_ratio == 0.0
+        assert np.array_equal(out.next.m, state.m)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 900])
+def test_step_decides_alike_at_every_scale(k):
+    """(m - x*, sigma) scaled by 2**k give the same decision wherever the
+    start is admitted.  Sigma passes through log, so the log f ratios agree
+    to 1e-9 relative, or 1e-12 absolute: where the raw core underflows the
+    ratio is a difference of two log cores of size up to 1 400."""
+    rng = np.random.default_rng(32)
+    outcomes = []
+    for case in range(400):
+        d = int(rng.integers(1, 9))
+        lam = np.exp(rng.uniform(0.0, math.log(100.0), size=d))
+        p = eq.make_problem(lam, 0, rotation_seed=case if case % 2 else None)
+        y, z, log_sigma = rng.normal(size=d), rng.normal(size=d), rng.uniform(-8.0, 2.0)
+        base = es_core.step(eq.EsState(y, log_sigma), z, p, PARAMS)
+        try:
+            scaled = es_core.step(eq.EsState(y * 2.0**k, log_sigma + k * LN2), z, p, PARAMS)
+        except eq.DomainError:
+            continue
+        assert scaled.accepted == base.accepted
+        assert scaled.log_f_ratio == pytest.approx(base.log_f_ratio, rel=1e-9, abs=1e-12)
+        outcomes.append(base.accepted)
+    assert len(outcomes) == 400 and 0 < sum(outcomes) < 400
+
 
 class TestStepSize:
     """``step_size``, the one rule for a step size: exp of log sigma, a
@@ -168,6 +211,16 @@ class TestRun:
         p = eq.make_problem(eq.sphere(4), 0)
         with pytest.raises(ValueError, match="budget must be an integer >= 0"):
             eq.run(p, eq.EsState(np.ones(4), 0.0), PARAMS, budget, eq.RandomStream(0))
+
+    def test_subnormal_start_enters_its_frame(self):
+        """A centred start of 1e-310 enters its frame times 2**1029, where a
+        float power once overflowed."""
+        p = eq.make_problem(eq.sphere(2), 0)
+        state = eq.EsState(np.array([1e-310, 0.0]), -715.5)  # sigma about 0.1 there
+        tr = eq.run(p, state, PARAMS, 100, eq.RandomStream(0))
+        assert len(tr) == 101 and tr.accept_count() > 0
+        assert np.all(np.diff(tr.log_f) <= 0.0)
+        assert es_core.step(state, np.array([-1.0, 0.0]), p, PARAMS).accepted
 
     def test_degenerate_start(self):
         p = eq.make_problem(eq.sphere(3), 0)
@@ -594,8 +647,11 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
     exactly when its last log-norm is -inf; log f never rises; each step of
     log sigma is log_up on an accepted row and log_down on any other; and
     log f - log 1/2 - 2 log-norm lies in [log L, log U].  With G <= 2 the
-    group chain gives the same bytes, and so does ``run_many`` on two CPUs."""
+    group chain gives the same bytes, and so does ``run_many`` on two CPUs.
+    Where ``step_size`` takes the start's log sigma, ``step`` refuses the
+    start exactly when ``run`` does."""
     lam, rotation_seed, start, alpha_up, alpha_down, budget, seed, record_m = drawn
+    job = None
     try:
         p = eq.make_problem(lam, 0, rotation_seed=rotation_seed)
         if start is None:
@@ -610,7 +666,10 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
         trace = eq.run(*job, eq.RandomStream(seed), record_m)
     except (eq.DomainError, eq.NumericalFailure, ValueError) as exc:
         assert not isinstance(exc, np.exceptions.AxisError)
+        if job is not None:
+            _assert_step_refuses_as_run_does(job, isinstance(exc, eq.DomainError))
         return
+    _assert_step_refuses_as_run_does(job, False)
     assert len(trace) == budget + 1 or (trace.hit_zero and len(trace) < budget + 1)
     assert trace.hit_zero == (trace.log_norm[-1] == -math.inf)
     assert np.all(np.diff(trace.log_f) <= 0.0)
@@ -629,6 +688,26 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
     cpus(2)
     pair = es_core.run_many([(*job, eq.RandomStream(seed), record_m) for _ in range(2)])
     assert [_trace_bytes(t) for t in pair] == [want, want]
+
+
+def _assert_step_refuses_as_run_does(job, run_refused):
+    """Where ``step_size`` takes the start's log sigma, ``step`` with z = 0
+    raises DomainError exactly when ``run`` does.  From 2**512 up sigma**2
+    overflows in the start's frame, and the decrement 0 * inf is NaN: that
+    is a NumericalFailure, not a refusal."""
+    p, state0, params, _ = job
+    try:
+        es_core.step_size(state0.log_sigma)
+    except eq.DomainError:
+        return
+    step_refused = False
+    try:
+        es_core.step(state0, np.zeros(p.d), p, params)
+    except eq.DomainError:
+        step_refused = True
+    except eq.NumericalFailure:
+        pass
+    assert step_refused == run_refused
 
 
 def _block_size_outputs():

@@ -268,6 +268,15 @@ class TestInvalidInputs:
                                 eq.RandomStream(0))
 
     @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_non_finite_decrement_raises(self, name, sphere256, params256, constants256):
+        """From sigma ~ 1e154 up sigma^2 overflows, and with it every
+        decrement: no offspring may count as a rejection then, as in es_core."""
+        m = sphere256.optimum + np.full(256, 0.0625)
+        call = _four_estimators(sphere256, m, math.exp(705.0), constants256, params256)[name]
+        with pytest.raises(eq.NumericalFailure, match="non-finite core decrement"):
+            call()
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
     def test_core_must_be_representable(self, name, sphere256, params256,
                                          constants256):
         m = sphere256.optimum + np.full(256, 1e-200)  # the core underflows to 0
