@@ -356,7 +356,8 @@ def constants(stats: SpectrumStats, params: "EsParams") -> TheoryConstants:
     if not pt > 2.0 * r:
         raise InfeasibleBound("q_condition1: p_target must exceed 2*ratio to admit q_low")
     # b_low is strictly decreasing, so the feasible q_low region is exactly
-    # (edge, p_target), empty unless b_low(p_target) < 4/sqrt(2 pi)
+    # (edge, p_target), empty unless b_low(p_target) < 4/sqrt(2 pi); the edge's
+    # and b_low's searches agree on that to 1 ulp, where the message's values print alike
     edge = _q_low_edge(stats)
     if not edge < pt:
         raise InfeasibleBound(

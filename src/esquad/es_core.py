@@ -214,14 +214,17 @@ def start_frame(problem: QuadraticProblem, state: EsState):
 def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsParams) -> StepOutcome:
     """One transition: sample x = m + sigma z, accept iff core(x) <= core(m).
 
-    The full-dimension reference for ``run``, with the same decrement-form
-    decision and log f rule, taken in the start's frame (``start_frame``) with
-    the exact scaling sigma 2**-scale_exp, so it admits what ``run`` admits and
-    decides alike at any scale of (m - x*, sigma).  The new point is raw.
+    The full-dimension reference for ``run``: the same decrement-form decision
+    and log f rule, in the start's frame (``start_frame``), renormalised as in
+    ``run``'s first step when sigma_hat >= 2**100.  Both scalings are exact
+    powers of two, so it admits what ``run`` admits and decides alike at any
+    scale of (m - x*, sigma).  The new point is raw.
     """
     sigma = step_size(state.log_sigma)
     y, u, scale_exp = start_frame(problem, state)
     sigma_hat = math.ldexp(sigma, -scale_exp)
+    e = math.frexp(sigma_hat)[1] if sigma_hat >= _SCALE_HIGH else 0
+    u, sigma_hat = np.ldexp(u, -e), math.ldexp(sigma_hat, -e)
     lam = problem.spectrum.eigenvalues
     z = np.asarray(z, dtype=float)
     w = problem.eigen_frame(z)

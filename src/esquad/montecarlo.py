@@ -29,8 +29,9 @@ one of a pair is accepted (both only when ``quad = 0``): the two indicators
 are negatively correlated, and a pair mean has at most half the variance of
 one indicator.  The other estimators use plain sampling to stay unbiased and
 simple.  Sigma must be finite and positive and m finite, or the estimators
-raise ``DomainError``; a core at m that under- or overflows, or a decrement
-that is not finite, as in ``es_core``, raises ``NumericalFailure``.
+raise ``DomainError``.  The sampler decides in raw coordinates: a term of a
+decrement that overflows alone decides its row, and a core at m that under-
+or overflows, or a decrement of inf - inf, raises ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -110,11 +111,12 @@ def _sample(
     chunk = _chunk_rows(2 * lam.size)  # xi and chi are rows x G each
     for start in range(0, rows, chunk):
         xi, chi, q = draw_block(stream, chi_source, min(chunk, rows - start), groups)
-        lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
-        quad = sigma * sigma * q
-        delta = lin + quad
-        if not np.isfinite(delta).all():
-            raise NumericalFailure("non-finite core decrement")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
+            quad = sigma * sigma * q
+            delta = lin + quad
+            if np.isnan(delta).any() or np.isnan(quad - lin).any():
+                raise NumericalFailure("core decrement is nan")
         accepted = delta <= 0.0
         gain = functools.partial(log_gain, xi, chi, delta, accepted)
         out[start : start + len(xi)] = values(lin, quad, accepted, gain)

@@ -172,19 +172,20 @@ class TestDrift:
 
 
     @pytest.mark.parametrize("log_sigma,code,message", [
-        (705.0, 1, "error: non-finite core decrement"),
+        (705.0, 0, r"\A\Z"),
         (709.5, 2, "config error: invalid state file .* in the start's frame")],
-        ids=["decrement-overflows", "outside-the-start-frame"])
+        ids=["every-offspring-uphill", "outside-the-start-frame"])
     def test_state_whose_decrements_overflow(self, tmp_path, capsys, log_sigma, code,
                                              message):
-        """sigma^2 overflows at both states; at 709.5 sigma is also above
-        2**1021 in the start's frame, which ``run`` would refuse as well."""
+        """sigma^2 overflows at both states.  At 705 that rejects every
+        offspring, rightly; at 709.5 sigma is above 2**1021 in the start's
+        frame, which ``run`` would refuse as well."""
         spath = tmp_path / "state.json"
         spath.write_text(json.dumps({"m": [0.0625] * 256, "log_sigma": log_sigma}))
         assert main(["drift", "--d", "256", "--spectrum", "sphere", *ALPHAS_D256,
                      "--state", str(spath), "--n", "1000"]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert (captured.out == "") == (code != 0)
         assert re.search(message, captured.err)
     @pytest.mark.parametrize("state", [{"m": [1.0] * 8}, [[1.0] * 8, -2.0],
                                        {"m": [1, 2], "log_sigma": -2},

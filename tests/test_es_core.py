@@ -130,14 +130,21 @@ def test_step_decides_alike_at_every_scale(k):
     """(m - x*, sigma) scaled by 2**k give the same decision wherever the
     start is admitted.  Sigma passes through log, so the log f ratios agree
     to 1e-9 relative, or 1e-12 absolute: where the raw core underflows the
-    ratio is a difference of two log cores of size up to 1 400."""
+    ratio is a difference of two log cores of size up to 1 400.  The last
+    200 starts have sigma above 2**512 in the start's frame, where sigma**2
+    would overflow: every other one of them steps most of the way to x*,
+    accepted, and the rest, with z ~ N(0, I), are rejected."""
     rng = np.random.default_rng(32)
-    outcomes = []
-    for case in range(400):
+    outcomes = [], []
+    for case in range(600):
         d = int(rng.integers(1, 9))
         lam = np.exp(rng.uniform(0.0, math.log(100.0), size=d))
         p = eq.make_problem(lam, 0, rotation_seed=case if case % 2 else None)
-        y, z, log_sigma = rng.normal(size=d), rng.normal(size=d), rng.uniform(-8.0, 2.0)
+        huge = case >= 400
+        y, z = rng.normal(size=d), rng.normal(size=d)
+        log_sigma = rng.uniform(356.0, 700.0) if huge else rng.uniform(-8.0, 2.0)
+        if huge and case % 2:
+            z = (0.1 * z - 0.9 * y) * math.exp(-log_sigma)
         base = es_core.step(eq.EsState(y, log_sigma), z, p, PARAMS)
         try:
             scaled = es_core.step(eq.EsState(y * 2.0**k, log_sigma + k * LN2), z, p, PARAMS)
@@ -145,8 +152,11 @@ def test_step_decides_alike_at_every_scale(k):
             continue
         assert scaled.accepted == base.accepted
         assert scaled.log_f_ratio == pytest.approx(base.log_f_ratio, rel=1e-9, abs=1e-12)
-        outcomes.append(base.accepted)
-    assert len(outcomes) == 400 and 0 < sum(outcomes) < 400
+        assert base.accepted == bool(case % 2) or not huge
+        outcomes[huge].append(base.accepted)
+    small, huge = outcomes
+    assert len(small) == 400 and 0 < sum(small) < 400
+    assert len(huge) == 200 or k > 0
 
 
 class TestStepSize:
@@ -692,9 +702,7 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
 
 def _assert_step_refuses_as_run_does(job, run_refused):
     """Where ``step_size`` takes the start's log sigma, ``step`` with z = 0
-    raises DomainError exactly when ``run`` does.  From 2**512 up sigma**2
-    overflows in the start's frame, and the decrement 0 * inf is NaN: that
-    is a NumericalFailure, not a refusal."""
+    raises DomainError exactly when ``run`` does."""
     p, state0, params, _ = job
     try:
         es_core.step_size(state0.log_sigma)
@@ -705,8 +713,6 @@ def _assert_step_refuses_as_run_does(job, run_refused):
         es_core.step(state0, np.zeros(p.d), p, params)
     except eq.DomainError:
         step_refused = True
-    except eq.NumericalFailure:
-        pass
     assert step_refused == run_refused
 
 

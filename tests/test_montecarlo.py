@@ -267,13 +267,30 @@ class TestInvalidInputs:
             montecarlo.estimate_drift_V(sphere256, state, constants256, params256, 1000,
                                 eq.RandomStream(0))
 
+    @pytest.mark.parametrize("log_sigma", [354.0, 705.0])
     @pytest.mark.parametrize("name", ESTIMATORS)
-    def test_non_finite_decrement_raises(self, name, sphere256, params256, constants256):
-        """From sigma ~ 1e154 up sigma^2 overflows, and with it every
-        decrement: no offspring may count as a rejection then, as in es_core."""
+    def test_overflowed_decrement_is_a_rejection(self, name, log_sigma, sphere256,
+                                                 params256, constants256):
+        """From sigma ~ 1e153 up sigma^2 q overflows on some rows (all at
+        705) while sigma (Hy)^T z does not: every offspring is uphill, and
+        each estimator says so, without a RuntimeWarning."""
         m = sphere256.optimum + np.full(256, 0.0625)
-        call = _four_estimators(sphere256, m, math.exp(705.0), constants256, params256)[name]
-        with pytest.raises(eq.NumericalFailure, match="non-finite core decrement"):
+        est = _four_estimators(sphere256, m, math.exp(log_sigma), constants256,
+                               params256)[name]()
+        if name == "drift_V":
+            est, samples = est
+            assert np.all(samples == samples[0]) and est.std_error == 0.0
+        else:
+            assert (est.mean, est.std_error) == ((1.0 if name == "exp_abs" else 0.0), 0.0)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_undecided_decrement_raises(self, name, sphere256, params256, constants256):
+        """At sigma = e**709.7 sigma^2 q overflows on every row, and sigma
+        (Hy)^T z where |xi| > 1.09: inf - inf decides nothing there, and no
+        row may count as a rejection then."""
+        m = sphere256.optimum + np.full(256, 0.0625)
+        call = _four_estimators(sphere256, m, math.exp(709.7), constants256, params256)[name]
+        with pytest.raises(eq.NumericalFailure, match="core decrement is nan"):
             call()
 
     @pytest.mark.parametrize("name", ESTIMATORS)
