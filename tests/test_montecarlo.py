@@ -293,6 +293,16 @@ class TestInvalidInputs:
         with pytest.raises(eq.NumericalFailure, match="core decrement is nan"):
             call()
 
+    def test_undecided_partner_raises(self, monkeypatch, sphere256):
+        """With every xi_k = 2 sigma (Hy)^T z is +inf on every row there: each
+        offspring is rightly rejected, but its partner's inf - inf decides
+        nothing."""
+        tie_variates(monkeypatch, 2.0)
+        m = sphere256.optimum + np.full(256, 0.0625)
+        with pytest.raises(eq.NumericalFailure, match="core decrement is nan"):
+            montecarlo.estimate_success_prob(sphere256, m, math.exp(709.7), 1000,
+                                             eq.RandomStream(0))
+
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_core_must_be_representable(self, name, sphere256, params256,
                                          constants256):
