@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import constants as theory_constants
 from .errors import ConfigError, EsquadError, InfeasibleBound, config_errors
-from .es_core import EsParams, EsState, alpha_schedule, run, start_frame, step_size
+from .es_core import EsParams, EsState, alpha_schedule, run, step_frame, step_size
 from .experiments import (
     SweepProtocol,
     default_initial_state,
@@ -298,8 +298,7 @@ def _cmd_drift(args) -> int:
         raw = json.load(fh)
     with config_errors(f"state file {args.state}"):
         state = EsState(np.asarray(raw["m"], dtype=float), float(raw["log_sigma"]))
-        step_size(state.log_sigma)
-        start_frame(problem, state)
+        step_frame(problem, state.m, step_size(state.log_sigma))
     if args.n < 1000:
         raise ConfigError("--n must be >= 1000")
     try:

@@ -15,9 +15,9 @@ An offspring y + sigma z of the centred parent y is accepted iff (ties
 accepted) its decrement delta = sigma (Hy)^T z + 1/2 sigma^2 z^T H z <= 0.  On
 acceptance log f advances by log1p(delta/core) <= 0, except for
 delta/core <= -1/2, where 1 + delta/core can round to 0: log f is then taken
-from the new point, still monotone since the core at least halved.  ``step``
-applies these rules in full dimension to a given z, in ``run``'s start frame;
-it is the reference that ``run`` is tested against.
+from the new point, still monotone since the core at least halved.  Every
+decision is made in the start's frame (``start_frame``, ``step_frame``); ``step``
+applies these rules to a given z in full dimension, the reference for ``run``.
 
 ``run`` samples the same transition with one normal per distinct eigenvalue
 of H, not d.  Write H = R diag(lambda) R^T and u = R^T y, and let u_k be the
@@ -195,38 +195,45 @@ class StepOutcome:
     log_f_ratio: float  # log core(m') - log core(m); 0.0 when rejected
 
 
-def start_frame(problem: QuadraticProblem, state: EsState):
-    """y = m - x* of a state, its eigenframe coordinates times 2**-scale_exp,
-    whose largest |u_i| is in [1/2, 1) so that no square over- or underflows,
-    and scale_exp; DomainError unless sigma 2**-scale_exp is a normal double
-    below 2**1021.  The one entry into the start's frame (``run``, ``step``)."""
-    y = problem.centered(state.m)
+def start_frame(problem: QuadraticProblem, m, log_sigma: float):
+    """y = m - x*, its eigenframe coordinates scaled by 2**-scale_exp to a largest
+    |u_i| in [1/2, 1), so that no square over- or underflows, and scale_exp;
+    DomainError unless sigma 2**-scale_exp is a normal double below 2**1021."""
+    y = problem.centered(m)
     u = problem.eigen_frame(y)
     scale_exp = math.frexp(float(abs(u).max()))[1]
     low, high = _LOG_SIGMA_HAT_RANGE
-    log_sigma_hat = float(state.log_sigma) - scale_exp * _LN2
+    log_sigma_hat = float(log_sigma) - scale_exp * _LN2
     if not low <= log_sigma_hat < high:
         raise DomainError(f"log sigma is {log_sigma_hat!r} in the start's frame, "
                           "outside [log 2**-1022, log 2**1021)")
     return y, np.ldexp(u, -scale_exp), scale_exp
 
 
+def step_frame(problem: QuadraticProblem, m, sigma: float):
+    """y = m - x* and the frame of a decision from (m, sigma): u and sigma_hat,
+    R^T y and sigma times one power of two; DomainError unless sigma is a finite
+    double > 0 and ``start_frame`` admits (m, log sigma).  The power is
+    ``start_frame``'s, renormalised from sigma_hat >= 2**100 to the scale of
+    sigma_hat, as in ``run``'s first step, so that sigma_hat**2 stays finite."""
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    y, u, scale_exp = start_frame(problem, m, math.log(sigma))
+    sigma_hat = math.ldexp(sigma, -scale_exp)
+    e = math.frexp(sigma_hat)[1] if sigma_hat >= _SCALE_HIGH else 0
+    return y, np.ldexp(u, -e), math.ldexp(sigma_hat, -e)
+
+
 def step(state: EsState, z: np.ndarray, problem: QuadraticProblem, params: EsParams) -> StepOutcome:
     """One transition: sample x = m + sigma z, accept iff core(x) <= core(m).
 
     The full-dimension reference for ``run``: the same decrement-form decision
-    and log f rule, in the start's frame (``start_frame``), renormalised as in
-    ``run``'s first step when sigma_hat >= 2**100.  Both scalings are exact
-    powers of two, so it admits what ``run`` admits and decides alike at any
-    scale of (m - x*, sigma).  The new point is raw.
+    and log f rule, in the frame of ``step_frame``.  The new point is raw.
     """
     sigma = step_size(state.log_sigma)
-    y, u, scale_exp = start_frame(problem, state)
-    sigma_hat = math.ldexp(sigma, -scale_exp)
-    e = math.frexp(sigma_hat)[1] if sigma_hat >= _SCALE_HIGH else 0
-    u, sigma_hat = np.ldexp(u, -e), math.ldexp(sigma_hat, -e)
+    y, u, sigma_hat = step_frame(problem, state.m, sigma)
     lam = problem.spectrum.eigenvalues
-    z = np.asarray(z, dtype=float)
+    z = problem._check_dim(z)
     w = problem.eigen_frame(z)
     g = lam * u
     core = 0.5 * float(g.dot(u))
@@ -451,7 +458,7 @@ def _walk(problem, state0, params, budget, stream, record_m=False):
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError("budget must be an integer >= 0")
     groups = problem.eigen_groups()
-    y, u, scale_exp = start_frame(problem, state0)
+    y, u, scale_exp = start_frame(problem, state0.m, state0.log_sigma)
     chain = _float_chain if groups.eigenvalues.size <= 2 else _group_chain
     kept, log_f, log_norm, points, hit_zero = chain(
         groups, u, scale_exp, float(state0.log_sigma), problem.log_core_centered(y),

@@ -10,16 +10,18 @@ from the run kernel's draw, ``es_core.draw_block``: per distinct eigenvalue
 lambda_k a normal xi_k along the part u_k of u = R^T y in its eigenspace and
 a chi-square rest chi_k, with q = 1/2 sum_k lambda_k (xi_k^2 + chi_k),
 exactly in law for any rotation.  One private sampler computes per row
-``lin = sigma sum_k lambda_k |u_k| xi_k`` and ``quad = sigma^2 q``; every
+``lin = sigma_hat sum_k lambda_k |u_k| xi_k`` and ``quad = sigma_hat^2 q`` in
+the frame of ``es_core.step_frame``, as ``step`` does, so the estimators that
+take sigma give the same bits at every scale of (m - x*, sigma); every
 estimator works from those two vectors:
 
 * an offspring is accepted iff ``lin + quad <= 0``, so ties are accepted, as
   in ``es_core``;
 * its antithetic partner -z flips every xi_k and has the decrement
   ``quad - lin``;
-* its log core ratio is ``log1p(delta / core(y))``, except on rows with
-  ``delta <= -core(y) / 2``, where it is log f of y + sigma z by the
-  ``es_core`` new-point rule (``log_norms`` of its group norms) less log f at m.
+* its log core ratio is ``log1p(delta / core)``, except on rows with
+  ``delta <= -core / 2``, where it is log f of the offspring by the
+  ``es_core`` new-point rule less log f at m by the same rule.
 
 Each estimator is a deterministic function of its inputs and the stream, so
 reruns reproduce results bit-exactly.  Sampling is chunked to bound memory;
@@ -28,10 +30,9 @@ antithetic pairs (z, -z).  Their decrements sum to ``2 quad >= 0``, so at most
 one of a pair is accepted (both only when ``quad = 0``): the two indicators
 are negatively correlated, and a pair mean has at most half the variance of
 one indicator.  The other estimators use plain sampling to stay unbiased and
-simple.  Sigma must be finite and positive and m finite, or the estimators
-raise ``DomainError``.  The sampler decides in raw coordinates: a term of a
-decrement that overflows alone decides its row, and a core at m that under-
-or overflows, or a decrement of inf - inf, raises ``NumericalFailure``.
+simple.  Sigma must be finite and positive, m finite, and (m, sigma) a
+state that ``run`` admits, or the estimators raise ``DomainError``; a
+non-finite decrement raises ``NumericalFailure``, as in ``run``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ import numpy as np
 
 from .bounds import TheoryConstants
 from .errors import DomainError, NumericalFailure
-from .es_core import EsParams, draw_block, step_size
+from .es_core import EsParams, draw_block, step_frame, step_size
 from .potential import potential_from_logs
-from .quadratic import QuadraticProblem, log_norms, spectrum_stats
+from .quadratic import QuadraticProblem, einsum_dot, log_norms, spectrum_stats
 from .stochastic import RandomStream, chi_square_source
 
 
@@ -75,35 +76,29 @@ def _sample(
 ) -> np.ndarray:
     """Sample values of ``rows`` offspring of m, one chunk of variates at a time.
 
-    ``values(lin, quad, accepted, gain)`` maps a chunk's decrement terms and
-    its one acceptance mask to its sample values; ``gain()`` returns the
-    chunk's log core ratios on accepted rows and 0 on rejected ones.  The
-    stream keys the chi-square source with one word, then gives the xi_k;
-    each chunk is one ``draw_block``.
+    ``values(lin, quad, accepted, gain)`` maps a chunk's decrement terms in
+    the frame of ``es_core.step_frame`` and its one acceptance mask to its
+    sample values; ``gain()`` returns the chunk's log core ratios on accepted
+    rows and 0 on rejected ones.  The stream keys the chi-square source with
+    one word, then gives the xi_k; each chunk is one ``draw_block``.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-    y = problem.centered(m)
-    core_m = problem.core_centered(y)
-    if not (math.isfinite(core_m) and core_m > 0.0):
-        raise NumericalFailure(f"the core at m is {core_m!r}, not finite and > 0")
+    _, u, sigma_hat = step_frame(problem, m, sigma)
     groups = problem.eigen_groups()
     lam = groups.eigenvalues
-    norm_u = groups.norms(problem.eigen_frame(y))
+    sqrt_lam = np.sqrt(lam)
+    norm_u = groups.norms(u)
+    core = 0.5 * einsum_dot(problem.spectrum.eigenvalues * u, u)
+    log_norm = log_norms((sqrt_lam * norm_u)[None])[0]
 
     def log_gain(xi, chi, delta, accepted) -> np.ndarray:
         """log(core(y + sigma z) / core(y)) on accepted rows, else 0; never positive."""
-        r = np.where(accepted, delta, 0.0) / core_m
-        gain = np.log1p(np.maximum(r, -0.5))
-        # here 1 + r cancels to a small difference and log1p would amplify the
-        # rounding error of r, or raise at r = -1; take log f at the offspring
-        # from its group norms, as es_core does, less log f at m
-        far = np.flatnonzero(r <= -0.5)
-        if far.size:
-            along = norm_u + sigma * xi[far]
-            r_new = np.sqrt(along * along + sigma * sigma * chi[far])
-            log_f = math.log(0.5) + 2.0 * np.array(log_norms(np.sqrt(lam) * r_new))
-            gain[far] = log_f - problem.log_core_centered(y)
+        far = accepted & (delta <= -0.5 * core)  # and so core > 0 on the other accepted rows
+        gain = np.log1p(np.divide(delta, core, out=np.zeros(delta.size), where=accepted & ~far))
+        # where 1 + delta/core cancels, which log1p would amplify: log f by the
+        # new-point rule less log f at m, where log 1/2 and the frame's shift cancel
+        along = norm_u + sigma_hat * xi[far]
+        r_new = np.sqrt(along * along + sigma_hat * sigma_hat * chi[far])
+        gain[far] = 2.0 * (np.array(log_norms(sqrt_lam * r_new)) - log_norm)
         return gain
 
     chi_source = chi_square_source(stream)
@@ -111,12 +106,11 @@ def _sample(
     chunk = _chunk_rows(2 * lam.size)  # xi and chi are rows x G each
     for start in range(0, rows, chunk):
         xi, chi, q = draw_block(stream, chi_source, min(chunk, rows - start), groups)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lin = sigma * np.einsum("ij,j->i", xi, lam * norm_u)
-            quad = sigma * sigma * q
-            delta = lin + quad
-            if np.isnan(delta).any() or np.isnan(quad - lin).any():
-                raise NumericalFailure("core decrement is nan")
+        lin = sigma_hat * np.einsum("ij,j->i", xi, lam * norm_u)
+        quad = sigma_hat * sigma_hat * q
+        delta = lin + quad
+        if not np.isfinite(delta).all():
+            raise NumericalFailure("non-finite core decrement")
         accepted = delta <= 0.0
         gain = functools.partial(log_gain, xi, chi, delta, accepted)
         out[start : start + len(xi)] = values(lin, quad, accepted, gain)

@@ -25,7 +25,10 @@ and with numpy's AVX-512 loops off (``NPY_DISABLE_CPU_FEATURES=X86_V4``):
   times the default for 2 000 steps, which renormalises at the first step
   and again on the way down and keeps more than 256 accepted rows;
 * ``sweep``: the CSV and its ``.meta.json`` of two small rows;
-* ``mc``: one mean and standard error of each Monte Carlo estimator.
+* ``mc``: one mean and standard error of each Monte Carlo estimator, and of
+  the log-progress and exp-moment estimators on an ellipsoid:30 state whose
+  offspring reach far rows (delta <= -core/2), where log f is taken from the
+  offspring.
 
 Left out: rotated problems, whose rotation is a LAPACK QR and whose lifted
 points are BLAS products, so their bytes differ between OpenBLAS kernels;
@@ -122,6 +125,10 @@ def outputs():
                      montecarlo.estimate_exp_abs):
         est = estimate(p, m, 0.05, 2000, eq.RandomStream(5))
         yield f"mc/{estimate.__name__}", f"{est.mean.hex()} {est.std_error.hex()}".encode()
+    p = eq.make_problem(eq.ellipsoid(6, 30.0), 0)
+    for estimate in (montecarlo.estimate_log_progress, montecarlo.estimate_exp_abs):
+        est = estimate(p, [1.0] * 6, 0.3 * 6.0**0.5, 2000, eq.RandomStream(5))
+        yield f"mc/far/{estimate.__name__}", f"{est.mean.hex()} {est.std_error.hex()}".encode()
     p = eq.make_problem(eq.sphere(256), 0)
     params = eq.alpha_schedule(256, 0.4)
     consts = eq.constants(eq.spectrum_stats(p), params)

@@ -13,7 +13,8 @@ MODULE_ONLY = {
     "bounds": ["b_high", "b_low", "exp_moment_bound", "normal_quantile", "q_h",
                "quality_gain_bound", "success_prob_sandwich", "trace_condition",
                "trace_condition_threshold"],
-    "es_core": ["BrokenProcessPool", "StepOutcome", "draw_block", "start_frame", "step"],
+    "es_core": ["BrokenProcessPool", "StepOutcome", "draw_block", "start_frame", "step",
+                "step_frame"],
     "experiments": ["default_sigma0"],
     "montecarlo": ["McEstimate", "estimate_drift_V", "estimate_exp_abs",
                    "estimate_log_progress", "estimate_success_prob"],

@@ -177,9 +177,10 @@ class TestDrift:
         ids=["every-offspring-uphill", "outside-the-start-frame"])
     def test_state_whose_decrements_overflow(self, tmp_path, capsys, log_sigma, code,
                                              message):
-        """sigma^2 overflows at both states.  At 705 that rejects every
-        offspring, rightly; at 709.5 sigma is above 2**1021 in the start's
-        frame, which ``run`` would refuse as well."""
+        """Raw sigma^2 overflows at both states.  At 705 the start's frame,
+        renormalised to the scale of sigma, rejects every offspring, rightly;
+        at 709.5 sigma is above 2**1021 in that frame, which ``run`` would
+        refuse as well."""
         spath = tmp_path / "state.json"
         spath.write_text(json.dumps({"m": [0.0625] * 256, "log_sigma": log_sigma}))
         assert main(["drift", "--d", "256", "--spectrum", "sphere", *ALPHAS_D256,

@@ -251,9 +251,12 @@ class TestRun:
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_start_of_wrong_length(self, length):
-        # a start of length 1 once broadcast to (1, 1, 1, 1) and ran
+        # a start of length 1 once broadcast to (1, 1, 1, 1) and ran; a z of
+        # length 3 once raised numpy's ValueError in ``step``
         p = eq.make_problem(eq.sphere(4), 0)
         state = eq.EsState(np.ones(length), 0.0)
+        with pytest.raises(eq.DimensionMismatch):
+            es_core.step(eq.EsState(np.ones(4), 0.0), np.ones(length), p, PARAMS)
         with pytest.raises(eq.DimensionMismatch):
             eq.run(p, state, PARAMS, 10, eq.RandomStream(0))
         with pytest.raises(eq.DimensionMismatch):
@@ -658,8 +661,8 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
     log sigma is log_up on an accepted row and log_down on any other; and
     log f - log 1/2 - 2 log-norm lies in [log L, log U].  With G <= 2 the
     group chain gives the same bytes, and so does ``run_many`` on two CPUs.
-    Where ``step_size`` takes the start's log sigma, ``step`` refuses the
-    start exactly when ``run`` does."""
+    Where ``step_size`` takes the start's log sigma, ``step`` and the Monte
+    Carlo sampler refuse the start exactly when ``run`` does."""
     lam, rotation_seed, start, alpha_up, alpha_down, budget, seed, record_m = drawn
     job = None
     try:
@@ -702,18 +705,21 @@ def test_run_holds_its_invariants(cpus, monkeypatch, drawn):
 
 def _assert_step_refuses_as_run_does(job, run_refused):
     """Where ``step_size`` takes the start's log sigma, ``step`` with z = 0
-    raises DomainError exactly when ``run`` does."""
+    and the Monte Carlo sampler raise DomainError exactly when ``run`` does."""
     p, state0, params, _ = job
     try:
-        es_core.step_size(state0.log_sigma)
+        sigma = es_core.step_size(state0.log_sigma)
     except eq.DomainError:
         return
-    step_refused = False
-    try:
-        es_core.step(state0, np.zeros(p.d), p, params)
-    except eq.DomainError:
-        step_refused = True
-    assert step_refused == run_refused
+    for call in (lambda: es_core.step(state0, np.zeros(p.d), p, params),
+                 lambda: montecarlo.estimate_success_prob(p, state0.m, sigma, 100,
+                                                          eq.RandomStream(0))):
+        refused = False
+        try:
+            call()
+        except eq.DomainError:
+            refused = True
+        assert refused == run_refused
 
 
 def _block_size_outputs():

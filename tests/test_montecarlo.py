@@ -180,6 +180,34 @@ class TestEstimatorContracts:
         q = es_core.draw_block(stream, source, 1000, p.eigen_groups())[2]
         assert np.array_equal(quad, 0.4 * 0.4 * q)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 300, 600, 900])
+    def test_estimates_do_not_depend_on_the_scale(self, k, params256, constants256):
+        """(2**k y, 2**k sigma) with x* = 0 give the bits of (y, sigma): the
+        sampler decides in the frame of ``es_core.step_frame``.  At k = -600
+        the sphere's state is 2**-600 (1, ..., 1) with sigma 2**-601, whose raw
+        core underflows to 0, and drift_V takes it too; the ellipsoid's state
+        reaches far rows, whose log f is taken from the offspring."""
+        rng = np.random.default_rng(17)
+        y = rng.normal(size=6)
+        cases = [(eq.make_problem(eq.sphere(8), 0), np.ones(8), 0.5),
+                 (eq.make_problem(eq.ellipsoid(6, 30.0), 0), y, 0.3 * float(np.linalg.norm(y)))]
+        p, y, sigma = cases[1]
+        lin, quad, _ = _sampled(p, y, sigma, 2000, eq.RandomStream(5))
+        assert np.count_nonzero(lin + quad <= -0.5 * p.core_centered(y)) >= 5
+        for p, y, sigma in cases:
+            for estimate in (montecarlo.estimate_success_prob,
+                             montecarlo.estimate_log_progress, montecarlo.estimate_exp_abs):
+                base, scaled = (estimate(p, np.ldexp(y, e), math.ldexp(sigma, e), 2000,
+                                         eq.RandomStream(5)) for e in (0, k))
+                assert (scaled.mean.hex(), scaled.std_error.hex()) == (
+                    base.mean.hex(), base.std_error.hex()), estimate.__name__
+        if k == -600:
+            state = types.SimpleNamespace(m=np.ldexp(np.ones(8), k),
+                                          log_sigma=(k - 1) * math.log(2.0))
+            est, _ = montecarlo.estimate_drift_V(cases[0][0], state, constants256, params256,
+                                                 1000, eq.RandomStream(6))
+            assert math.isfinite(est.mean)
+
     def test_se_shrinks_like_sqrt_n(self):
         p = eq.make_problem(eq.sphere(8), 0)
         m = p.optimum + np.ones(8)
@@ -271,9 +299,10 @@ class TestInvalidInputs:
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_overflowed_decrement_is_a_rejection(self, name, log_sigma, sphere256,
                                                  params256, constants256):
-        """From sigma ~ 1e153 up sigma^2 q overflows on some rows (all at
-        705) while sigma (Hy)^T z does not: every offspring is uphill, and
-        each estimator says so, without a RuntimeWarning."""
+        """From sigma ~ 1e153 up sigma^2 q would overflow in raw coordinates
+        (on every row at 705); in the start's frame, renormalised to the
+        scale of sigma, it does not.  Every offspring is uphill, and each
+        estimator says so, without a RuntimeWarning."""
         m = sphere256.optimum + np.full(256, 0.0625)
         est = _four_estimators(sphere256, m, math.exp(log_sigma), constants256,
                                params256)[name]()
@@ -285,39 +314,54 @@ class TestInvalidInputs:
 
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_undecided_decrement_raises(self, name, sphere256, params256, constants256):
-        """At sigma = e**709.7 sigma^2 q overflows on every row, and sigma
-        (Hy)^T z where |xi| > 1.09: inf - inf decides nothing there, and no
-        row may count as a rejection then."""
+        """At sigma = e**709.7, where raw sigma^2 q and sigma (Hy)^T z
+        overflow to an undecided inf - inf, sigma is above 2**1021 in the
+        start's frame: the state is refused, as ``run`` and ``drift --state``
+        refuse it."""
         m = sphere256.optimum + np.full(256, 0.0625)
         call = _four_estimators(sphere256, m, math.exp(709.7), constants256, params256)[name]
-        with pytest.raises(eq.NumericalFailure, match="core decrement is nan"):
+        with pytest.raises(eq.DomainError, match="in the start's frame"):
             call()
 
-    def test_undecided_partner_raises(self, monkeypatch, sphere256):
-        """With every xi_k = 2 sigma (Hy)^T z is +inf on every row there: each
-        offspring is rightly rejected, but its partner's inf - inf decides
-        nothing."""
-        tie_variates(monkeypatch, 2.0)
-        m = sphere256.optimum + np.full(256, 0.0625)
-        with pytest.raises(eq.NumericalFailure, match="core decrement is nan"):
-            montecarlo.estimate_success_prob(sphere256, m, math.exp(709.7), 1000,
-                                             eq.RandomStream(0))
+    def test_undecided_partner_raises(self):
+        """A decrement that is not finite decides neither an offspring nor its
+        partner: the sampler raises, as ``run`` does.  With eigenvalues 1e307
+        at d = 256 q overflows on every row of the draw."""
+        p = eq.make_problem([1e307] * 256, 0)
+        m = np.r_[1.0, np.zeros(255)]
+        with pytest.raises(eq.NumericalFailure, match="non-finite core decrement"):
+            montecarlo.estimate_success_prob(p, m, 0.5, 1000, eq.RandomStream(0))
+        with pytest.raises(eq.NumericalFailure, match="non-finite core decrement"):
+            eq.run(p, eq.EsState(m, math.log(0.5)), eq.EsParams(1.5, 0.8), 1,
+                   eq.RandomStream(0))
 
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_core_must_be_representable(self, name, sphere256, params256,
                                          constants256):
-        m = sphere256.optimum + np.full(256, 1e-200)  # the core underflows to 0
-        call = _four_estimators(sphere256, m, 1e-200, constants256, params256)[name]
-        with pytest.raises(eq.NumericalFailure):
-            call()
+        """The core that decides is the frame's, representable wherever the
+        state is admitted: this state's raw core underflows to 0, and the
+        estimators that take sigma give the bits of the state 2**600 times
+        larger."""
+        m = sphere256.optimum + np.full(256, 1e-200)
+        est = _four_estimators(sphere256, m, 1e-200, constants256, params256)[name]()
+        if name == "drift_V":
+            assert math.isfinite(est[0].mean)
+        else:
+            large = _four_estimators(sphere256, np.ldexp(m, 600), math.ldexp(1e-200, 600),
+                                     constants256, params256)[name]()
+            assert (est.mean.hex(), est.std_error.hex()) == (large.mean.hex(),
+                                                             large.std_error.hex())
 
 
 def _sampled(p, m, sigma, rows, stream):
-    """Decrement terms and log gains of the sampler, concatenated over chunks."""
+    """Decrement terms, scaled back from the sampler's frame to raw
+    coordinates by the power of two (sigma / sigma_hat)**2, and log gains of
+    the sampler, concatenated over chunks."""
     chunks = []
+    scale = (sigma / es_core.step_frame(p, m, sigma)[2]) ** 2
 
     def grab(lin, quad, accepted, gain):
-        chunks.append((lin, quad, gain()))
+        chunks.append((scale * lin, scale * quad, gain()))
         return lin
 
     montecarlo._sample(p, m, sigma, rows, stream, grab)
